@@ -42,6 +42,8 @@ const char *check::ruleId(AuditRule Rule) {
     return "link.wants-stale";
   case AuditRule::LinkStateLeak:
     return "link.state-leak";
+  case AuditRule::LinkReverseEdgeMismatch:
+    return "link.reverse-edge-mismatch";
   case AuditRule::FreeListExtentInvalid:
     return "freelist.extent-invalid";
   case AuditRule::FreeListOutOfOrder:
@@ -117,19 +119,20 @@ const char *check::ruleFixHint(AuditRule Rule) {
            "commitInsert/evictFront";
   case AuditRule::LinkEndpointNotResident:
   case AuditRule::LinkStateLeak:
-    return "LinkGraph::onEvict must clear every victim's lists and the "
-           "back-pointer entries at surviving endpoints";
+    return "check::captureLinkGraph must derive every link view from "
+           "CodeCache residency: an evicted block owns no links";
   case AuditRule::LinkBackPointerMissing:
   case AuditRule::LinkBackPointerStale:
-    return "LinkGraph::materialize/onEvict must mutate OutLinks and "
-           "InLinks as a pair (Eq. 4 back-pointer table)";
-  case AuditRule::LinkCountMismatch:
-    return "LinkGraph LinkCount must move with every materialize/unlink";
   case AuditRule::LinkWithoutStaticEdge:
   case AuditRule::LinkStaticEdgeDropped:
   case AuditRule::LinkWantsStale:
-    return "LinkGraph::onInsert must materialize resident targets and "
-           "index absent ones in Wants (drained on re-insert)";
+  case AuditRule::LinkReverseEdgeMismatch:
+    return "LinkGraph::learn must index each learned edge once in its "
+           "target's reverse index and re-index a re-translated block's "
+           "old edges (Eq. 4 back-pointer table)";
+  case AuditRule::LinkCountMismatch:
+    return "LinkGraph::onInsert/onEvict must move LinkCount by exactly the "
+           "links residency creates and destroys";
   case AuditRule::FreeListExtentInvalid:
   case AuditRule::FreeListOutOfOrder:
   case AuditRule::FreeListUncoalesced:

@@ -57,6 +57,9 @@ enum class AuditRule : uint8_t {
   LinkWantsStale,             ///< Wants entry for a resident target or
                               ///< from a non-resident source.
   LinkStateLeak,              ///< Evicted block still owns link lists.
+  LinkReverseEdgeMismatch,    ///< A learned edge and the reverse-edge
+                              ///< index disagree (missing, extra, or
+                              ///< different multiplicity).
 
   // FreeListCache: first-fit arena (paper section 3.3 study).
   FreeListExtentInvalid,      ///< Zero-size or out-of-bounds free extent.

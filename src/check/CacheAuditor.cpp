@@ -46,21 +46,34 @@ CodeCacheState check::captureCodeCache(const CodeCache &Cache) {
   return State;
 }
 
-LinkGraphState check::captureLinkGraph(const LinkGraph &Links) {
+LinkGraphState check::captureLinkGraph(const LinkGraph &Links,
+                                       const CodeCache &Cache) {
   LinkGraphState State;
   State.LiveLinkCount = Links.numLinks();
   State.Nodes.resize(Links.idTableSize());
   for (SuperblockId Id = 0; Id < Links.idTableSize(); ++Id) {
     LinkGraphState::Node &N = State.Nodes[Id];
     N.Id = Id;
-    const auto Assign = [](std::vector<SuperblockId> &Dst,
-                           std::span<const SuperblockId> Src) {
-      Dst.assign(Src.begin(), Src.end());
-    };
-    Assign(N.StaticEdges, Links.staticEdgesOf(Id));
-    Assign(N.Out, Links.outLinksOf(Id));
-    Assign(N.In, Links.inLinksOf(Id));
-    Assign(N.Wants, Links.wantsOf(Id));
+    const std::span<const SuperblockId> Edges = Links.edgesOf(Id);
+    const std::span<const SuperblockId> Sources = Links.sourcesOf(Id);
+    N.LearnedEdges.assign(Edges.begin(), Edges.end());
+    N.LearnedSources.assign(Sources.begin(), Sources.end());
+    // The views a list-keeping back-pointer table would hold: out-links
+    // come from the learned edges, back-pointers and wants from the
+    // reverse index, so the mirror rules cross-check the two.
+    if (Cache.contains(Id)) {
+      N.StaticEdges = N.LearnedEdges;
+      for (SuperblockId To : Edges)
+        if (Cache.contains(To))
+          N.Out.push_back(To);
+      for (SuperblockId From : Sources)
+        if (Cache.contains(From))
+          N.In.push_back(From);
+    } else {
+      for (SuperblockId From : Sources)
+        if (Cache.contains(From))
+          N.Wants.push_back(From);
+    }
   }
   return State;
 }
@@ -89,8 +102,7 @@ StatsState check::captureStats(const CacheManager &Manager) {
   State.LiveLinks = Manager.links().numLinks();
   State.BackPointerBytes = Manager.links().backPointerBytes();
   State.ChainingEnabled = Manager.config().EnableChaining;
-  State.UsesBackPointerTable =
-      Manager.policy().usesBackPointerTable(Manager.cache().capacity());
+  State.UsesBackPointerTable = Manager.keepsBackPointerTable();
   return State;
 }
 
@@ -324,6 +336,33 @@ void check::checkLinkGraph(const LinkGraphState &Links,
                      static_cast<long long>(Edges));
       }
     }
+  }
+
+  // The learned graph behind the views: every learned edge S->T appears
+  // in T's reverse index with the same multiplicity, and nothing else
+  // does (std::map keeps the report order deterministic).
+  std::map<std::pair<SuperblockId, SuperblockId>, int64_t> Learned;
+  for (const LinkGraphState::Node &N : Links.Nodes) {
+    for (SuperblockId To : N.LearnedEdges)
+      ++Learned[{N.Id, To}];
+    for (SuperblockId From : N.LearnedSources)
+      --Learned[{From, N.Id}];
+  }
+  for (const auto &[Edge, Balance] : Learned) {
+    if (Balance > 0)
+      Report.add(AuditRule::LinkReverseEdgeMismatch,
+                 ids({Edge.first, Edge.second}),
+                 "learned edge %llu->%llu is missing from the reverse "
+                 "index (imbalance %lld)",
+                 static_cast<ULL>(Edge.first), static_cast<ULL>(Edge.second),
+                 static_cast<long long>(Balance));
+    else if (Balance < 0)
+      Report.add(AuditRule::LinkReverseEdgeMismatch,
+                 ids({Edge.first, Edge.second}),
+                 "reverse index names %llu as a source of %llu without a "
+                 "learned edge (imbalance %lld)",
+                 static_cast<ULL>(Edge.first), static_cast<ULL>(Edge.second),
+                 static_cast<long long>(Balance));
   }
 
   // Wants hygiene: entries only for absent targets, only from resident
@@ -712,7 +751,8 @@ AuditReport CacheAuditor::auditCache(const CodeCache &Cache) const {
 AuditReport CacheAuditor::auditLinks(const LinkGraph &Links,
                                      const CodeCache &Cache) const {
   AuditReport Report;
-  checkLinkGraph(captureLinkGraph(Links), captureCodeCache(Cache), Report);
+  checkLinkGraph(captureLinkGraph(Links, Cache), captureCodeCache(Cache),
+                 Report);
   return Report;
 }
 
@@ -735,7 +775,8 @@ AuditReport CacheAuditor::auditManager(const CacheManager &Manager) const {
   const CodeCacheState Cache = captureCodeCache(Manager.cache());
   checkCodeCache(Cache, Report);
   if (Manager.config().EnableChaining)
-    checkLinkGraph(captureLinkGraph(Manager.links()), Cache, Report);
+    checkLinkGraph(captureLinkGraph(Manager.links(), Manager.cache()), Cache,
+                   Report);
   checkStats(captureStats(Manager), Report);
   return Report;
 }
@@ -746,7 +787,8 @@ AuditReport check::auditSharedEngine(const SharedCacheEngine &Engine) {
   const CodeCacheState Cache = captureCodeCache(Inner.cache());
   checkCodeCache(Cache, Report);
   if (Inner.config().EnableChaining)
-    checkLinkGraph(captureLinkGraph(Inner.links()), Cache, Report);
+    checkLinkGraph(captureLinkGraph(Inner.links(), Inner.cache()), Cache,
+                   Report);
   StatsState Stats = captureStats(Inner);
   if (Engine.mode() == ShareMode::Concurrent && Stats.Stats.Accesses == 0) {
     // Mid-run deferred accounting: Accesses/Hits live outside the engine
@@ -767,7 +809,7 @@ AuditReport CacheAuditor::auditTranslator(const Translator &T) const {
   const CodeCacheState Main = captureCodeCache(T.cache());
   checkCodeCache(Main, Report);
   if (T.config().EnableChaining)
-    checkLinkGraph(captureLinkGraph(T.links()), Main, Report);
+    checkLinkGraph(captureLinkGraph(T.links(), T.cache()), Main, Report);
   checkStats(captureStats(T.engine()), Report);
   checkDispatchTable(captureDispatchTable(T, /*BasicBlockTier=*/false), Main,
                      Report);

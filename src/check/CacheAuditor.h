@@ -57,15 +57,24 @@ struct CodeCacheState {
   bool isResident(SuperblockId Id) const;
 };
 
-/// Snapshot of a LinkGraph: per-id adjacency lists plus the live count.
+/// Snapshot of a LinkGraph: the learned graph it stores, the per-id
+/// back-pointer views that graph implies under the cache's residency, and
+/// the live count.
 struct LinkGraphState {
   uint64_t LiveLinkCount = 0;
   struct Node {
     SuperblockId Id = 0;
+    /// Views: static edges of a resident block, its out-links and
+    /// back-pointers, and for an absent block the resident sources whose
+    /// edges wait for it.
     std::vector<SuperblockId> StaticEdges;
     std::vector<SuperblockId> Out;
     std::vector<SuperblockId> In;
     std::vector<SuperblockId> Wants; ///< Sources waiting for Id.
+    /// The learned graph, resident or not: Id's out-edges and the
+    /// reverse-edge index entries naming Id as a target.
+    std::vector<SuperblockId> LearnedEdges;
+    std::vector<SuperblockId> LearnedSources;
   };
   std::vector<Node> Nodes; ///< One entry per id in the dense tables.
 };
@@ -131,7 +140,8 @@ struct StatsState {
 // --- Snapshot extraction from live structures ---------------------------
 
 CodeCacheState captureCodeCache(const CodeCache &Cache);
-LinkGraphState captureLinkGraph(const LinkGraph &Links);
+LinkGraphState captureLinkGraph(const LinkGraph &Links,
+                                const CodeCache &Cache);
 FreeListState captureFreeList(const FreeListCache &Cache);
 StatsState captureStats(const CacheManager &Manager);
 DispatchTableState captureDispatchTable(const Translator &T,
@@ -178,7 +188,8 @@ public:
 
   /// Chaining invariants of \p Links against residency in \p Cache:
   /// back-pointer mirroring, no link into evicted blocks, wants index
-  /// completeness (paper section 4.3 / Figure 13).
+  /// completeness, reverse-edge index mirroring (paper section 4.3 /
+  /// Figure 13).
   AuditReport auditLinks(const LinkGraph &Links,
                          const CodeCache &Cache) const;
 

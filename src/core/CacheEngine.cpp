@@ -13,12 +13,19 @@ CacheEngine::CacheEngine(const CacheEngineConfig &Config,
       Cache(Config.CapacityBytes) {
   CCSIM_REQUIRE(this->Policy, "cache engine requires a policy");
   Stats.SharingActive = this->Config.ContentIndex != nullptr;
+  // An access-stateless policy's quantum depends on the capacity alone,
+  // so the miss path need not ask it again.
+  if (this->Policy->isAccessStateless())
+    FixedQuantum = currentQuantum();
+  KeepsBackPointers = this->Config.EnableChaining &&
+                      this->Policy->usesBackPointerTable(Cache.capacity());
 }
 
 uint64_t CacheEngine::currentQuantum() const {
+  if (FixedQuantum != 0)
+    return FixedQuantum;
   const uint64_t Capacity = Cache.capacity();
-  uint64_t Quantum = Policy->quantumBytes(Capacity);
-  return std::clamp<uint64_t>(Quantum, 1, Capacity);
+  return std::clamp<uint64_t>(Policy->quantumBytes(Capacity), 1, Capacity);
 }
 
 bool CacheEngine::seenBefore(SuperblockId Id) {
@@ -30,8 +37,7 @@ bool CacheEngine::seenBefore(SuperblockId Id) {
 }
 
 void CacheEngine::sampleBackPointerMemory() {
-  if (!Config.EnableChaining ||
-      !Policy->usesBackPointerTable(Cache.capacity()))
+  if (!KeepsBackPointers)
     return;
   const uint64_t Bytes = Links.backPointerBytes();
   Stats.BackPointerBytesPeak = std::max(Stats.BackPointerBytesPeak, Bytes);
@@ -49,8 +55,7 @@ AccessKind CacheEngine::deferredMiss(const SuperblockRecord &Rec) {
 }
 
 void CacheEngine::addDeferredBackPointerSamples(uint64_t Count) {
-  if (Count == 0 || !Config.EnableChaining ||
-      !Policy->usesBackPointerTable(Cache.capacity()))
+  if (Count == 0 || !KeepsBackPointers)
     return;
   const uint64_t Bytes = Links.backPointerBytes();
   Stats.BackPointerBytesPeak = std::max(Stats.BackPointerBytesPeak, Bytes);
@@ -101,7 +106,7 @@ void CacheEngine::chargeEvictions(uint64_t UnitsFlushed) {
     const uint64_t LinksBefore = Links.numLinks();
     Links.onEvict(Cache, EvictedScratch, DanglingScratch);
     Stats.LinksDestroyed += LinksBefore - Links.numLinks();
-    if (Policy->usesBackPointerTable(Cache.capacity())) {
+    if (KeepsBackPointers) {
       HaveDangling = true;
       for (uint32_t NumLinks : DanglingScratch) {
         if (NumLinks == 0)
@@ -198,7 +203,7 @@ void CacheEngine::notifyEvictions() {
   Event.VictimTenants = VictimTenantScratch;
   // DanglingScratch lines up with EvictedScratch only when unlink charges
   // were actually accounted; otherwise report no repaired links.
-  if (Config.EnableChaining && Policy->usesBackPointerTable(Cache.capacity()))
+  if (KeepsBackPointers)
     Event.DanglingLinks = DanglingScratch;
   Config.OnEviction(Event);
 }

@@ -246,6 +246,12 @@ public:
   /// The eviction quantum currently in force.
   uint64_t currentQuantum() const;
 
+  /// Whether this engine keeps a back-pointer table: chaining is on and
+  /// the policy needs one (everything but whole-cache FLUSH). Fixed at
+  /// construction; gates the Eq. 4 unlink charges, the dangling counts
+  /// handed to observers, and back-pointer memory sampling.
+  bool keepsBackPointerTable() const { return KeepsBackPointers; }
+
   /// Owner of resident or previously-seen superblock \p Id (tenant 0 if
   /// never inserted). Only meaningful when records carry tenant ids.
   TenantId tenantOf(SuperblockId Id) const {
@@ -347,6 +353,12 @@ private:
   std::vector<SharedContentIndex::Link> UnshareScratch;
   TenantId CurrentTenant = 0; // Tenant of the in-flight access.
   bool LastShareLinked = false;
+
+  // Fixed at construction so the miss and sampling paths make no virtual
+  // policy calls: the quantum of an access-stateless policy (0 = ask the
+  // policy on every miss) and the back-pointer-table gate.
+  uint64_t FixedQuantum = 0;
+  bool KeepsBackPointers = false;
 
   // Telemetry bookkeeping (only touched when Config.Telemetry is set).
   uint64_t LastQuantumTraced = 0;   // 0 = no quantum recorded yet.

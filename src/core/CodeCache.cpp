@@ -20,9 +20,9 @@ void CodeCache::growTables(SuperblockId Id) {
 }
 
 uint64_t CodeCache::contiguousFreeAtTail() const {
-  if (Fifo.empty())
+  if (empty())
     return Capacity - Tail;
-  const uint64_t Head = Fifo.front().Start;
+  const uint64_t Head = front().Start;
   if (Head >= Tail) {
     // Either the occupied region wraps (free = [Tail, Head)) or the cache
     // is exactly full (Head == Tail with residents).
@@ -32,13 +32,25 @@ uint64_t CodeCache::contiguousFreeAtTail() const {
   return Capacity - Tail;
 }
 
+void CodeCache::pushBack(const Resident &R) {
+  if (FifoSize == Ring.size()) {
+    // Full: unroll the ring oldest-first, then double it.
+    std::rotate(Ring.begin(), Ring.begin() + FifoHead, Ring.end());
+    FifoHead = 0;
+    Ring.resize(std::max<size_t>(16, Ring.size() * 2));
+  }
+  Ring[(FifoHead + FifoSize) & (Ring.size() - 1)] = R;
+  ++FifoSize;
+}
+
 CodeCache::Resident CodeCache::evictFront() {
-  CCSIM_ASSERT(!Fifo.empty(), "evicting from an empty cache");
-  Resident Victim = Fifo.front();
-  Fifo.pop_front();
+  CCSIM_ASSERT(!empty(), "evicting from an empty cache");
+  const Resident Victim = front();
+  FifoHead = (FifoHead + 1) & (Ring.size() - 1);
+  --FifoSize;
   Occupied -= Victim.Size;
   ResidentFlag[Victim.Id] = 0;
-  if (Fifo.empty())
+  if (empty())
     Tail = 0; // Empty cache: restart placement at the origin.
   return Victim;
 }
@@ -65,14 +77,14 @@ CodeCache::prepareInsert(uint32_t SizeBytes, uint64_t Quantum,
   };
 
   for (;;) {
-    if (Fifo.empty()) {
+    if (empty()) {
       Tail = 0;
       return Out;
     }
     if (contiguousFreeAtTail() >= SizeBytes)
       return Out;
 
-    if (Fifo.front().Start < Tail) {
+    if (front().Start < Tail) {
       // Free space is capped by the buffer end while the FIFO head sits
       // behind the write position: wrap, wasting the tail bytes (code
       // cannot span the wrap point).
@@ -83,7 +95,7 @@ CodeCache::prepareInsert(uint32_t SizeBytes, uint64_t Quantum,
 
     // The FIFO head is ahead of the write position: reclaim from it.
     // First evict until the incoming block fits ...
-    while (!Fifo.empty() && Fifo.front().Start >= Tail &&
+    while (!empty() && front().Start >= Tail &&
            contiguousFreeAtTail() < SizeBytes)
       NoteEvicted(evictFront());
 
@@ -91,8 +103,8 @@ CodeCache::prepareInsert(uint32_t SizeBytes, uint64_t Quantum,
     // units are always flushed together (no-op for the 1-byte quantum of
     // fine-grained FIFO, since distinct blocks have distinct starts).
     if (EvictedAny && Quantum > 1)
-      while (!Fifo.empty() && Fifo.front().Start >= Tail &&
-             unitOf(Fifo.front().Start, Quantum) == LastEvictedUnit)
+      while (!empty() && front().Start >= Tail &&
+             unitOf(front().Start, Quantum) == LastEvictedUnit)
         NoteEvicted(evictFront());
     // Loop: re-check fit (the head may have wrapped to low offsets, in
     // which case the free region now runs to the buffer end).
@@ -107,7 +119,7 @@ uint64_t CodeCache::commitInsert(SuperblockId Id, uint32_t SizeBytes) {
                SizeBytes);
   growTables(Id);
   const uint64_t Start = Tail;
-  Fifo.push_back(Resident{Id, Start, SizeBytes});
+  pushBack(Resident{Id, Start, SizeBytes});
   Tail += SizeBytes;
   if (Tail == Capacity)
     Tail = 0; // Exact fit against the end: next write wraps cleanly.
@@ -119,7 +131,7 @@ uint64_t CodeCache::commitInsert(SuperblockId Id, uint32_t SizeBytes) {
 }
 
 void CodeCache::flushAll(std::vector<Resident> &EvictedOut) {
-  while (!Fifo.empty())
+  while (!empty())
     EvictedOut.push_back(evictFront());
   Tail = 0;
 }
@@ -131,12 +143,15 @@ bool CodeCache::checkInvariants() const {
   for (size_t Id = 0; Id < ResidentFlag.size(); ++Id)
     if (ResidentFlag[Id])
       ++FlaggedResident;
-  if (FlaggedResident != Fifo.size())
+  if (FlaggedResident != FifoSize)
     return false;
+  if ((Ring.size() & (Ring.size() - 1)) != 0 || FifoSize > Ring.size())
+    return false; // The ring must be a power of two holding every resident.
 
   std::vector<std::pair<uint64_t, uint64_t>> Ranges;
-  Ranges.reserve(Fifo.size());
-  for (const Resident &R : Fifo) {
+  Ranges.reserve(FifoSize);
+  for (size_t I = 0; I < FifoSize; ++I) {
+    const Resident &R = fifoAt(I);
     if (R.Size == 0 || R.end() > Capacity)
       return false; // Blocks must not wrap past the buffer end.
     if (!contains(R.Id) || StartById[R.Id] != R.Start ||
@@ -156,8 +171,8 @@ bool CodeCache::checkInvariants() const {
 
   // FIFO starts must be cyclically increasing: at most one wrap point.
   size_t Wraps = 0;
-  for (size_t I = 1; I < Fifo.size(); ++I)
-    if (Fifo[I].Start < Fifo[I - 1].Start)
+  for (size_t I = 1; I < FifoSize; ++I)
+    if (fifoAt(I).Start < fifoAt(I - 1).Start)
       ++Wraps;
   if (Wraps > 1)
     return false;

@@ -24,8 +24,15 @@
 /// first byte, exactly like a fragment allocated across a unit seam in a
 /// dense circular-buffer implementation.
 ///
+/// Residents are kept oldest-first in a ring: a power-of-two vector with
+/// a head index, so evicting from the front and appending at the back
+/// touch one slot each and never allocate once the ring has grown to the
+/// peak resident count.
+///
 /// The class tracks placement only. Links, costs, and policy decisions
-/// live in LinkGraph, CostModel, and CacheManager.
+/// live in LinkGraph, CostModel, and CacheEngine. LinkGraph derives every
+/// link from contains()/startOf(), so residency is the single source of
+/// truth for chaining too.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,7 +43,6 @@
 #include "support/Contracts.h"
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 namespace ccsim {
@@ -64,8 +70,8 @@ public:
 
   uint64_t capacity() const { return Capacity; }
   uint64_t occupiedBytes() const { return Occupied; }
-  size_t residentCount() const { return Fifo.size(); }
-  bool empty() const { return Fifo.empty(); }
+  size_t residentCount() const { return FifoSize; }
+  bool empty() const { return FifoSize == 0; }
 
   /// True if \p Id currently resides in the cache.
   bool contains(SuperblockId Id) const {
@@ -107,14 +113,14 @@ public:
 
   /// Oldest resident block; cache must be non-empty.
   const Resident &front() const {
-    CCSIM_ASSERT(!Fifo.empty(), "cache is empty");
-    return Fifo.front();
+    CCSIM_ASSERT(!empty(), "cache is empty");
+    return Ring[FifoHead];
   }
 
   /// Visits residents in FIFO (oldest-first) order.
   template <typename Fn> void forEachResident(Fn Visit) const {
-    for (const Resident &R : Fifo)
-      Visit(R);
+    for (size_t I = 0; I < FifoSize; ++I)
+      Visit(fifoAt(I));
   }
 
   /// Size of the dense per-id lookup tables; ids >= this were never
@@ -131,7 +137,12 @@ private:
   uint64_t Capacity;
   uint64_t Tail = 0;     ///< Next write offset.
   uint64_t Occupied = 0; ///< Total resident bytes.
-  std::deque<Resident> Fifo;
+
+  // FIFO ring: FifoSize residents starting at Ring[FifoHead], wrapping at
+  // Ring.size(), which is zero or a power of two.
+  std::vector<Resident> Ring;
+  size_t FifoHead = 0;
+  size_t FifoSize = 0;
 
   // Dense per-id lookups (ids are small and dense by construction).
   std::vector<uint8_t> ResidentFlag;
@@ -140,6 +151,14 @@ private:
 
   /// Contiguous free bytes available at Tail without wrapping.
   uint64_t contiguousFreeAtTail() const;
+
+  /// The \p I-th oldest resident; \p I < FifoSize.
+  const Resident &fifoAt(size_t I) const {
+    return Ring[(FifoHead + I) & (Ring.size() - 1)];
+  }
+
+  /// Appends \p R as the newest resident, doubling the ring when full.
+  void pushBack(const Resident &R);
 
   /// Pops and returns the oldest block.
   Resident evictFront();

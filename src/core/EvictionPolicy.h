@@ -23,8 +23,9 @@
 ///                   program phase change (Section 2.3).
 ///
 /// A policy's only placement-affecting decision is its eviction *quantum*;
-/// the CacheManager asks for it on every miss, so adaptive policies may
-/// change their answer over time.
+/// the CacheEngine asks for it on every miss, so adaptive policies may
+/// change their answer over time (an access-stateless policy is asked
+/// once, at engine construction).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,7 +56,9 @@ public:
 
   /// Whether this policy needs a back-pointer table to repair dangling
   /// links. A whole-cache flush destroys all links simultaneously and
-  /// needs no table (Section 3.1); everything else does.
+  /// needs no table (Section 3.1); everything else does. A system either
+  /// has the table or not, so the answer must depend on \p Capacity
+  /// alone: CacheEngine asks once, at construction.
   virtual bool usesBackPointerTable(uint64_t Capacity) const;
 
   /// Whether hits are pure reads for this policy: it never observes

@@ -9,77 +9,71 @@
 using namespace ccsim;
 
 void LinkGraph::growTables(SuperblockId Id) {
-  if (Id < StaticEdges.size())
+  if (Id < Edges.size())
     return;
-  const size_t NewSize = std::max<size_t>(Id + 1, StaticEdges.size() * 2);
-  StaticEdges.resize(NewSize);
-  OutLinks.resize(NewSize);
-  InLinks.resize(NewSize);
-  Wants.resize(NewSize);
+  const size_t NewSize = std::max<size_t>(Id + 1, Edges.size() * 2);
+  Edges.resize(NewSize);
+  Sources.resize(NewSize);
   EvictEpoch.resize(NewSize, 0);
 }
 
-void LinkGraph::eraseOne(std::vector<SuperblockId> &List,
-                         SuperblockId Value) {
-  for (size_t I = 0; I < List.size(); ++I) {
-    if (List[I] != Value)
-      continue;
-    List[I] = List.back();
+void LinkGraph::learn(SuperblockId Id,
+                      std::span<const SuperblockId> NewEdges) {
+  if (std::equal(Edges[Id].begin(), Edges[Id].end(), NewEdges.begin(),
+                 NewEdges.end()))
+    return; // Same shape as the last insert: the index already holds it.
+
+  // First insert, or a re-translation with a new shape: move Id's entries
+  // in the reverse index from its old targets to its new ones.
+  for (SuperblockId Target : Edges[Id]) {
+    std::vector<SuperblockId> &List = Sources[Target];
+    const auto It = std::find(List.begin(), List.end(), Id);
+    CCSIM_ASSERT(It != List.end(), "reverse edge %u->%u not indexed", Id,
+                 Target);
+    *It = List.back();
     List.pop_back();
-    return;
   }
-  CCSIM_ASSERT(false, "expected link list entry %u not found", Value);
-}
-
-void LinkGraph::eraseAll(std::vector<SuperblockId> &List,
-                         SuperblockId Value) {
-  List.erase(std::remove(List.begin(), List.end(), Value), List.end());
-}
-
-void LinkGraph::materialize(const CodeCache &Cache, uint64_t Quantum,
-                            SuperblockId From, SuperblockId To,
-                            CacheStats &Stats) {
-  OutLinks[From].push_back(To);
-  InLinks[To].push_back(From);
-  ++LinkCount;
-  ++Stats.LinksCreated;
-  if (From == To) {
-    ++Stats.SelfLinksCreated;
-    return; // A self-loop can never cross a unit boundary.
-  }
-  const uint64_t FromUnit = CodeCache::unitOf(Cache.startOf(From), Quantum);
-  const uint64_t ToUnit = CodeCache::unitOf(Cache.startOf(To), Quantum);
-  if (FromUnit != ToUnit)
-    ++Stats.InterUnitLinksCreated;
+  for (SuperblockId Target : NewEdges)
+    growTables(Target);
+  Edges[Id].assign(NewEdges.begin(), NewEdges.end());
+  for (SuperblockId Target : NewEdges)
+    Sources[Target].push_back(Id);
 }
 
 void LinkGraph::onInsert(const CodeCache &Cache, uint64_t Quantum,
                          SuperblockId Id,
-                         std::span<const SuperblockId> Edges,
+                         std::span<const SuperblockId> NewEdges,
                          CacheStats &Stats) {
   CCSIM_ASSERT(Cache.contains(Id),
                "block %u must be committed before onInsert", Id);
   growTables(Id);
-  CCSIM_ASSERT(StaticEdges[Id].empty() && OutLinks[Id].empty() &&
-                   InLinks[Id].empty(),
-               "stale link state for inserted block %u", Id);
+  learn(Id, NewEdges);
 
-  StaticEdges[Id].assign(Edges.begin(), Edges.end());
-  for (SuperblockId Target : Edges) {
-    growTables(Target);
-    if (Cache.contains(Target))
-      materialize(Cache, Quantum, Id, Target, Stats);
-    else
-      Wants[Target].push_back(Id);
+  // Links now exist from Id to every resident target and into Id from
+  // every resident source. A self-loop is counted once, on the outbound
+  // side, and can never cross a unit boundary.
+  const uint64_t Unit = CodeCache::unitOf(Cache.startOf(Id), Quantum);
+  uint64_t Created = 0, Self = 0, Inter = 0;
+  for (SuperblockId Target : Edges[Id]) {
+    if (!Cache.contains(Target))
+      continue;
+    ++Created;
+    if (Target == Id)
+      ++Self;
+    else if (CodeCache::unitOf(Cache.startOf(Target), Quantum) != Unit)
+      ++Inter;
   }
-
-  // Sources that were waiting for this block can now chain to it.
-  for (SuperblockId Source : Wants[Id]) {
-    CCSIM_ASSERT(Cache.contains(Source),
-                 "wants entry from non-resident block %u", Source);
-    materialize(Cache, Quantum, Source, Id, Stats);
+  for (SuperblockId Source : Sources[Id]) {
+    if (Source == Id || !Cache.contains(Source))
+      continue;
+    ++Created;
+    if (CodeCache::unitOf(Cache.startOf(Source), Quantum) != Unit)
+      ++Inter;
   }
-  Wants[Id].clear();
+  LinkCount += Created;
+  Stats.LinksCreated += Created;
+  Stats.SelfLinksCreated += Self;
+  Stats.InterUnitLinksCreated += Inter;
 }
 
 void LinkGraph::onEvict(const CodeCache &Cache,
@@ -87,140 +81,78 @@ void LinkGraph::onEvict(const CodeCache &Cache,
                         std::vector<uint32_t> &DanglingCounts) {
   ++CurrentEpoch;
   for (const CodeCache::Resident &V : Victims) {
-    growTables(V.Id);
     CCSIM_ASSERT(!Cache.contains(V.Id),
                  "victim %u must be removed from the cache before onEvict",
+                 V.Id);
+    CCSIM_ASSERT(V.Id < EvictEpoch.size(), "victim %u was never inserted",
                  V.Id);
     EvictEpoch[V.Id] = CurrentEpoch;
   }
 
   for (const CodeCache::Resident &V : Victims) {
-    const SuperblockId Id = V.Id;
-    uint32_t Dangling = 0;
-
     // Incoming links from survivors dangle: the back-pointer table finds
-    // them and they are removed; the survivor's edge goes back to the
-    // wants index so it rematerializes if this block returns.
-    for (SuperblockId Source : InLinks[Id]) {
-      if (EvictEpoch[Source] == CurrentEpoch)
-        continue; // Link among victims; destroyed for free.
-      ++Dangling;
-      eraseOne(OutLinks[Source], Id);
-      --LinkCount;
-      Wants[Id].push_back(Source);
-    }
+    // and removes them (Eq. 4). Sources that died in this batch are not
+    // resident any more, so their links are skipped here.
+    uint32_t Dangling = 0;
+    for (SuperblockId Source : Sources[V.Id])
+      if (Cache.contains(Source))
+        ++Dangling;
 
-    // Outbound links all die with this block; clean the back-pointer
-    // entries at surviving targets.
-    for (SuperblockId Target : OutLinks[Id]) {
-      --LinkCount;
-      if (EvictEpoch[Target] == CurrentEpoch)
-        continue; // Target dying too; its lists are cleared wholesale.
-      eraseOne(InLinks[Target], Id);
-    }
-
-    // Unmaterialized static edges left wants entries behind; drop them.
-    for (SuperblockId Target : StaticEdges[Id]) {
+    // Outbound links die with the victim: those to survivors and those to
+    // fellow victims, each counted once from its source's side.
+    uint64_t Outbound = 0;
+    for (SuperblockId Target : Edges[V.Id])
       if (Cache.contains(Target) || EvictEpoch[Target] == CurrentEpoch)
-        continue; // Edge was materialized; handled above.
-      eraseOne(Wants[Target], Id);
-    }
+        ++Outbound;
 
-    StaticEdges[Id].clear();
-    OutLinks[Id].clear();
-    InLinks[Id].clear();
+    LinkCount -= Dangling + Outbound;
     DanglingCounts.push_back(Dangling);
   }
 }
 
-size_t LinkGraph::outDegree(SuperblockId Id) const {
-  if (Id >= OutLinks.size())
+size_t LinkGraph::outDegree(const CodeCache &Cache, SuperblockId Id) const {
+  if (!Cache.contains(Id))
     return 0;
-  return OutLinks[Id].size();
+  const std::span<const SuperblockId> Targets = edgesOf(Id);
+  return static_cast<size_t>(
+      std::count_if(Targets.begin(), Targets.end(),
+                    [&Cache](SuperblockId T) { return Cache.contains(T); }));
 }
 
-size_t LinkGraph::inDegree(SuperblockId Id) const {
-  if (Id >= InLinks.size())
+size_t LinkGraph::inDegree(const CodeCache &Cache, SuperblockId Id) const {
+  if (!Cache.contains(Id))
     return 0;
-  return InLinks[Id].size();
+  const std::span<const SuperblockId> From = sourcesOf(Id);
+  return static_cast<size_t>(
+      std::count_if(From.begin(), From.end(),
+                    [&Cache](SuperblockId S) { return Cache.contains(S); }));
 }
 
-bool LinkGraph::hasLink(SuperblockId From, SuperblockId To) const {
-  if (From >= OutLinks.size())
+bool LinkGraph::hasLink(const CodeCache &Cache, SuperblockId From,
+                        SuperblockId To) const {
+  if (!Cache.contains(From) || !Cache.contains(To))
     return false;
-  return std::find(OutLinks[From].begin(), OutLinks[From].end(), To) !=
-         OutLinks[From].end();
+  const std::span<const SuperblockId> Targets = edgesOf(From);
+  return std::find(Targets.begin(), Targets.end(), To) != Targets.end();
 }
 
 bool LinkGraph::checkInvariants(const CodeCache &Cache) const {
-  uint64_t OutTotal = 0, InTotal = 0;
+  // (Source, Target) -> learned edges minus reverse-index entries; every
+  // key must balance to zero.
   std::map<std::pair<SuperblockId, SuperblockId>, int64_t> Mirror;
-
-  for (SuperblockId Id = 0; Id < StaticEdges.size(); ++Id) {
-    const bool IsResident = Cache.contains(Id);
-    if (!IsResident) {
-      if (!StaticEdges[Id].empty() || !OutLinks[Id].empty() ||
-          !InLinks[Id].empty())
-        return false;
-      continue;
-    }
-    OutTotal += OutLinks[Id].size();
-    InTotal += InLinks[Id].size();
-    for (SuperblockId T : OutLinks[Id]) {
-      if (!Cache.contains(T))
-        return false; // Dangling link!
-      ++Mirror[{Id, T}];
-    }
-    for (SuperblockId S : InLinks[Id]) {
-      if (!Cache.contains(S))
-        return false; // Back pointer to a dead block.
-      --Mirror[{S, Id}];
+  uint64_t Live = 0;
+  for (SuperblockId S = 0; S < Edges.size(); ++S) {
+    for (SuperblockId T : Edges[S]) {
+      ++Mirror[{S, T}];
+      if (Cache.contains(S) && Cache.contains(T))
+        ++Live;
     }
   }
-  if (OutTotal != LinkCount || InTotal != LinkCount)
-    return false;
+  for (SuperblockId T = 0; T < Sources.size(); ++T)
+    for (SuperblockId S : Sources[T])
+      --Mirror[{S, T}];
   for (const auto &Entry : Mirror)
     if (Entry.second != 0)
-      return false; // In/out lists disagree.
-
-  // Wants entries: only for absent targets, only from resident sources.
-  for (SuperblockId Target = 0; Target < Wants.size(); ++Target) {
-    if (Wants[Target].empty())
-      continue;
-    if (Cache.contains(Target))
-      return false; // Should have been drained at insert.
-    for (SuperblockId Source : Wants[Target])
-      if (!Cache.contains(Source))
-        return false;
-  }
-
-  // Every static edge of every resident block is either a materialized
-  // link (resident target) or a wants entry (absent target), with
-  // matching multiplicity.
-  for (SuperblockId Id = 0; Id < StaticEdges.size(); ++Id) {
-    if (!Cache.contains(Id))
-      continue;
-    for (SuperblockId T : StaticEdges[Id]) {
-      const auto CountIn = [](const std::vector<SuperblockId> &L,
-                              SuperblockId V) {
-        return std::count(L.begin(), L.end(), V);
-      };
-      const int64_t EdgeCount = CountIn(StaticEdges[Id], T);
-      if (Cache.contains(T)) {
-        if (CountIn(OutLinks[Id], T) != EdgeCount)
-          return false;
-      } else {
-        if (T < Wants.size() && CountIn(Wants[T], Id) != EdgeCount)
-          return false;
-        if (T >= Wants.size())
-          return false;
-      }
-    }
-    // No materialized link without a static edge.
-    for (SuperblockId T : OutLinks[Id])
-      if (std::find(StaticEdges[Id].begin(), StaticEdges[Id].end(), T) ==
-          StaticEdges[Id].end())
-        return false;
-  }
-  return true;
+      return false;
+  return Live == LinkCount;
 }

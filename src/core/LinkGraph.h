@@ -13,11 +13,20 @@
 /// found (via a back-pointer table) and removed — the cost the paper
 /// models with Equation 4.
 ///
-/// The graph maintains three structures per resident superblock:
-///   - its static edge list (fixed for the block's lifetime),
-///   - materialized outbound/inbound link lists (the back-pointer table),
-///   - a "wants" index from absent targets to resident sources whose edges
-///     will materialize the moment the target is (re)inserted.
+/// The graph rests on one invariant: a link S -> T exists exactly when S
+/// and T are both resident and T is among S's static edges (with
+/// multiplicity). So it stores no per-link state, only what residency
+/// cannot tell:
+///   - each block's learned out-edges (the list it was last inserted
+///     with; kept across evictions),
+///   - a reverse-edge index (target -> learned sources), filled on a
+///     block's first insert and re-learned only when a re-translated
+///     block arrives with a different edge list,
+///   - the live-link counter, and
+///   - the eviction epoch that marks one batch's victims.
+/// Links created, their intra/inter-unit classification, per-victim
+/// dangling counts and links destroyed are all computed from
+/// CodeCache::contains/startOf; no list is edited on eviction.
 ///
 /// Links are classified intra-unit or inter-unit at materialization time
 /// using the eviction quantum in force (Figure 13). A whole-cache flush
@@ -46,10 +55,11 @@ public:
   /// pointer plus an 8-byte list link (paper, Section 5.1 footnote).
   static constexpr uint64_t BytesPerBackPointer = 16;
 
-  /// Registers newly resident \p Id with its static \p Edges, materializes
-  /// links in both directions against residents of \p Cache, classifies
-  /// them under \p Quantum, and updates \p Stats link counters. Must be
-  /// called after the block is committed to the cache.
+  /// Registers newly resident \p Id with its static \p Edges (re-learning
+  /// the reverse index if they differ from the last insert's), counts the
+  /// links that now exist in both directions against residents of
+  /// \p Cache, classifies them under \p Quantum, and updates \p Stats link
+  /// counters. Must be called after the block is committed to the cache.
   void onInsert(const CodeCache &Cache, uint64_t Quantum, SuperblockId Id,
                 std::span<const SuperblockId> Edges, CacheStats &Stats);
 
@@ -70,46 +80,39 @@ public:
     return LinkCount * BytesPerBackPointer;
   }
 
-  /// Materialized out-degree / in-degree of a block (0 if not resident).
-  size_t outDegree(SuperblockId Id) const;
-  size_t inDegree(SuperblockId Id) const;
+  /// Materialized out-degree / in-degree of a block against residency in
+  /// \p Cache (0 if not resident).
+  size_t outDegree(const CodeCache &Cache, SuperblockId Id) const;
+  size_t inDegree(const CodeCache &Cache, SuperblockId Id) const;
 
-  /// True if a materialized link From -> To exists.
-  bool hasLink(SuperblockId From, SuperblockId To) const;
+  /// True if a materialized link From -> To exists in \p Cache.
+  bool hasLink(const CodeCache &Cache, SuperblockId From,
+               SuperblockId To) const;
 
   /// Auditor introspection: size of the dense per-id tables (ids at or
-  /// beyond this were never registered).
-  size_t idTableSize() const { return StaticEdges.size(); }
+  /// beyond this were never inserted or named as an edge target).
+  size_t idTableSize() const { return Edges.size(); }
 
-  /// Auditor introspection: raw per-id list views. Empty span for ids
-  /// outside the tables. The spans alias internal storage and are
+  /// Auditor introspection: learned out-edges of \p Id and the learned
+  /// sources naming \p Id as a target, resident or not. Empty span for
+  /// ids outside the tables. The spans alias internal storage and are
   /// invalidated by any mutation.
-  std::span<const SuperblockId> staticEdgesOf(SuperblockId Id) const {
-    return listOrEmpty(StaticEdges, Id);
+  std::span<const SuperblockId> edgesOf(SuperblockId Id) const {
+    return listOrEmpty(Edges, Id);
   }
-  std::span<const SuperblockId> outLinksOf(SuperblockId Id) const {
-    return listOrEmpty(OutLinks, Id);
-  }
-  std::span<const SuperblockId> inLinksOf(SuperblockId Id) const {
-    return listOrEmpty(InLinks, Id);
-  }
-  std::span<const SuperblockId> wantsOf(SuperblockId Id) const {
-    return listOrEmpty(Wants, Id);
+  std::span<const SuperblockId> sourcesOf(SuperblockId Id) const {
+    return listOrEmpty(Sources, Id);
   }
 
-  /// Exhaustive consistency check against \p Cache for tests: every link
-  /// endpoint resident, in/out lists mirror each other, every static edge
-  /// of a resident block is either materialized (target resident) or
-  /// recorded in the wants index (target absent), and the link count
-  /// matches.
+  /// Exhaustive consistency check against \p Cache for tests: the reverse
+  /// index mirrors the learned edges with matching multiplicity, and the
+  /// live-link counter equals the links residency implies.
   bool checkInvariants(const CodeCache &Cache) const;
 
 private:
   // Dense per-id state; index by SuperblockId.
-  std::vector<std::vector<SuperblockId>> StaticEdges;
-  std::vector<std::vector<SuperblockId>> OutLinks;
-  std::vector<std::vector<SuperblockId>> InLinks;
-  std::vector<std::vector<SuperblockId>> Wants; // Target -> sources.
+  std::vector<std::vector<SuperblockId>> Edges;   // Source -> targets.
+  std::vector<std::vector<SuperblockId>> Sources; // Target -> sources.
   std::vector<uint32_t> EvictEpoch; // Batch-membership marks.
   uint32_t CurrentEpoch = 0;
   uint64_t LinkCount = 0;
@@ -123,10 +126,7 @@ private:
   }
 
   void growTables(SuperblockId Id);
-  void materialize(const CodeCache &Cache, uint64_t Quantum,
-                   SuperblockId From, SuperblockId To, CacheStats &Stats);
-  static void eraseOne(std::vector<SuperblockId> &List, SuperblockId Value);
-  static void eraseAll(std::vector<SuperblockId> &List, SuperblockId Value);
+  void learn(SuperblockId Id, std::span<const SuperblockId> NewEdges);
 };
 
 } // namespace ccsim

@@ -137,8 +137,7 @@ MultiConfigEngine::MultiConfigEngine(const Trace &T,
     SharedState S;
     S.Engine = std::make_unique<CacheEngine>(EC, makePolicy(Job.Spec));
     S.JobIndex = J;
-    S.SamplesTable = EC.EnableChaining &&
-                     S.Engine->policy().usesBackPointerTable(EC.CapacityBytes);
+    S.SamplesTable = S.Engine->keepsBackPointerTable();
     Shared.push_back(std::move(S));
   }
   CCSIM_ASSERT(Shared.size() == Plan.NumSharedEngines,

@@ -152,9 +152,9 @@ private:
     std::unique_ptr<CacheEngine> Engine;
     size_t JobIndex = 0;         ///< The point this engine simulates.
     uint64_t SampledThrough = 0; ///< Accesses with a back-pointer sample.
-    /// Whether this engine samples back-pointer table memory at all
-    /// (chaining on and the policy keeps a table) — hoisted so the miss
-    /// path skips the sampling calls entirely otherwise.
+    /// The engine's keepsBackPointerTable() gate, copied next to the
+    /// sampling cursor so the miss path skips the sampling calls
+    /// entirely when the engine keeps no table.
     bool SamplesTable = false;
   };
 

@@ -28,6 +28,7 @@ constexpr AuditRule AllRules[] = {
     AuditRule::LinkStaticEdgeDropped,
     AuditRule::LinkWantsStale,
     AuditRule::LinkStateLeak,
+    AuditRule::LinkReverseEdgeMismatch,
     AuditRule::FreeListExtentInvalid,
     AuditRule::FreeListOutOfOrder,
     AuditRule::FreeListUncoalesced,
@@ -77,6 +78,8 @@ TEST(AuditReportTest, RuleIdsAreStable) {
                "link.static-edge-dropped");
   EXPECT_STREQ(ruleId(AuditRule::LinkWantsStale), "link.wants-stale");
   EXPECT_STREQ(ruleId(AuditRule::LinkStateLeak), "link.state-leak");
+  EXPECT_STREQ(ruleId(AuditRule::LinkReverseEdgeMismatch),
+               "link.reverse-edge-mismatch");
   EXPECT_STREQ(ruleId(AuditRule::FreeListExtentInvalid),
                "freelist.extent-invalid");
   EXPECT_STREQ(ruleId(AuditRule::FreeListOutOfOrder),

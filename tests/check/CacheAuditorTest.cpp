@@ -206,8 +206,16 @@ TEST(CacheAuditorTest, CapturesMirrorLiveState) {
   EXPECT_EQ(Cache.Lookup.size(), Cache.Fifo.size());
   EXPECT_EQ(Cache.OccupiedBytes, Manager.cache().occupiedBytes());
 
-  const LinkGraphState Links = captureLinkGraph(Manager.links());
+  const LinkGraphState Links =
+      captureLinkGraph(Manager.links(), Manager.cache());
   EXPECT_EQ(Links.LiveLinkCount, Manager.links().numLinks());
+  // The learned graph outlives residency: an evicted block keeps its
+  // edge and reverse-index entry but owns no link view.
+  ASSERT_FALSE(Manager.cache().contains(0));
+  EXPECT_EQ(Links.Nodes[0].LearnedEdges, std::vector<SuperblockId>{1});
+  EXPECT_EQ(Links.Nodes[1].LearnedSources, std::vector<SuperblockId>{0});
+  EXPECT_TRUE(Links.Nodes[0].StaticEdges.empty());
+  EXPECT_TRUE(Links.Nodes[0].Out.empty());
 
   const StatsState Stats = captureStats(Manager);
   EXPECT_EQ(Stats.ResidentCount, Manager.cache().residentCount());
@@ -368,6 +376,39 @@ TEST(CacheAuditorCorruptionTest, EvictedBlockKeepsLinkState) {
   LinkFixture F;
   F.Links.Nodes[3].StaticEdges = {0}; // 3 was evicted; lists must be empty.
   EXPECT_TRUE(F.audit().has(AuditRule::LinkStateLeak));
+}
+
+TEST(CacheAuditorCorruptionTest, ReverseEdgeIndexMismatch) {
+  LinkFixture F;
+  // The learned graph behind the fixture's views (3 is known only as a
+  // target): clean as given.
+  F.Links.Nodes[0].LearnedEdges = {1, 3};
+  F.Links.Nodes[2].LearnedEdges = {0};
+  F.Links.Nodes[0].LearnedSources = {2};
+  F.Links.Nodes[1].LearnedSources = {0};
+  F.Links.Nodes[3].LearnedSources = {0};
+  ASSERT_TRUE(F.audit().clean()) << F.audit().render();
+
+  // Learned edge 0->3 missing from 3's reverse index.
+  LinkFixture Missing = F;
+  Missing.Links.Nodes[3].LearnedSources.clear();
+  AuditReport Report = Missing.audit();
+  EXPECT_TRUE(Report.has(AuditRule::LinkReverseEdgeMismatch));
+  EXPECT_EQ(Report.size(), 1u) << Report.render();
+
+  // Reverse entry 2->1 with no learned edge behind it.
+  LinkFixture Extra = F;
+  Extra.Links.Nodes[1].LearnedSources.push_back(2);
+  Report = Extra.audit();
+  EXPECT_TRUE(Report.has(AuditRule::LinkReverseEdgeMismatch));
+  EXPECT_EQ(Report.size(), 1u) << Report.render();
+
+  // Right pair, wrong multiplicity.
+  LinkFixture Doubled = F;
+  Doubled.Links.Nodes[0].LearnedSources = {2, 2};
+  Report = Doubled.audit();
+  EXPECT_EQ(Report.countOf(AuditRule::LinkReverseEdgeMismatch), 1u);
+  EXPECT_EQ(Report.size(), 1u) << Report.render();
 }
 
 // --- Seeded corruption: FreeListCache rules ------------------------------

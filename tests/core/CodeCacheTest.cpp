@@ -4,6 +4,8 @@
 
 #include "gtest/gtest.h"
 
+#include <deque>
+
 using namespace ccsim;
 
 namespace {
@@ -251,4 +253,42 @@ TEST(CodeCacheTest, FrontIsOldest) {
   insert(C, 3, 100, 1);
   insert(C, 8, 100, 1);
   EXPECT_EQ(C.front().Id, 3u);
+}
+
+TEST(CodeCacheTest, RingGrowsWhileWrappedAndKeepsFifoOrder) {
+  CodeCache C(320);
+  std::deque<SuperblockId> Model; // Oldest first.
+  const auto Insert = [&](SuperblockId Id, uint32_t Size) {
+    for (const CodeCache::Resident &V : insert(C, Id, Size, 1)) {
+      ASSERT_FALSE(Model.empty());
+      EXPECT_EQ(V.Id, Model.front());
+      Model.pop_front();
+    }
+    Model.push_back(Id);
+  };
+  const auto ModelIds = [&] {
+    return std::vector<SuperblockId>(Model.begin(), Model.end());
+  };
+
+  // Sixteen 20-byte blocks fill both the cache and the initial ring.
+  for (SuperblockId Id = 0; Id < 16; ++Id)
+    Insert(Id, 20);
+  // A 10-byte block evicts block 0: the ring's head leaves slot 0 and the
+  // newest entry wraps into it. A second 10-byte block fits in the rest
+  // of block 0's bytes, so the full ring grows while its head is
+  // mid-buffer and its entries wrap.
+  Insert(16, 10);
+  Insert(17, 10);
+  EXPECT_EQ(C.residentCount(), 17u);
+  EXPECT_EQ(C.front().Id, 1u);
+  EXPECT_EQ(residentIds(C), ModelIds());
+  EXPECT_TRUE(C.checkInvariants());
+
+  // Churn mixed sizes so the grown ring wraps (and grows) again.
+  for (SuperblockId Id = 18; Id < 200; ++Id) {
+    Insert(Id, Id % 3 == 0 ? 30 : 10);
+    ASSERT_EQ(C.front().Id, Model.front()) << "after inserting " << Id;
+    ASSERT_EQ(residentIds(C), ModelIds()) << "after inserting " << Id;
+    ASSERT_TRUE(C.checkInvariants()) << "after inserting " << Id;
+  }
 }
