@@ -6,7 +6,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/CacheManager.h"
+#include "core/CacheEngine.h"
 #include "support/Random.h"
 #include "telemetry/Telemetry.h"
 #include "trace/TraceGenerator.h"
@@ -27,20 +27,20 @@ const Trace &benchTrace() {
   return T;
 }
 
-CacheManager makeManager(GranularitySpec Spec, double Pressure,
-                         bool Chaining = true) {
-  CacheManagerConfig Config;
+CacheEngine makeManager(GranularitySpec Spec, double Pressure,
+                        bool Chaining = true) {
+  CacheEngineConfig Config;
   Config.CapacityBytes = std::max<uint64_t>(
       1, static_cast<uint64_t>(
              static_cast<double>(benchTrace().maxCacheBytes()) / Pressure));
   Config.EnableChaining = Chaining;
-  return CacheManager(Config, makePolicy(Spec));
+  return CacheEngine(Config, makePolicy(Spec));
 }
 
 } // namespace
 
 static void BM_HitLookup(benchmark::State &State) {
-  CacheManager M = makeManager(GranularitySpec::fine(), 1.0);
+  CacheEngine M = makeManager(GranularitySpec::fine(), 1.0);
   const SuperblockRecord Rec = benchTrace().recordFor(0);
   M.access(Rec);
   for (auto _ : State)
@@ -59,7 +59,7 @@ static void BM_AccessStream(benchmark::State &State) {
                             : GranularitySpec::units(1u << Arg));
   const Trace &T = benchTrace();
   for (auto _ : State) {
-    CacheManager M = makeManager(Spec, 8.0);
+    CacheEngine M = makeManager(Spec, 8.0);
     for (SuperblockId Id : T.Accesses)
       M.access(T.recordFor(Id));
     benchmark::DoNotOptimize(M.stats().Misses);
@@ -77,12 +77,12 @@ static void BM_AccessStreamTraced(benchmark::State &State) {
   const Trace &T = benchTrace();
   telemetry::TelemetrySink Sink(1 << 16);
   for (auto _ : State) {
-    CacheManagerConfig Config;
+    CacheEngineConfig Config;
     Config.CapacityBytes = std::max<uint64_t>(
         1, static_cast<uint64_t>(
                static_cast<double>(T.maxCacheBytes()) / 8.0));
     Config.Telemetry = &Sink;
-    CacheManager Traced(Config, makePolicy(GranularitySpec::units(8)));
+    CacheEngine Traced(Config, makePolicy(GranularitySpec::units(8)));
     for (SuperblockId Id : T.Accesses)
       Traced.access(T.recordFor(Id));
     benchmark::DoNotOptimize(Traced.stats().Misses);
@@ -95,8 +95,8 @@ BENCHMARK(BM_AccessStreamTraced);
 static void BM_AccessStreamNoChaining(benchmark::State &State) {
   const Trace &T = benchTrace();
   for (auto _ : State) {
-    CacheManager M = makeManager(GranularitySpec::units(8), 8.0,
-                                 /*Chaining=*/false);
+    CacheEngine M = makeManager(GranularitySpec::units(8), 8.0,
+                                /*Chaining=*/false);
     for (SuperblockId Id : T.Accesses)
       M.access(T.recordFor(Id));
     benchmark::DoNotOptimize(M.stats().Misses);
@@ -108,9 +108,9 @@ BENCHMARK(BM_AccessStreamNoChaining);
 
 static void BM_EvictionChurn(benchmark::State &State) {
   // Tiny cache: nearly every access is a miss + eviction.
-  CacheManagerConfig Config;
+  CacheEngineConfig Config;
   Config.CapacityBytes = 2048;
-  CacheManager M(Config, makePolicy(GranularitySpec::fine()));
+  CacheEngine M(Config, makePolicy(GranularitySpec::fine()));
   Rng R(3);
   std::vector<SuperblockId> Ids(4096);
   for (auto &Id : Ids)

@@ -21,6 +21,7 @@
 #ifndef CCSIM_EXAMPLES_SIMFLAGS_H
 #define CCSIM_EXAMPLES_SIMFLAGS_H
 
+#include "concurrent/SharedEngineRunner.h"
 #include "concurrent/TenancyPolicy.h"
 #include "multisweep/MultiConfigEngine.h"
 #include "sim/Simulator.h"
@@ -183,6 +184,21 @@ inline std::optional<SimConfig> simConfigFromFlags(const FlagSet &Flags,
     return std::nullopt;
   }
   return Config;
+}
+
+/// Strict "--guest-threads" reader: 1..concurrent::MaxGuestThreads, else
+/// nullopt with the description in \p Error. Every subcommand and
+/// manifest line that takes a guest count checks it here.
+inline std::optional<unsigned> guestThreadsFromFlags(const FlagSet &Flags,
+                                                     std::string *Error) {
+  const int64_t K = Flags.getInt("guest-threads");
+  if (K < 1 || K > concurrent::MaxGuestThreads) {
+    if (Error)
+      *Error = "bad guest-threads " + std::to_string(K) + " (need 1.." +
+               std::to_string(concurrent::MaxGuestThreads) + ")";
+    return std::nullopt;
+  }
+  return static_cast<unsigned>(K);
 }
 
 /// Declares the tenancy-shaped flags: partition mode, interleave

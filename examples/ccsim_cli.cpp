@@ -16,7 +16,7 @@
 //       Replay a saved log through the cache simulator.
 //   ccsim_cli replay run.cct --guest-threads=4 [--mmap]
 //       Replay through the thread-shared engine with K guest threads.
-//       K=1 is byte-identical to the serial simulator; K>1 interleaves
+//       K=1 is the serial simulator itself; K>1 interleaves
 //       guests over one sharded engine. --mmap streams the trace out of
 //       a read-only mapping instead of loading it.
 //   ccsim_cli fit
@@ -242,20 +242,14 @@ replayJobFromSimulateFlags(const FlagSet &Flags, std::string *Error) {
   return Job;
 }
 
-/// Restates a validated SimConfig as a shared-engine run config: the
-/// knobs the two layers share carry over with identical semantics, so
-/// `replay --guest-threads=K` means exactly what `replay` means plus the
-/// guest count.
+/// A validated SimConfig as a shared-engine run config: the base carries
+/// over whole, so `replay --guest-threads=K` means exactly what `replay`
+/// means plus the guest count.
 concurrent::SharedRunConfig sharedConfigFrom(const SimConfig &Config,
                                              unsigned GuestThreads) {
   concurrent::SharedRunConfig SC;
+  static_cast<SimConfig &>(SC) = Config;
   SC.GuestThreads = GuestThreads;
-  SC.PressureFactor = Config.PressureFactor;
-  SC.ExplicitCapacityBytes = Config.ExplicitCapacityBytes;
-  SC.Costs = Config.Costs;
-  SC.EnableChaining = Config.EnableChaining;
-  SC.Audit = Config.Audit;
-  SC.CancelCheckInterval = Config.CancelCheckInterval;
   return SC;
 }
 
@@ -295,13 +289,10 @@ replayJobFromReplayFlags(const FlagSet &Flags, std::string *Error) {
   const auto Config = simConfigFromFlags(Flags, Error);
   if (!Config)
     return std::nullopt;
-  const int64_t GuestThreads = Flags.getInt("guest-threads");
-  if (GuestThreads < 1) {
-    *Error = "bad guest-threads " + std::to_string(GuestThreads) +
-             " (need >= 1)";
+  const auto GuestThreads = guestThreadsFromFlags(Flags, Error);
+  if (!GuestThreads)
     return std::nullopt;
-  }
-  if (GuestThreads == 1) {
+  if (*GuestThreads == 1) {
     service::ReplayJob Job;
     Job.TraceData = std::move(T);
     Job.Spec = *Spec;
@@ -311,8 +302,7 @@ replayJobFromReplayFlags(const FlagSet &Flags, std::string *Error) {
   service::SharedReplayJob Job;
   Job.TraceData = std::move(T);
   Job.Spec = *Spec;
-  Job.Config =
-      sharedConfigFrom(*Config, static_cast<unsigned>(GuestThreads));
+  Job.Config = sharedConfigFrom(*Config, *GuestThreads);
   return service::Job(std::move(Job));
 }
 
@@ -683,9 +673,9 @@ int runRecord(FlagSet &Flags) {
 }
 
 /// The --mmap arm of runReplay: replays straight out of the mapping
-/// through the shared-engine runner (its K=1 path is byte-identical to
-/// the serial simulator), so the access stream is never materialized.
-int replayMapped(FlagSet &Flags) {
+/// through the shared-engine runner (K = 1 is sim::run over the mapped
+/// trace), so the access stream is never materialized.
+int replayMapped(FlagSet &Flags, unsigned GuestThreads) {
   auto Mapped = trace::MappedTrace::open(Flags.positional().front());
   if (!Mapped) {
     std::fprintf(stderr, "error: cannot read %s\n",
@@ -705,32 +695,24 @@ int replayMapped(FlagSet &Flags) {
     std::fprintf(stderr, "error: %s\n", Error.c_str());
     return ExitUsage;
   }
-  const int64_t GuestThreads = Flags.getInt("guest-threads");
-  if (GuestThreads < 1) {
-    std::fprintf(stderr, "error: bad guest-threads %lld (need >= 1)\n",
-                 static_cast<long long>(GuestThreads));
-    return ExitUsage;
-  }
   const auto Sink = makeSinkIfRequested(Flags);
-  concurrent::SharedRunConfig SC =
-      sharedConfigFrom(*Config, static_cast<unsigned>(GuestThreads));
+  concurrent::SharedRunConfig SC = sharedConfigFrom(*Config, GuestThreads);
   SC.Telemetry = Sink.get();
   const concurrent::SharedRunResult R =
       concurrent::runShared(*Mapped, *Spec, SC);
-  SimResult Sim;
-  Sim.BenchmarkName = R.BenchmarkName;
-  Sim.PolicyName = R.PolicyName;
-  Sim.CapacityBytes = R.CapacityBytes;
-  Sim.MaxCacheBytes = R.MaxCacheBytes;
-  Sim.Stats = R.Stats;
-  std::fputs(renderSimResult(Sim).c_str(), stdout);
+  std::fputs(renderSimResult(R).c_str(), stdout);
   return exportTelemetry(Flags, Sink.get()) == 0 ? ExitOk : ExitRuntime;
 }
 
 int runReplay(FlagSet &Flags) {
-  if (Flags.getBool("mmap") && !Flags.positional().empty())
-    return replayMapped(Flags);
   std::string Error;
+  const auto GuestThreads = guestThreadsFromFlags(Flags, &Error);
+  if (!GuestThreads) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
+    return ExitUsage;
+  }
+  if (Flags.getBool("mmap") && !Flags.positional().empty())
+    return replayMapped(Flags, *GuestThreads);
   auto Job = replayJobFromReplayFlags(Flags, &Error);
   if (!Job) {
     const bool Usage = Flags.positional().empty();
@@ -908,9 +890,7 @@ int auditTranslatorRun(const FlagSet &Flags) {
 /// the shared engine with the full auditSharedEngine rule set firing at
 /// every quiesce point and once over the drained final state.
 int auditSharedRun(const FlagSet &Flags, const Trace &T,
-                   const SimConfig &Capacity) {
-  const unsigned GuestThreads =
-      static_cast<unsigned>(Flags.getInt("guest-threads"));
+                   const SimConfig &Capacity, unsigned GuestThreads) {
   for (const std::string &Spec : splitList(Flags.getString("policies"))) {
     const auto Policy = parsePolicySpec(Spec);
     if (!Policy) {
@@ -987,13 +967,13 @@ int runAudit(FlagSet &Flags) {
     std::fprintf(stderr, "error: %s\n", Error.c_str());
     return ExitUsage;
   }
-  if (Flags.getInt("guest-threads") > 1)
-    return auditSharedRun(Flags, T, *Capacity);
-  if (Flags.getInt("guest-threads") < 1) {
-    std::fprintf(stderr, "error: bad guest-threads %lld (need >= 1)\n",
-                 static_cast<long long>(Flags.getInt("guest-threads")));
+  const auto GuestThreads = guestThreadsFromFlags(Flags, &Error);
+  if (!GuestThreads) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
     return ExitUsage;
   }
+  if (*GuestThreads > 1)
+    return auditSharedRun(Flags, T, *Capacity, *GuestThreads);
 
   for (const std::string &Spec : splitList(Flags.getString("policies"))) {
     const auto Policy = parsePolicySpec(Spec);
@@ -1001,9 +981,9 @@ int runAudit(FlagSet &Flags) {
       std::fprintf(stderr, "error: bad policy '%s'\n", Spec.c_str());
       return ExitUsage;
     }
-    CacheManagerConfig MC;
+    CacheEngineConfig MC;
     MC.CapacityBytes = sim::capacityFor(T, *Capacity);
-    CacheManager Manager(MC, makePolicy(*Policy));
+    CacheEngine Manager(MC, makePolicy(*Policy));
 
     size_t Violations = 0;
     check::ParanoiaOptions Opts;

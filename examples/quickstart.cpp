@@ -9,7 +9,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/CacheManager.h"
+#include "core/CacheEngine.h"
 #include "support/StringUtils.h"
 
 #include <cstdio>
@@ -19,14 +19,14 @@ using namespace ccsim;
 
 int main() {
   // 1. Configure a 4 KB code cache with the paper's cost model.
-  CacheManagerConfig Config;
+  CacheEngineConfig Config;
   Config.CapacityBytes = 4096;
   Config.Costs = CostModel::paperDefaults();
 
   // 2. Pick an eviction policy: the cache is split into 8 equal units and
   //    the oldest unit is flushed whole when space runs out. Try
   //    GranularitySpec::flush() or ::fine() to see the extremes.
-  CacheManager Manager(Config, makePolicy(GranularitySpec::units(8)));
+  CacheEngine Manager(Config, makePolicy(GranularitySpec::units(8)));
 
   // 3. Describe a few superblocks: id, translated size, and static
   //    control-flow edges (candidate chain links).

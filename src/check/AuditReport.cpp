@@ -153,7 +153,7 @@ const char *check::ruleFixHint(AuditRule Rule) {
   case AuditRule::StatsLinkAccountingMismatch:
   case AuditRule::StatsEvictionAccountingMismatch:
   case AuditRule::StatsBackPointerPeakLow:
-    return "CacheManager::access/chargeEvictions must bump each CacheStats "
+    return "CacheEngine::access/chargeEvictions must bump each CacheStats "
            "counter exactly once per event";
   case AuditRule::DispatchEntryNotResident:
   case AuditRule::DispatchEntryStale:

@@ -94,7 +94,7 @@ FreeListState check::captureFreeList(const FreeListCache &Cache) {
   return State;
 }
 
-StatsState check::captureStats(const CacheManager &Manager) {
+StatsState check::captureStats(const CacheEngine &Manager) {
   StatsState State;
   State.Stats = Manager.stats();
   State.ResidentCount = Manager.cache().residentCount();
@@ -770,7 +770,7 @@ CacheAuditor::auditGenerational(const GenerationalCacheManager &Gen) const {
   return Report;
 }
 
-AuditReport CacheAuditor::auditManager(const CacheManager &Manager) const {
+AuditReport CacheAuditor::auditManager(const CacheEngine &Manager) const {
   AuditReport Report;
   const CodeCacheState Cache = captureCodeCache(Manager.cache());
   checkCodeCache(Cache, Report);
@@ -790,7 +790,7 @@ AuditReport check::auditSharedEngine(const SharedCacheEngine &Engine) {
     checkLinkGraph(captureLinkGraph(Inner.links(), Inner.cache()), Cache,
                    Report);
   StatsState Stats = captureStats(Inner);
-  if (Engine.mode() == ShareMode::Concurrent && Stats.Stats.Accesses == 0) {
+  if (Stats.Stats.Accesses == 0) {
     // Mid-run deferred accounting: Accesses/Hits live outside the engine
     // until settle(). Patch the snapshot to the provisional totals so
     // the access-split identity (Hits + Misses == Accesses) is checked

@@ -29,7 +29,7 @@
 #define CCSIM_CHECK_CACHEAUDITOR_H
 
 #include "check/AuditReport.h"
-#include "core/CacheManager.h"
+#include "core/CacheEngine.h"
 #include "core/CodeCache.h"
 #include "core/FreeListCache.h"
 #include "core/GenerationalCache.h"
@@ -143,7 +143,7 @@ CodeCacheState captureCodeCache(const CodeCache &Cache);
 LinkGraphState captureLinkGraph(const LinkGraph &Links,
                                 const CodeCache &Cache);
 FreeListState captureFreeList(const FreeListCache &Cache);
-StatsState captureStats(const CacheManager &Manager);
+StatsState captureStats(const CacheEngine &Manager);
 DispatchTableState captureDispatchTable(const Translator &T,
                                         bool BasicBlockTier);
 ContentIndexState captureContentIndex(const SharedContentIndex &Index);
@@ -201,10 +201,10 @@ public:
   /// Generation exclusivity plus per-generation placement invariants.
   AuditReport auditGenerational(const GenerationalCacheManager &Gen) const;
 
-  /// Full cross-structure audit of a CacheManager: placement, chaining,
+  /// Full cross-structure audit of a CacheEngine: placement, chaining,
   /// and stats reconciliation (inserts - evictions = residents, byte
   /// accounting exact, link creation/destruction balance).
-  AuditReport auditManager(const CacheManager &Manager) const;
+  AuditReport auditManager(const CacheEngine &Manager) const;
 
   /// Full cross-structure audit of a running Translator: auditManager
   /// over both tier engines plus the dispatch.* family tying each

@@ -32,29 +32,29 @@ void handleReport(const AuditReport &Report, const char *Where,
 
 } // namespace
 
-void check::armAuditor(CacheManager &Manager, ParanoiaOptions Options) {
+void check::armAuditor(CacheEngine &Manager, ParanoiaOptions Options) {
   Manager.setAuditLevel(Options.Level);
   Manager.setAuditHook(
-      [Options](const CacheManager &M, const char *Where) {
+      [Options](const CacheEngine &M, const char *Where) {
         handleReport(CacheAuditor().auditManager(M), Where, Options);
       });
 }
 
-void check::armSharedTenancyAuditors(
-    const std::vector<CacheManager *> &Managers,
-    const SharedContentIndex &Index, ParanoiaOptions Options) {
+void check::armSharedTenancyAuditors(const std::vector<CacheEngine *> &Managers,
+                                     const SharedContentIndex &Index,
+                                     ParanoiaOptions Options) {
   // Each hook captures the whole fleet by value (a vector of stable
   // pointers): sharing couples the managers through the index, so every
   // audit must see all caches at once.
-  for (CacheManager *Manager : Managers) {
+  for (CacheEngine *Manager : Managers) {
     Manager->setAuditLevel(Options.Level);
-    Manager->setAuditHook([Options, Managers, &Index](const CacheManager &M,
+    Manager->setAuditHook([Options, Managers, &Index](const CacheEngine &M,
                                                       const char *Where) {
       AuditReport Report = CacheAuditor().auditManager(M);
       std::vector<CodeCacheState> Caches;
       Caches.reserve(Managers.size());
       CacheStats Merged;
-      for (const CacheManager *Peer : Managers) {
+      for (const CacheEngine *Peer : Managers) {
         Caches.push_back(captureCodeCache(Peer->cache()));
         Merged.merge(Peer->stats());
       }

@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Glue between CacheManager's generic audit hook and the deep
+/// Glue between CacheEngine's generic audit hook and the deep
 /// CacheAuditor. ccsim_core deliberately knows nothing about ccsim_check
 /// (the hook is a plain std::function); this header is what the layers
 /// that may link ccsim_check — sim, concurrent, tests, the CLI — call to
@@ -23,7 +23,7 @@
 #define CCSIM_CHECK_PARANOIA_H
 
 #include "check/AuditReport.h"
-#include "core/CacheManager.h"
+#include "core/CacheEngine.h"
 #include "core/SharedContentIndex.h"
 
 #include <functional>
@@ -52,7 +52,7 @@ struct ParanoiaOptions {
 
 /// Installs the deep auditor (CacheAuditor::auditManager after every
 /// mutation the level covers) on \p Manager.
-void armAuditor(CacheManager &Manager, ParanoiaOptions Options = {});
+void armAuditor(CacheEngine &Manager, ParanoiaOptions Options = {});
 
 /// Installs the deep auditor on both tier engines of a live translator:
 /// every install the level covers re-audits the whole DBT state
@@ -68,7 +68,7 @@ void armAuditor(Translator &T, ParanoiaOptions Options = {});
 /// merged stats — orphan representatives and resident aliases are
 /// cross-manager properties, so auditing one cache in isolation cannot
 /// see them. \p Managers and \p Index must outlive the hooks.
-void armSharedTenancyAuditors(const std::vector<CacheManager *> &Managers,
+void armSharedTenancyAuditors(const std::vector<CacheEngine *> &Managers,
                               const SharedContentIndex &Index,
                               ParanoiaOptions Options = {});
 

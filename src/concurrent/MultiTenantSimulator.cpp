@@ -67,7 +67,7 @@ MultiTenantSimulator::MultiTenantSimulator(const std::vector<Trace> &Traces,
   }
 
   // Tenants keep their trace-local dense ids but are shifted into disjoint
-  // global ranges, so one shared CacheManager can tell them apart. Edge
+  // global ranges, so one shared CacheEngine can tell them apart. Edge
   // lists are remapped once up front; the per-access records then alias
   // these vectors.
   IdBase.resize(K, 0);
@@ -240,14 +240,14 @@ MultiTenantResult MultiTenantSimulator::run() {
 
   // Build the manager(s).
   const size_t NumManagers = Policy.Mode == PartitionMode::Shared ? 1 : K;
-  std::vector<std::unique_ptr<CacheManager>> Managers;
+  std::vector<std::unique_ptr<CacheEngine>> Managers;
   Managers.reserve(NumManagers);
   const bool QuotaInUnits =
       Policy.Mode == PartitionMode::UnitQuota &&
       Policy.Granularity.Kind == GranularitySpec::KindType::Units &&
       Policy.Granularity.Units >= 2;
   for (size_t M = 0; M < NumManagers; ++M) {
-    CacheManagerConfig MC;
+    CacheEngineConfig MC;
     MC.CapacityBytes =
         Policy.Mode == PartitionMode::Shared ? TotalCapacity
                                              : TenantCapacities[M];
@@ -271,14 +271,14 @@ MultiTenantResult MultiTenantSimulator::run() {
     } else {
       EP = makePolicy(Policy.Granularity);
     }
-    Managers.push_back(std::make_unique<CacheManager>(MC, std::move(EP)));
+    Managers.push_back(std::make_unique<CacheEngine>(MC, std::move(EP)));
   }
   if (Hooks.Audit != AuditLevel::Off) {
     if (Policy.ShareCode) {
       // Sharing couples the managers through the content index, so every
       // audit must see all caches at once (orphan and alias-residency
       // rules are cross-manager properties).
-      std::vector<CacheManager *> Raw;
+      std::vector<CacheEngine *> Raw;
       Raw.reserve(Managers.size());
       for (const auto &M : Managers)
         Raw.push_back(M.get());
@@ -327,7 +327,7 @@ MultiTenantResult MultiTenantSimulator::run() {
     if (Policy.ShareCode)
       Rec.ContentKey = ContentKeys[T][Local];
 
-    CacheManager &Mgr = *Managers[ManagerOf[T]];
+    CacheEngine &Mgr = *Managers[ManagerOf[T]];
     const AccessKind Kind = Mgr.access(Rec);
 
     TenantResult &TR = Result.Tenants[T];

@@ -17,7 +17,7 @@
 /// Everything is deterministic: the interleaving is a pure function of the
 /// schedule kind, tenant weights, and a seed, so every run of the same
 /// configuration produces identical counters. Attribution works through
-/// the CacheManager eviction observer: each superblock is tagged with its
+/// the CacheEngine eviction observer: each superblock is tagged with its
 /// owning tenant, and every eviction batch reports which tenant triggered
 /// it and which tenants lost blocks — the "who evicted whom" matrix.
 ///
@@ -33,8 +33,7 @@
 /// never collide.
 ///
 /// Configuration lives in concurrent/TenancyPolicy.h: TenancyPolicy (what
-/// to simulate) + TenantRunHooks (how to instrument this execution). The
-/// MultiTenantConfig bundle below is a deprecated one-release shim.
+/// to simulate) + TenantRunHooks (how to instrument this execution).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,7 +41,7 @@
 #define CCSIM_CONCURRENT_MULTITENANTSIMULATOR_H
 
 #include "concurrent/TenancyPolicy.h"
-#include "core/CacheManager.h"
+#include "core/CacheEngine.h"
 #include "core/SharedContentIndex.h"
 #include "support/Cancellation.h"
 #include "trace/Trace.h"
@@ -51,82 +50,6 @@
 #include <vector>
 
 namespace ccsim {
-
-/// Deprecated pre-TenancyPolicy configuration bundle: the policy fields
-/// and the run hooks flattened into one struct. Kept for one release so
-/// existing construction paths keep compiling; new code builds a
-/// TenancyPolicy + TenantRunHooks instead (ccsim_lint rule
-/// tenancy.legacy-config flags new uses under src/ and examples/).
-struct MultiTenantConfig : TenancyPolicy, TenantRunHooks {
-  // Fluent setters re-exposed so legacy chains keep returning the legacy
-  // type (the base versions return their slice).
-  MultiTenantConfig &withMode(PartitionMode M) {
-    Mode = M;
-    return *this;
-  }
-  MultiTenantConfig &withSchedule(InterleaveKind K) {
-    Schedule = K;
-    return *this;
-  }
-  MultiTenantConfig &withScheduleSeed(uint64_t Seed) {
-    ScheduleSeed = Seed;
-    return *this;
-  }
-  MultiTenantConfig &withGranularity(const GranularitySpec &Spec) {
-    Granularity = Spec;
-    return *this;
-  }
-  MultiTenantConfig &withPressure(double Factor) {
-    PressureFactor = Factor;
-    return *this;
-  }
-  MultiTenantConfig &withCapacityBytes(uint64_t Bytes) {
-    ExplicitCapacityBytes = Bytes;
-    return *this;
-  }
-  MultiTenantConfig &withCosts(const CostModel &Model) {
-    Costs = Model;
-    return *this;
-  }
-  MultiTenantConfig &withChaining(bool Enable) {
-    EnableChaining = Enable;
-    return *this;
-  }
-  MultiTenantConfig &withShareCode(bool Enable) {
-    ShareCode = Enable;
-    return *this;
-  }
-  MultiTenantConfig &withTenants(std::vector<TenantSpec> Specs) {
-    Tenants = std::move(Specs);
-    return *this;
-  }
-  MultiTenantConfig &withTelemetry(telemetry::TelemetrySink *Sink) {
-    Telemetry = Sink;
-    return *this;
-  }
-  MultiTenantConfig &withAudit(AuditLevel Level) {
-    Audit = Level;
-    return *this;
-  }
-  MultiTenantConfig &withCancel(CancelToken *Token) {
-    Cancel = Token;
-    return *this;
-  }
-
-  /// The policy slice (what to simulate).
-  const TenancyPolicy &policy() const { return *this; }
-
-  /// The hooks slice (how this execution is instrumented).
-  const TenantRunHooks &hooks() const { return *this; }
-
-  /// Empty when usable: policy validation, then hook validation.
-  std::string validate() const {
-    std::string Error = TenancyPolicy::validate();
-    if (Error.empty())
-      Error = TenantRunHooks::validate();
-    return Error;
-  }
-};
 
 /// Counters attributed to one tenant. Access-side counters (accesses,
 /// misses, miss overhead, triggered evictions) are charged to the tenant
@@ -231,11 +154,6 @@ public:
   MultiTenantSimulator(const std::vector<Trace> &Traces,
                        const TenancyPolicy &Policy,
                        const TenantRunHooks &Hooks = {});
-
-  /// Deprecated shim over the two-argument constructor.
-  MultiTenantSimulator(const std::vector<Trace> &Traces,
-                       const MultiTenantConfig &Config)
-      : MultiTenantSimulator(Traces, Config.policy(), Config.hooks()) {}
 
   /// Replays the interleaved streams to completion (every tenant's trace
   /// is fully consumed) and returns attributed results.

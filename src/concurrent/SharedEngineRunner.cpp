@@ -3,7 +3,6 @@
 #include "concurrent/SharedEngineRunner.h"
 
 #include "check/CacheAuditor.h"
-#include "check/Paranoia.h"
 #include "support/Contracts.h"
 
 #include <algorithm>
@@ -17,41 +16,8 @@ using namespace ccsim::concurrent;
 
 namespace {
 
-/// The two trace backends behind one replay loop. Both expose the same
-/// five calls; the owned view walks Trace::Accesses, the mapped view
-/// decodes straight out of the file mapping.
-struct OwnedTraceView {
-  const Trace &T;
-  const std::string &name() const { return T.Name; }
-  uint64_t maxCacheBytes() const { return T.maxCacheBytes(); }
-  size_t size() const { return T.Accesses.size(); }
-  SuperblockId idAt(size_t I) const { return T.Accesses[I]; }
-  SuperblockRecord recordFor(SuperblockId Id) const { return T.recordFor(Id); }
-};
-
-struct MappedTraceView {
-  const trace::MappedTrace &T;
-  const std::string &name() const { return T.name(); }
-  uint64_t maxCacheBytes() const { return T.maxCacheBytes(); }
-  size_t size() const { return T.numAccesses(); }
-  SuperblockId idAt(size_t I) const { return T.idAt(I); }
-  SuperblockRecord recordFor(SuperblockId Id) const { return T.recordFor(Id); }
-};
-
-/// Capacity = maxCache / pressure, same derivation (and same contract)
-/// as sim::capacityFor -- restated because this layer cannot link
-/// ccsim_sim.
-template <typename View>
-uint64_t capacityFor(const View &V, const SharedRunConfig &Config) {
-  if (Config.ExplicitCapacityBytes != 0)
-    return Config.ExplicitCapacityBytes;
-  CCSIM_REQUIRE(Config.PressureFactor >= 1.0,
-                "pressure factor %g below 1 would be an over-provisioned cache",
-                Config.PressureFactor);
-  const double Derived =
-      static_cast<double>(V.maxCacheBytes()) / Config.PressureFactor;
-  return std::max<uint64_t>(1, static_cast<uint64_t>(Derived));
-}
+/// Accesses a guest claims from the shared cursor per grab.
+constexpr size_t GrabBlock = 4096;
 
 /// Quiesces the engine and runs the full shared audit; mirrors the
 /// paranoid contract of check::armAuditor (print + abort) unless the
@@ -82,87 +48,20 @@ void runQuiesceAudit(SharedCacheEngine &Engine, const SharedRunConfig &Config,
                         Cancel.deadlineExpired() && !Cancel.cancelRequested());
 }
 
-/// The serial path: one guest, Exact mode, byte-identical to sim::run --
-/// same access order, same telemetry marks ("sim:" label), same metric
-/// labels, and no contention publication.
-template <typename View>
-SharedRunResult runSerial(const View &V, std::unique_ptr<EvictionPolicy> Policy,
-                          const SharedRunConfig &Config) {
-  SharedRunResult Result;
-  Result.BenchmarkName = V.name();
-  Result.PolicyName = Policy->name();
-  Result.MaxCacheBytes = V.maxCacheBytes();
-  Result.CapacityBytes = capacityFor(V, Config);
-  Result.Mode = ShareMode::Exact;
-  Result.GuestThreads = 1;
-
-  SharedEngineConfig SC;
-  SC.Engine.CapacityBytes = Result.CapacityBytes;
-  SC.Engine.Costs = Config.Costs;
-  SC.Engine.EnableChaining = Config.EnableChaining;
-  SC.Engine.Telemetry = Config.Telemetry;
-  SC.Shards = Config.Shards;
-  SC.Fences = Config.Fences;
-
-  telemetry::TelemetrySink *Tel = Config.Telemetry;
-  uint32_t MarkId = 0;
-  if (Tel) {
-    MarkId = Tel->Tracer.internLabel("sim:" + Result.BenchmarkName + "/" +
-                                     Result.PolicyName);
-    Tel->Tracer.record(telemetry::EventKind::Mark, 0, telemetry::NoBlock,
-                       MarkId, 1, 0);
-  }
-
-  SharedCacheEngine Engine(SC, std::move(Policy), ShareMode::Exact);
-  if (Config.Audit != AuditLevel::Off)
-    check::armAuditor(Engine.engineSetup(),
-                      check::ParanoiaOptions{Config.Audit, true,
-                                             Config.OnViolation});
-  const size_t N = V.size();
-  if (!Config.Cancel) {
-    for (size_t I = 0; I < N; ++I)
-      Engine.access(V.recordFor(V.idAt(I)));
-  } else {
-    const size_t Chunk = std::max<uint32_t>(1, Config.CancelCheckInterval);
-    size_t I = 0;
-    while (I < N) {
-      if (const char *Reason = Config.Cancel->stopReason())
-        throwCancelled(V.name(), I, N, Reason, *Config.Cancel);
-      const size_t End = std::min(N, I + Chunk);
-      for (; I < End; ++I)
-        Engine.access(V.recordFor(V.idAt(I)));
-    }
-  }
-
-  Result.Stats = Engine.stats();
-  Result.Contention = Engine.contention();
-  if (Tel) {
-    Tel->Tracer.record(telemetry::EventKind::Mark, 0, telemetry::NoBlock,
-                       MarkId, 0, Result.Stats.Accesses);
-    char Pressure[32];
-    std::snprintf(Pressure, sizeof(Pressure), "%g", Config.PressureFactor);
-    Result.Stats.recordMetrics(Tel->Metrics,
-                          {{"benchmark", Result.BenchmarkName},
-                           {"policy", Result.PolicyName},
-                           {"pressure", Pressure}});
-  }
-  return Result;
-}
-
 /// The K > 1 path: guests claim GrabBlock-sized runs of the access
 /// stream from a shared cursor. Structural validation happens at
 /// quiesce points (the guest that carries the global done-counter past
 /// the next threshold runs the audit) and once after the join.
-template <typename View>
-SharedRunResult runThreaded(const View &V,
+template <typename TraceT>
+SharedRunResult runThreaded(const TraceT &T,
                             std::unique_ptr<EvictionPolicy> Policy,
                             const SharedRunConfig &Config) {
   SharedRunResult Result;
-  Result.BenchmarkName = V.name();
+  Result.BenchmarkName = T.name();
   Result.PolicyName = Policy->name();
-  Result.MaxCacheBytes = V.maxCacheBytes();
-  Result.CapacityBytes = capacityFor(V, Config);
-  Result.Mode = SharedCacheEngine::preferredMode(Config.GuestThreads, *Policy);
+  Result.MaxCacheBytes = T.maxCacheBytes();
+  Result.CapacityBytes = sim::capacityFor(T, Config);
+  Result.Mode = ShareMode::Concurrent;
   Result.GuestThreads = Config.GuestThreads;
 
   SharedEngineConfig SC;
@@ -170,8 +69,6 @@ SharedRunResult runThreaded(const View &V,
   SC.Engine.Costs = Config.Costs;
   SC.Engine.EnableChaining = Config.EnableChaining;
   SC.Engine.Telemetry = Config.Telemetry;
-  SC.Shards = Config.Shards;
-  SC.Fences = Config.Fences;
 
   telemetry::TelemetrySink *Tel = Config.Telemetry;
   uint32_t MarkId = 0;
@@ -182,10 +79,9 @@ SharedRunResult runThreaded(const View &V,
                        MarkId, 1, 0);
   }
 
-  SharedCacheEngine Engine(SC, std::move(Policy), Result.Mode);
+  SharedCacheEngine Engine(SC, std::move(Policy));
 
-  const size_t N = V.size();
-  const size_t Grab = std::max<size_t>(1, Config.GrabBlock);
+  const size_t N = T.numAccesses();
   const uint64_t QuiesceEvery =
       Config.Audit != AuditLevel::Off ? Config.QuiesceInterval : 0;
 
@@ -202,20 +98,20 @@ SharedRunResult runThreaded(const View &V,
       uint64_t SincePoll = 0;
       while (!Stop.load(std::memory_order_relaxed)) {
         const uint64_t Start =
-            NextStart.fetch_add(Grab, std::memory_order_relaxed);
+            NextStart.fetch_add(GrabBlock, std::memory_order_relaxed);
         if (Start >= N)
           break;
-        const uint64_t End = std::min<uint64_t>(N, Start + Grab);
+        const uint64_t End = std::min<uint64_t>(N, Start + GrabBlock);
         for (uint64_t I = Start; I < End; ++I) {
           if (Config.Cancel &&
               ++SincePoll >=
                   std::max<uint32_t>(1, Config.CancelCheckInterval)) {
             SincePoll = 0;
             if (const char *Reason = Config.Cancel->stopReason())
-              throwCancelled(V.name(), Done.load(std::memory_order_relaxed), N,
+              throwCancelled(T.name(), Done.load(std::memory_order_relaxed), N,
                              Reason, *Config.Cancel);
           }
-          Engine.access(V.recordFor(V.idAt(I)));
+          Engine.access(T.recordFor(T.idAt(I)));
         }
         const uint64_t DoneNow =
             Done.fetch_add(End - Start, std::memory_order_relaxed) +
@@ -244,8 +140,17 @@ SharedRunResult runThreaded(const View &V,
 
   std::vector<std::thread> Guests;
   Guests.reserve(Config.GuestThreads);
-  for (unsigned I = 0; I < Config.GuestThreads; ++I)
-    Guests.emplace_back(Guest);
+  try {
+    for (unsigned I = 0; I < Config.GuestThreads; ++I)
+      Guests.emplace_back(Guest);
+  } catch (...) {
+    // Thread creation failed part-way: stop and join the guests already
+    // running, since destroying a joinable std::thread terminates.
+    Stop.store(true, std::memory_order_relaxed);
+    for (std::thread &G : Guests)
+      G.join();
+    throw;
+  }
   for (std::thread &G : Guests)
     G.join();
 
@@ -253,8 +158,7 @@ SharedRunResult runThreaded(const View &V,
     std::rethrow_exception(FirstError);
   CCSIM_ASSERT(Done.load() == N, "guests joined before the trace drained");
 
-  if (Result.Mode == ShareMode::Concurrent)
-    Engine.settle(Done.load());
+  Engine.settle(Done.load());
   if (Config.Audit != AuditLevel::Off) {
     runQuiesceAudit(Engine, Config, "final shared-engine audit");
     Audits.fetch_add(1, std::memory_order_relaxed);
@@ -283,14 +187,20 @@ SharedRunResult runThreaded(const View &V,
   return Result;
 }
 
-template <typename View>
-SharedRunResult runSharedImpl(const View &V, const GranularitySpec &Spec,
+template <typename TraceT>
+SharedRunResult runSharedImpl(const TraceT &T, const GranularitySpec &Spec,
                               const SharedRunConfig &Config) {
-  CCSIM_REQUIRE(Config.GuestThreads >= 1, "at least one guest thread");
+  const unsigned K = Config.GuestThreads;
+  CCSIM_REQUIRE(K >= 1 && K <= MaxGuestThreads,
+                "guest threads %u outside 1..%u", K, MaxGuestThreads);
   std::unique_ptr<EvictionPolicy> Policy = makePolicy(Spec);
-  if (Config.GuestThreads == 1)
-    return runSerial(V, std::move(Policy), Config);
-  return runThreaded(V, std::move(Policy), Config);
+  if (SharedCacheEngine::preferredMode(K, *Policy) == ShareMode::Concurrent)
+    return runThreaded(T, std::move(Policy), Config);
+  // The serial simulator; the defaults already say Exact, one guest, no
+  // contention.
+  SharedRunResult Result;
+  static_cast<SimResult &>(Result) = sim::run(T, std::move(Policy), Config);
+  return Result;
 }
 
 } // namespace
@@ -298,11 +208,11 @@ SharedRunResult runSharedImpl(const View &V, const GranularitySpec &Spec,
 SharedRunResult concurrent::runShared(const Trace &T,
                                       const GranularitySpec &Spec,
                                       const SharedRunConfig &Config) {
-  return runSharedImpl(OwnedTraceView{T}, Spec, Config);
+  return runSharedImpl(T, Spec, Config);
 }
 
 SharedRunResult concurrent::runShared(const trace::MappedTrace &T,
                                       const GranularitySpec &Spec,
                                       const SharedRunConfig &Config) {
-  return runSharedImpl(MappedTraceView{T}, Spec, Config);
+  return runSharedImpl(T, Spec, Config);
 }

@@ -9,10 +9,10 @@
 /// the thread-shared-cache regime of production DBTs. The determinism
 /// contract, stated once and tested everywhere:
 ///
-///   K = 1   runs the engine in Exact mode and reproduces the serial
-///           simulator byte for byte -- same CacheStats, same telemetry
-///           marks and metric labels ("sim:<bench>/<policy>"), so golden
-///           figure reports and metric exports are pinned unchanged.
+///   K = 1   is the serial simulator: runShared returns sim::run's result
+///           (Mode = Exact, zero contention), so golden figure reports,
+///           telemetry marks ("sim:<bench>/<policy>") and metric exports
+///           are pinned unchanged.
 ///
 ///   K > 1   guests claim trace blocks from a shared cursor, so the miss
 ///           interleaving is schedule-dependent; results are validated
@@ -21,10 +21,9 @@
 ///           Metrics are labeled with the guest count to keep them apart
 ///           from serial exports.
 ///
-/// This layer deliberately does not depend on ccsim_sim (which layers
-/// above ccsim_concurrent); the few shared knobs (pressure, costs,
-/// cancellation cadence) are restated here with identical semantics and
-/// defaults.
+/// The split follows SharedCacheEngine::preferredMode: the serial path
+/// runs exactly when it answers Exact, which for every policy a
+/// GranularitySpec names means K = 1.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,66 +32,41 @@
 
 #include "check/AuditReport.h"
 #include "core/SharedCacheEngine.h"
-#include "support/Cancellation.h"
-#include "trace/MappedTrace.h"
-#include "trace/Trace.h"
+#include "sim/Simulator.h"
 
 #include <functional>
-#include <string>
 
 namespace ccsim::concurrent {
 
-/// Configuration of one shared-engine replay.
-struct SharedRunConfig {
-  /// Guest threads sharing the engine. 1 selects the byte-identical
-  /// serial path.
+/// Upper bound on guest threads per run. Each guest is an OS thread, so
+/// the bound keeps a hostile manifest or flag from asking for thousands;
+/// every bench and test uses at most 8.
+inline constexpr unsigned MaxGuestThreads = 256;
+
+/// Configuration of one shared-engine replay: the serial simulator's
+/// knobs (pressure, capacity, costs, chaining, telemetry, audit,
+/// cancellation) with identical semantics, plus the guest count.
+struct SharedRunConfig : SimConfig {
+  /// Guest threads sharing the engine, 1..MaxGuestThreads. 1 runs the
+  /// serial simulator.
   unsigned GuestThreads = 1;
 
-  /// Cache capacity = trace maxCache / PressureFactor (the paper's
-  /// pressure axis), unless ExplicitCapacityBytes overrides it.
-  double PressureFactor = 8.0;
-  uint64_t ExplicitCapacityBytes = 0;
-
-  CostModel Costs = CostModel::paperDefaults();
-  bool EnableChaining = true;
-  telemetry::TelemetrySink *Telemetry = nullptr;
-
-  /// K = 1: forwarded to check::armAuditor, exactly like the serial
-  /// simulator. K > 1: any level other than Off runs the full
-  /// auditSharedEngine rule set at every quiesce point and once at the
-  /// end of the run.
-  AuditLevel Audit = defaultAuditLevel();
-
-  /// Cooperative cancellation, polled every CancelCheckInterval accesses
-  /// (per guest for K > 1). Throws ReplayCancelled like the serial path.
-  CancelToken *Cancel = nullptr;
-  uint32_t CancelCheckInterval = 1024;
-
-  /// Sharding / fencing geometry of the engine.
-  unsigned Shards = 16;
-  unsigned Fences = 16;
-
   /// K > 1: accesses between quiesce-point audits (0 = only the final
-  /// one). The guest that crosses the threshold runs the audit.
+  /// one). The guest that crosses the threshold runs the audit. Any
+  /// Audit level other than Off runs the full auditSharedEngine rule set
+  /// at every quiesce point and once at the end of the run.
   uint64_t QuiesceInterval = 0;
 
-  /// K > 1: accesses a guest claims from the shared cursor per grab.
-  size_t GrabBlock = 4096;
-
-  /// Receives non-clean audit reports; default prints and aborts (the
-  /// paranoid contract). Tests install a collector.
+  /// K > 1: receives non-clean quiesce-audit reports; default prints and
+  /// aborts (the paranoid contract). K = 1 keeps sim::run's print-and-
+  /// abort auditor.
   std::function<void(const check::AuditReport &, const char *Where)>
       OnViolation;
 };
 
 /// Outcome of a shared replay. Stats match the serial simulator exactly
 /// for K = 1; for K > 1 they satisfy the conservation identities.
-struct SharedRunResult {
-  std::string BenchmarkName;
-  std::string PolicyName;
-  uint64_t CapacityBytes = 0;
-  uint64_t MaxCacheBytes = 0;
-  CacheStats Stats;
+struct SharedRunResult : SimResult {
   ShareMode Mode = ShareMode::Exact;
   unsigned GuestThreads = 1;
   ContentionCounters Contention;

@@ -13,16 +13,14 @@
 /// (telemetry sink, audit level, cancellation). Every construction path
 /// (`ccsim_cli tenants`, batch manifests, service::TenantJob, tests,
 /// benches) builds the same TenancyPolicy and validates it with the same
-/// validate(); the legacy MultiTenantConfig bundle survives one release as
-/// a deprecated shim over these two types (and the ccsim_lint rule
-/// tenancy.legacy-config bans new uses).
+/// validate().
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CCSIM_CONCURRENT_TENANCYPOLICY_H
 #define CCSIM_CONCURRENT_TENANCYPOLICY_H
 
-#include "core/CacheManager.h"
+#include "core/CacheEngine.h"
 #include "support/Cancellation.h"
 
 #include <optional>

@@ -32,8 +32,8 @@
 /// (dispatch-table entries, fragment slots) in lockstep with the engine's
 /// accounting; see CacheEngineConfig::OnEvictPayload / OnUnlinkPayload.
 ///
-/// `CacheManager` (core/CacheManager.h) is an alias of this class kept
-/// for the trace-driven call sites and docs that use the paper's name.
+/// The paper calls this the cache manager; the tree has one name for it,
+/// CacheEngine (GenerationalCacheManager is a separate two-tier class).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -136,13 +136,6 @@ struct CacheStats {
   /// of this shape — new counters are added here and nowhere else.
   void recordMetrics(telemetry::MetricsRegistry &Metrics,
                      const telemetry::MetricLabels &Labels) const;
-
-  /// Deprecated spelling of recordMetrics(), kept for one release so
-  /// out-of-tree callers keep compiling. New code uses recordMetrics().
-  void recordTo(telemetry::MetricsRegistry &Metrics,
-                const telemetry::MetricLabels &Labels) const {
-    recordMetrics(Metrics, Labels);
-  }
 };
 
 } // namespace ccsim

@@ -24,7 +24,7 @@
 #ifndef CCSIM_CORE_GENERATIONALCACHE_H
 #define CCSIM_CORE_GENERATIONALCACHE_H
 
-#include "core/CacheManager.h" // AccessKind
+#include "core/CacheEngine.h" // AccessKind
 #include "core/CacheStats.h"
 #include "core/CodeCache.h"
 #include "core/CostModel.h"

@@ -63,10 +63,6 @@ unsigned roundUpPow2(unsigned V) {
 
 } // namespace
 
-const char *ccsim::shareModeName(ShareMode M) {
-  return M == ShareMode::Exact ? "exact" : "concurrent";
-}
-
 ShareMode SharedCacheEngine::preferredMode(unsigned GuestThreads,
                                            const EvictionPolicy &Policy) {
   if (GuestThreads <= 1 || !Policy.isAccessStateless())
@@ -84,11 +80,14 @@ static CacheEngineConfig stripPayloadHook(const SharedEngineConfig &Config) {
 }
 
 SharedCacheEngine::SharedCacheEngine(const SharedEngineConfig &Config,
-                                     std::unique_ptr<EvictionPolicy> Policy,
-                                     ShareMode Mode)
-    : Mode(Mode), Engine(stripPayloadHook(Config), std::move(Policy)),
+                                     std::unique_ptr<EvictionPolicy> Policy)
+    : Engine(stripPayloadHook(Config), std::move(Policy)),
       OwnerEvictPayload(Config.Engine.OnEvictPayload),
       OnInstallPayload(Config.OnInstallPayload) {
+  CCSIM_REQUIRE(Engine.policy().isAccessStateless(),
+                "the shared engine defers hits, so policy %s must be "
+                "access-stateless",
+                Engine.policy().name().c_str());
   Engine.setEvictPayload([this](std::span<const CodeCache::Resident> Victims) {
     onEvictionBatch(Victims);
   });
@@ -102,24 +101,12 @@ SharedCacheEngine::SharedCacheEngine(const SharedEngineConfig &Config,
   FenceWidth = std::max<uint64_t>(1, (Cap + NFences - 1) / NFences);
   Shards = std::make_unique<Shard[]>(NShards);
   Fences = std::make_unique<Fence[]>(NFences);
-  if (Mode == ShareMode::Concurrent && Config.Engine.Telemetry)
+  if (Config.Engine.Telemetry)
     LockWaitHist = &Config.Engine.Telemetry->Metrics.histogram(
         "shared.lock_wait_us", 50.0, 64);
 }
 
 AccessKind SharedCacheEngine::access(const SuperblockRecord &Rec) {
-  return Mode == ShareMode::Exact ? accessExact(Rec) : accessConcurrent(Rec);
-}
-
-AccessKind SharedCacheEngine::accessExact(const SuperblockRecord &Rec) {
-  TimedLock L(EngineMu, EngineLockStalls, EngineLockWaitMicros, LockWaitHist);
-  const AccessKind K = Engine.access(Rec);
-  if (K != AccessKind::Hit)
-    reconcileIndexEntry(Rec.Id);
-  return K;
-}
-
-AccessKind SharedCacheEngine::accessConcurrent(const SuperblockRecord &Rec) {
   const unsigned SI = shardOf(Rec.Id);
   const size_t Slot = slotOf(Rec.Id);
   Shard &S = Shards[SI];
@@ -199,8 +186,6 @@ bool SharedCacheEngine::probe(SuperblockId Id) const {
 
 void SharedCacheEngine::settle(uint64_t TotalAccesses) {
   MutexLock L(EngineMu);
-  if (Mode != ShareMode::Concurrent)
-    return; // Exact mode counted every access in the engine already.
   if (const uint64_t P = PendingSamples.exchange(0, std::memory_order_relaxed))
     Engine.addDeferredBackPointerSamples(P);
   Engine.settleDeferredAccesses(TotalAccesses);

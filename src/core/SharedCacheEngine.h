@@ -31,23 +31,17 @@
 /// the shard after the fence is held), so there is no hold-and-wait
 /// cycle against the eviction path.
 ///
-/// Two execution modes:
-///
-///   Exact      every access serializes on EngineMu and runs the plain
-///              CacheEngine::access() in arrival order. With one guest
-///              thread this is byte-identical to the serial simulator --
-///              same stats, same telemetry ticks. Also the fallback for
-///              access-stateful policies (they must observe every hit).
-///
-///   Concurrent hits take the sharded fast path and are tallied in an
-///              atomic; misses serialize on EngineMu through the
-///              deferred front doors (deferredMiss + deferred back-
-///              pointer samples), and settle(N) reconciles Accesses/Hits
-///              when the guests join. Legal only for access-stateless
-///              policies (unit-FIFO, fine FIFO), whose decisions never
-///              depend on hit observations. K>1 results are validated by
-///              the structural auditor + conservation laws, not byte
-///              pins (the miss interleaving is schedule-dependent).
+/// One execution mode: hits take the sharded fast path and are tallied
+/// in an atomic; misses serialize on EngineMu through the deferred front
+/// doors (deferredMiss + deferred back-pointer samples), and settle(N)
+/// reconciles Accesses/Hits when the guests join. That is exact only for
+/// access-stateless policies (unit-FIFO, fine FIFO), whose decisions
+/// never depend on hit observations -- the constructor requires one, and
+/// every policy a GranularitySpec names qualifies. K>1 results are
+/// validated by the structural auditor + conservation laws, not byte pins
+/// (the miss interleaving is schedule-dependent). A one-guest replay
+/// needs no shared engine: concurrent::runShared sends K = 1 to the
+/// serial simulator.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -64,10 +58,9 @@
 
 namespace ccsim {
 
-/// How accesses are executed against the shared engine. See file header.
+/// Which path a K-guest replay takes (SharedCacheEngine::preferredMode):
+/// Exact is the serial simulator, Concurrent this engine.
 enum class ShareMode : uint8_t { Exact, Concurrent };
-
-const char *shareModeName(ShareMode M);
 
 /// One entry of the sharded residency index, exported for auditing.
 struct SharedIndexEntry {
@@ -87,7 +80,7 @@ struct SharedIndexState {
 /// Contention totals, all monotone. Snapshots are safe at any time (the
 /// counters are atomics); exact totals require the guests to have joined.
 struct ContentionCounters {
-  uint64_t FastHits = 0;        ///< Concurrent-mode hits (incl. races).
+  uint64_t FastHits = 0;        ///< Fast-path hits (incl. races).
   uint64_t InstallRaces = 0;    ///< Miss/install found block already in.
   uint64_t FenceSharedStalls = 0;    ///< Hit blocked on a fenced region.
   uint64_t FenceExclusiveStalls = 0; ///< Evictor blocked on in-flight hits.
@@ -121,37 +114,36 @@ struct SharedEngineConfig {
 /// any number of guest threads once construction and setup are done.
 class SharedCacheEngine {
 public:
+  /// \p Policy must be access-stateless (see file header).
   SharedCacheEngine(const SharedEngineConfig &Config,
-                    std::unique_ptr<EvictionPolicy> Policy, ShareMode Mode);
+                    std::unique_ptr<EvictionPolicy> Policy);
 
-  /// Concurrent is only sound for access-stateless policies; everything
-  /// else (and K == 1, where Exact is both correct and byte-identical to
-  /// the serial simulator) runs Exact.
+  /// Concurrent (this engine) is only sound for access-stateless
+  /// policies; everything else, and K == 1, runs Exact (the serial
+  /// simulator).
   static ShareMode preferredMode(unsigned GuestThreads,
                                  const EvictionPolicy &Policy);
 
-  ShareMode mode() const { return Mode; }
   unsigned shardCount() const { return NShards; }
   unsigned fenceCount() const { return NFences; }
   uint64_t fenceBytes() const { return FenceWidth; }
 
-  /// Processes one dispatch event. Exact mode: CacheEngine::access()
-  /// under EngineMu. Concurrent mode: sharded fast hit or deferred miss.
+  /// Processes one dispatch event: sharded fast hit or deferred miss.
   AccessKind access(const SuperblockRecord &Rec) CCSIM_EXCLUDES(EngineMu);
 
   /// Execution-driven front door: installs \p Rec unless it is already
   /// resident (a racing install, counted, returns false). Victim payload
   /// teardown runs under the victims' eviction fences. Not legal in a
-  /// run that also drives Concurrent-mode access() (install counts its
-  /// own access, which would break settle()).
+  /// run that also drives access() (install counts its own access, which
+  /// would break settle()).
   bool install(const SuperblockRecord &Rec) CCSIM_EXCLUDES(EngineMu);
 
   /// Lock-free-ish residency probe (shared shard lock only): the "find"
   /// half of a find/add stress loop. Never touches EngineMu.
   bool probe(SuperblockId Id) const;
 
-  /// Concurrent mode only: reconciles the deferred counters after the
-  /// guests joined. \p TotalAccesses must equal every access() call made.
+  /// Reconciles the deferred counters after the guests joined.
+  /// \p TotalAccesses must equal every access() call made.
   void settle(uint64_t TotalAccesses) CCSIM_EXCLUDES(EngineMu);
 
   /// Runs \p Fn with the entire engine quiescent: EngineMu, every fence,
@@ -160,11 +152,11 @@ public:
   void quiesce(const std::function<void(const SharedCacheEngine &)> &Fn)
       CCSIM_EXCLUDES(EngineMu);
 
-  /// Engine statistics (locks EngineMu; call settle() first in
-  /// Concurrent mode for settled Accesses/Hits).
+  /// Engine statistics (locks EngineMu; call settle() first for settled
+  /// Accesses/Hits).
   CacheStats stats() CCSIM_EXCLUDES(EngineMu);
 
-  /// Concurrent-mode hits tallied so far but not yet settled into the
+  /// Fast-path hits tallied so far but not yet settled into the
   /// engine's counters. Auditors add this to Misses to reconstruct the
   /// provisional access count at a quiesce point.
   uint64_t provisionalHits() const {
@@ -175,8 +167,7 @@ public:
 
   /// Publishes the contention counters (and shard-occupancy gauges) into
   /// \p Metrics under shared.* names, labeled with \p Labels. Called by
-  /// runners after the guests joined; never called in Exact mode by the
-  /// K=1 replay path, so serial metric exports stay byte-identical.
+  /// runners after the guests joined.
   void publishContention(telemetry::MetricsRegistry &Metrics,
                          const telemetry::MetricLabels &Labels)
       CCSIM_EXCLUDES(EngineMu);
@@ -216,11 +207,7 @@ private:
     return static_cast<uint32_t>(R < NFences ? R : NFences - 1);
   }
 
-  AccessKind accessExact(const SuperblockRecord &Rec) CCSIM_EXCLUDES(EngineMu);
-  AccessKind accessConcurrent(const SuperblockRecord &Rec)
-      CCSIM_EXCLUDES(EngineMu);
-
-  /// Slow path of accessConcurrent: serialize on EngineMu, re-check for
+  /// Slow path of access(): serialize on EngineMu, re-check for
   /// a racing install, then run the deferred miss.
   AccessKind missSlow(const SuperblockRecord &Rec) CCSIM_EXCLUDES(EngineMu);
 
@@ -245,7 +232,6 @@ private:
   void lockAllForQuiesce() CCSIM_NO_THREAD_SAFETY_ANALYSIS;
   void unlockAllForQuiesce() CCSIM_NO_THREAD_SAFETY_ANALYSIS;
 
-  ShareMode Mode;
   unsigned NShards = 1;
   unsigned ShardBits = 0;
   unsigned ShardMask = 0;
@@ -274,8 +260,8 @@ private:
   std::atomic<uint64_t> EngineLockWaitMicros{0};
   std::atomic<uint64_t> QuiesceCount{0};
 
-  /// Lock-wait histogram (microseconds); created lazily, Concurrent mode
-  /// with telemetry only, so Exact-mode runs never alter the registry.
+  /// Lock-wait histogram (microseconds); created only when the engine
+  /// has a telemetry sink.
   telemetry::HistogramMetric *LockWaitHist = nullptr;
 };
 

@@ -43,10 +43,6 @@ InstallerReport ccsim::runConcurrentInstall(const InstallerConfig &Config) {
     Sizes[Id] = Mean / 2 + static_cast<uint32_t>(
                                mix64(Config.Seed ^ (Id + 1)) % Mean);
 
-  std::unique_ptr<EvictionPolicy> Policy = makePolicy(Config.Granularity);
-  const ShareMode Mode =
-      SharedCacheEngine::preferredMode(Config.Threads, *Policy);
-
   // Dispatch table shared by every installer, guarded by its own lock.
   // Mutating hooks run with engine locks already held (EngineMu ->
   // fences -> DispatchMu); probing threads take DispatchMu alone.
@@ -57,8 +53,6 @@ InstallerReport ccsim::runConcurrentInstall(const InstallerConfig &Config) {
   SC.Engine.CapacityBytes = Config.CapacityBytes;
   SC.Engine.EnableChaining = Config.EnableChaining;
   SC.Engine.Telemetry = Config.Telemetry;
-  SC.Shards = Config.Shards;
-  SC.Fences = Config.Fences;
   SC.OnInstallPayload = [&](const SuperblockRecord &Rec) {
     MutexLock Lock(DispatchMu);
     Dispatch.insert(Rec.Id, static_cast<int32_t>(Rec.Id));
@@ -69,7 +63,7 @@ InstallerReport ccsim::runConcurrentInstall(const InstallerConfig &Config) {
       Dispatch.remove(V.Id);
   };
 
-  SharedCacheEngine Engine(SC, std::move(Policy), Mode);
+  SharedCacheEngine Engine(SC, makePolicy(Config.Granularity));
 
   std::vector<ThreadTally> Tallies(Config.Threads);
   auto Installer = [&](unsigned Tid) {

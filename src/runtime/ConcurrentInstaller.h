@@ -69,8 +69,6 @@ struct InstallerConfig {
   GranularitySpec Granularity = GranularitySpec::units(8);
 
   bool EnableChaining = true;
-  unsigned Shards = 16;
-  unsigned Fences = 16;
   uint64_t Seed = 1;
   telemetry::TelemetrySink *Telemetry = nullptr;
 

@@ -91,9 +91,10 @@ struct TenantJob {
 
 /// Replay one trace through a thread-shared engine with K guest threads
 /// (the `replay --guest-threads` path and the sustained-load driver).
-/// With Config.GuestThreads == 1 the outcome is byte-identical to the
-/// equivalent ReplayJob; with K > 1 results are audit-validated. The
-/// job owns its trace.
+/// Config validates like a ReplayJob's SimConfig, plus K in
+/// 1..concurrent::MaxGuestThreads. K == 1 runs sim::run, so the outcome
+/// is byte-identical to the equivalent ReplayJob; with K > 1 results are
+/// audit-validated. The job owns its trace.
 struct SharedReplayJob {
   Trace TraceData;
   GranularitySpec Spec = GranularitySpec::units(8);

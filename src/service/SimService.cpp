@@ -72,20 +72,12 @@ std::string Job::validate() const {
     if (SR->Spec.Kind == GranularitySpec::KindType::Units &&
         SR->Spec.Units < 1)
       return "shared replay job needs at least one eviction unit";
-    if (SR->Config.GuestThreads < 1)
-      return "shared replay job needs at least one guest thread";
-    if (SR->Config.ExplicitCapacityBytes == 0 &&
-        SR->Config.PressureFactor < 1.0) {
-      char Buf[128];
-      std::snprintf(Buf, sizeof(Buf),
-                    "pressure factor %g below 1 would be an over-provisioned "
-                    "cache (set an explicit capacity instead)",
-                    SR->Config.PressureFactor);
-      return Buf;
-    }
-    if (SR->Config.CancelCheckInterval == 0)
-      return "cancellation check interval must be at least 1 access";
-    return {};
+    if (SR->Config.GuestThreads < 1 ||
+        SR->Config.GuestThreads > concurrent::MaxGuestThreads)
+      return "shared replay job needs 1.." +
+             std::to_string(concurrent::MaxGuestThreads) +
+             " guest threads, not " + std::to_string(SR->Config.GuestThreads);
+    return SR->Config.validate();
   }
   const auto &T = std::get<TenantJob>(Payload);
   if (T.Traces.empty())
@@ -123,19 +115,12 @@ JobOutcome ccsim::service::executeJob(const Job &J, CancelToken *Cancel) {
     } else if (const auto *SR = std::get_if<SharedReplayJob>(&J.Payload)) {
       concurrent::SharedRunConfig Config = SR->Config;
       Config.Cancel = Cancel;
-      const concurrent::SharedRunResult R =
-          concurrent::runShared(SR->TraceData, SR->Spec, Config);
       // Shared replays surface through the same SimResult slot as plain
-      // replays so every renderer (CLI, batch output, exporters) works
-      // unchanged -- and so the K=1 outcome is byte-identical to a
-      // ReplayJob of the same trace.
-      SimResult Sim;
-      Sim.BenchmarkName = R.BenchmarkName;
-      Sim.PolicyName = R.PolicyName;
-      Sim.CapacityBytes = R.CapacityBytes;
-      Sim.MaxCacheBytes = R.MaxCacheBytes;
-      Sim.Stats = R.Stats;
-      Out.Replay.push_back(std::move(Sim));
+      // replays (the base of SharedRunResult) so every renderer (CLI,
+      // batch output, exporters) works unchanged -- and so the K=1
+      // outcome is byte-identical to a ReplayJob of the same trace.
+      Out.Replay.push_back(
+          concurrent::runShared(SR->TraceData, SR->Spec, Config));
     } else if (const auto *S = std::get_if<SweepBatchJob>(&J.Payload)) {
       std::vector<SweepJob> Points = S->Jobs;
       for (SweepJob &Point : Points)

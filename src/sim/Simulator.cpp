@@ -27,32 +27,36 @@ std::string SimConfig::validate() const {
   return {};
 }
 
-uint64_t ccsim::sim::capacityFor(const Trace &T, const SimConfig &Config) {
+namespace {
+
+uint64_t capacityForMaxCache(uint64_t MaxCacheBytes, const SimConfig &Config) {
   if (Config.ExplicitCapacityBytes != 0)
     return Config.ExplicitCapacityBytes;
   CCSIM_REQUIRE(Config.PressureFactor >= 1.0,
                 "pressure factor %g below 1 would be an over-provisioned cache",
                 Config.PressureFactor);
   const double Derived =
-      static_cast<double>(T.maxCacheBytes()) / Config.PressureFactor;
+      static_cast<double>(MaxCacheBytes) / Config.PressureFactor;
   return std::max<uint64_t>(1, static_cast<uint64_t>(Derived));
 }
 
-SimResult ccsim::sim::run(const Trace &T,
-                          std::unique_ptr<EvictionPolicy> Policy,
-                          const SimConfig &Config) {
+/// The replay loop, written once over both trace sources (Trace and
+/// trace::MappedTrace share name/numAccesses/idAt/recordFor).
+template <typename TraceT>
+SimResult replay(const TraceT &T, std::unique_ptr<EvictionPolicy> Policy,
+                 const SimConfig &Config) {
   CCSIM_REQUIRE(Policy, "simulation requires a policy");
   SimResult Result;
-  Result.BenchmarkName = T.Name;
+  Result.BenchmarkName = T.name();
   Result.PolicyName = Policy->name();
   Result.MaxCacheBytes = T.maxCacheBytes();
-  Result.CapacityBytes = capacityFor(T, Config);
+  Result.CapacityBytes = capacityForMaxCache(Result.MaxCacheBytes, Config);
 
-  CacheManagerConfig MC;
-  MC.CapacityBytes = Result.CapacityBytes;
-  MC.Costs = Config.Costs;
-  MC.EnableChaining = Config.EnableChaining;
-  MC.Telemetry = Config.Telemetry;
+  CacheEngineConfig EC;
+  EC.CapacityBytes = Result.CapacityBytes;
+  EC.Costs = Config.Costs;
+  EC.EnableChaining = Config.EnableChaining;
+  EC.Telemetry = Config.Telemetry;
 
   telemetry::TelemetrySink *Tel = Config.Telemetry;
   uint32_t MarkId = 0;
@@ -63,32 +67,32 @@ SimResult ccsim::sim::run(const Trace &T,
                        MarkId, 1, 0);
   }
 
-  CacheManager Manager(MC, std::move(Policy));
+  CacheEngine Engine(EC, std::move(Policy));
   if (Config.Audit != AuditLevel::Off)
-    check::armAuditor(Manager, check::ParanoiaOptions{Config.Audit, true, {}});
+    check::armAuditor(Engine, check::ParanoiaOptions{Config.Audit, true, {}});
+  const size_t N = T.numAccesses();
   if (!Config.Cancel) {
-    for (SuperblockId Id : T.Accesses)
-      Manager.access(T.recordFor(Id));
+    for (size_t I = 0; I < N; ++I)
+      Engine.access(T.recordFor(T.idAt(I)));
   } else {
     // Cancellable replay: poll the token once per trace chunk so a
     // cancellation or deadline lands within CancelCheckInterval accesses.
-    const size_t N = T.Accesses.size();
     const size_t Chunk = std::max<uint32_t>(1, Config.CancelCheckInterval);
     size_t I = 0;
     while (I < N) {
       if (const char *Reason = Config.Cancel->stopReason())
-        throw ReplayCancelled("replay of " + T.Name + " stopped after " +
+        throw ReplayCancelled("replay of " + T.name() + " stopped after " +
                                   std::to_string(I) + " of " +
                                   std::to_string(N) + " accesses: " + Reason,
                               Config.Cancel->deadlineExpired() &&
                                   !Config.Cancel->cancelRequested());
       const size_t End = std::min(N, I + Chunk);
       for (; I < End; ++I)
-        Manager.access(T.recordFor(T.Accesses[I]));
+        Engine.access(T.recordFor(T.idAt(I)));
     }
   }
 
-  Result.Stats = Manager.stats();
+  Result.Stats = Engine.stats();
   if (Tel) {
     Tel->Tracer.record(telemetry::EventKind::Mark, 0, telemetry::NoBlock,
                        MarkId, 0, Result.Stats.Accesses);
@@ -102,7 +106,30 @@ SimResult ccsim::sim::run(const Trace &T,
   return Result;
 }
 
+} // namespace
+
+uint64_t ccsim::sim::capacityFor(const Trace &T, const SimConfig &Config) {
+  return capacityForMaxCache(T.maxCacheBytes(), Config);
+}
+
+uint64_t ccsim::sim::capacityFor(const trace::MappedTrace &T,
+                                 const SimConfig &Config) {
+  return capacityForMaxCache(T.maxCacheBytes(), Config);
+}
+
+SimResult ccsim::sim::run(const Trace &T,
+                          std::unique_ptr<EvictionPolicy> Policy,
+                          const SimConfig &Config) {
+  return replay(T, std::move(Policy), Config);
+}
+
 SimResult ccsim::sim::run(const Trace &T, const GranularitySpec &Spec,
                           const SimConfig &Config) {
-  return run(T, makePolicy(Spec), Config);
+  return replay(T, makePolicy(Spec), Config);
+}
+
+SimResult ccsim::sim::run(const trace::MappedTrace &T,
+                          std::unique_ptr<EvictionPolicy> Policy,
+                          const SimConfig &Config) {
+  return replay(T, std::move(Policy), Config);
 }

@@ -6,19 +6,24 @@
 ///
 /// \file
 /// The trace-driven code cache simulator of Section 4.1: replays a
-/// benchmark trace through a CacheManager configured with one eviction
+/// benchmark trace through a CacheEngine configured with one eviction
 /// policy and one cache pressure factor. The cache is sized to
 /// maxCache / pressure, where maxCache is the size an unbounded cache
 /// would reach for that benchmark (Section 4.2).
+///
+/// sim::run is the one single-guest replay loop in the tree: the
+/// thread-shared runner (concurrent/SharedEngineRunner.h) sends K = 1
+/// here, and the trace may be an in-memory Trace or a file-mapped
+/// trace::MappedTrace streamed without building its access vector.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CCSIM_SIM_SIMULATOR_H
 #define CCSIM_SIM_SIMULATOR_H
 
-#include "core/CacheManager.h"
+#include "core/CacheEngine.h"
 #include "support/Cancellation.h"
-#include "trace/Trace.h"
+#include "trace/MappedTrace.h"
 
 #include <memory>
 #include <string>
@@ -39,7 +44,7 @@ struct SimConfig {
   /// Maintain superblock chaining state.
   bool EnableChaining = true;
 
-  /// Optional telemetry endpoint, forwarded into the CacheManager. When
+  /// Optional telemetry endpoint, forwarded into the CacheEngine. When
   /// set, run() wraps the replay in Mark records and publishes the final
   /// CacheStats into the sink's registry under
   /// {benchmark, policy, pressure} labels. Null costs nothing.
@@ -110,14 +115,21 @@ namespace sim {
 
 /// Derives the cache capacity for \p T under \p Config.
 uint64_t capacityFor(const Trace &T, const SimConfig &Config);
+uint64_t capacityFor(const trace::MappedTrace &T, const SimConfig &Config);
 
-/// Replays \p T through a fresh CacheManager running \p Policy.
+/// Replays \p T through a fresh CacheEngine running \p Policy.
 SimResult run(const Trace &T, std::unique_ptr<EvictionPolicy> Policy,
               const SimConfig &Config);
 
 /// Replays \p T under the policy named by \p Spec.
 SimResult run(const Trace &T, const GranularitySpec &Spec,
               const SimConfig &Config);
+
+/// Zero-copy replay: streams accesses straight out of the mapping.
+/// Byte-identical to replaying T.toTrace() -- same stats, telemetry
+/// marks, and metric labels.
+SimResult run(const trace::MappedTrace &T,
+              std::unique_ptr<EvictionPolicy> Policy, const SimConfig &Config);
 
 } // namespace sim
 

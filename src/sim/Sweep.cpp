@@ -155,7 +155,7 @@ SweepEngine::runParallel(const std::vector<SweepJob> &Jobs) const {
   }
 
   // Every unique (job, benchmark) cell is an independent simulation on
-  // its own CacheManager; flatten the grid so the pool load-balances
+  // its own CacheEngine; flatten the grid so the pool load-balances
   // across both axes at once (a single heavy benchmark no longer
   // serializes a job).
   std::vector<size_t> Unique;

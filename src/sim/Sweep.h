@@ -132,7 +132,7 @@ public:
   /// simulations) across the worker pool and merges results in canonical
   /// (job, benchmark) order. The output is bit-identical to calling
   /// runSuite() on each job serially: every cell simulates on its own
-  /// CacheManager, and aggregation order never depends on scheduling.
+  /// CacheEngine, and aggregation order never depends on scheduling.
   /// Duplicate grid points (sameSimulation) without a telemetry endpoint
   /// simulate once and share the result; telemetry-carrying points are
   /// never deduplicated, since each replay records observable events.

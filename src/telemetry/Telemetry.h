@@ -7,7 +7,7 @@
 /// \file
 /// The one object drivers thread through the stack: an event tracer plus a
 /// metrics registry. Every configuration struct that can emit telemetry
-/// (CacheManagerConfig, SimConfig, TenantRunHooks) carries a
+/// (CacheEngineConfig, SimConfig, TenantRunHooks) carries a
 /// `TelemetrySink *` defaulting to null; a null sink is the disabled fast
 /// path and costs one predictable branch per emission site, with no
 /// allocation and no locking.

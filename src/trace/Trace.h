@@ -51,6 +51,11 @@ struct Trace {
   size_t numSuperblocks() const { return Blocks.size(); }
   size_t numAccesses() const { return Accesses.size(); }
 
+  // The read interface trace::MappedTrace shares, so a replay loop is
+  // written once over either source.
+  const std::string &name() const { return Name; }
+  SuperblockId idAt(size_t I) const { return Accesses[I]; }
+
   /// Total translated bytes: the size an unbounded code cache would reach
   /// (the paper's maxCache term, Section 4.2).
   uint64_t maxCacheBytes() const;

@@ -134,9 +134,9 @@ TEST(CacheAuditorTest, LiveManagerAuditsCleanUnderEveryGranularity) {
   for (const GranularitySpec &Spec :
        {GranularitySpec::flush(), GranularitySpec::units(8),
         GranularitySpec::fine()}) {
-    CacheManagerConfig Config;
+    CacheEngineConfig Config;
     Config.CapacityBytes = 4096;
-    CacheManager Manager(Config, makePolicy(Spec));
+    CacheEngine Manager(Config, makePolicy(Spec));
     Rng R(0xa0d17u);
     std::vector<SuperblockId> Edges;
     for (int I = 0; I < 4000; ++I) {
@@ -194,9 +194,9 @@ TEST(CacheAuditorTest, LiveGenerationalAuditsClean) {
 }
 
 TEST(CacheAuditorTest, CapturesMirrorLiveState) {
-  CacheManagerConfig Config;
+  CacheEngineConfig Config;
   Config.CapacityBytes = 2048;
-  CacheManager Manager(Config, makePolicy(GranularitySpec::units(4)));
+  CacheEngine Manager(Config, makePolicy(GranularitySpec::units(4)));
   for (SuperblockId Id = 0; Id < 20; ++Id)
     Manager.access(rec(Id, 200, {static_cast<SuperblockId>((Id + 1) % 20)}));
 

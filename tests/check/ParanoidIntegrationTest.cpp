@@ -26,10 +26,10 @@ SuperblockRecord rec(SuperblockId Id, uint32_t Size) {
   return R;
 }
 
-CacheManager makeManager(uint64_t Capacity, GranularitySpec Spec) {
-  CacheManagerConfig Config;
+CacheEngine makeManager(uint64_t Capacity, GranularitySpec Spec) {
+  CacheEngineConfig Config;
   Config.CapacityBytes = Capacity;
-  return CacheManager(Config, makePolicy(Spec));
+  return CacheEngine(Config, makePolicy(Spec));
 }
 
 Trace scaledTrace(const char *Name, double Factor) {
@@ -40,20 +40,20 @@ Trace scaledTrace(const char *Name, double Factor) {
 } // namespace
 
 TEST(ParanoidIntegrationTest, FullLevelAuditsEveryAccess) {
-  CacheManager M = makeManager(400, GranularitySpec::fine());
+  CacheEngine M = makeManager(400, GranularitySpec::fine());
   size_t Calls = 0;
   M.setAuditLevel(AuditLevel::Full);
-  M.setAuditHook([&Calls](const CacheManager &, const char *) { ++Calls; });
+  M.setAuditHook([&Calls](const CacheEngine &, const char *) { ++Calls; });
   for (SuperblockId Id = 0; Id < 10; ++Id)
     M.access(rec(Id, 100)); // Capacity 400: evictions from the 5th insert.
   EXPECT_EQ(Calls, 10u);
 }
 
 TEST(ParanoidIntegrationTest, EvictionsLevelAuditsOnlyEvictingAccesses) {
-  CacheManager M = makeManager(400, GranularitySpec::fine());
+  CacheEngine M = makeManager(400, GranularitySpec::fine());
   size_t Calls = 0;
   M.setAuditLevel(AuditLevel::Evictions);
-  M.setAuditHook([&Calls](const CacheManager &, const char *) { ++Calls; });
+  M.setAuditHook([&Calls](const CacheEngine &, const char *) { ++Calls; });
   for (SuperblockId Id = 0; Id < 4; ++Id)
     M.access(rec(Id, 100)); // Fills the cache; nothing evicted yet.
   EXPECT_EQ(Calls, 0u);
@@ -64,20 +64,20 @@ TEST(ParanoidIntegrationTest, EvictionsLevelAuditsOnlyEvictingAccesses) {
 }
 
 TEST(ParanoidIntegrationTest, OffLevelNeverCallsHook) {
-  CacheManager M = makeManager(400, GranularitySpec::fine());
+  CacheEngine M = makeManager(400, GranularitySpec::fine());
   size_t Calls = 0;
   M.setAuditLevel(AuditLevel::Off);
-  M.setAuditHook([&Calls](const CacheManager &, const char *) { ++Calls; });
+  M.setAuditHook([&Calls](const CacheEngine &, const char *) { ++Calls; });
   for (SuperblockId Id = 0; Id < 10; ++Id)
     M.access(rec(Id, 100));
   EXPECT_EQ(Calls, 0u);
 }
 
 TEST(ParanoidIntegrationTest, FlushSiteIsLabeled) {
-  CacheManager M = makeManager(400, GranularitySpec::fine());
+  CacheEngine M = makeManager(400, GranularitySpec::fine());
   std::vector<std::string> Sites;
   M.setAuditLevel(AuditLevel::Full);
-  M.setAuditHook([&Sites](const CacheManager &, const char *Where) {
+  M.setAuditHook([&Sites](const CacheEngine &, const char *Where) {
     Sites.push_back(Where);
   });
   M.access(rec(0, 100));
@@ -92,9 +92,9 @@ TEST(ParanoidIntegrationTest, ArmedAuditorStaysQuietOnCorrectManager) {
        {GranularitySpec::flush(), GranularitySpec::units(8),
         GranularitySpec::fine()}) {
     const Trace T = scaledTrace("gzip", 0.05);
-    CacheManagerConfig Config;
+    CacheEngineConfig Config;
     Config.CapacityBytes = T.maxCacheBytes() / 8;
-    CacheManager Manager(Config, makePolicy(Spec));
+    CacheEngine Manager(Config, makePolicy(Spec));
 
     size_t Violations = 0;
     ParanoiaOptions Opts;
@@ -119,7 +119,7 @@ TEST(ParanoidIntegrationTest, ArmedAuditorReportsSeededStatsCorruption) {
   // End-to-end detection: corrupt a StatsState the way a lost counter
   // update would and confirm the deep checker (the same one the armed
   // hook runs) pinpoints the rule.
-  CacheManager M = makeManager(400, GranularitySpec::fine());
+  CacheEngine M = makeManager(400, GranularitySpec::fine());
   for (SuperblockId Id = 0; Id < 8; ++Id)
     M.access(rec(Id, 100));
   StatsState State = captureStats(M);
@@ -207,10 +207,9 @@ TEST(ParanoidIntegrationTest, TranslatorInstallSitesAreLabeled) {
   armAuditor(T, {});
   std::vector<std::string> MainSites, BBSites;
   T.engine().setAuditLevel(AuditLevel::Full);
-  T.engine().setAuditHook(
-      [&MainSites](const CacheEngine &, const char *Where) {
-        MainSites.push_back(Where);
-      });
+  T.engine().setAuditHook([&MainSites](const CacheEngine &, const char *Where) {
+    MainSites.push_back(Where);
+  });
   T.basicBlockEngine().setAuditLevel(AuditLevel::Full);
   T.basicBlockEngine().setAuditHook(
       [&BBSites](const CacheEngine &, const char *Where) {

@@ -24,8 +24,8 @@ const std::vector<Trace> &tenantTraces() {
   return Traces;
 }
 
-MultiTenantConfig baseConfig() {
-  MultiTenantConfig Config;
+TenancyPolicy baseConfig() {
+  TenancyPolicy Config;
   Config.Granularity = GranularitySpec::units(8);
   Config.PressureFactor = 2.0;
   return Config;
@@ -76,7 +76,7 @@ void expectTenantSumsMatchGlobal(const MultiTenantResult &R) {
 } // namespace
 
 TEST(MultiTenantTest, SharedModeSumsToGlobalStats) {
-  MultiTenantConfig Config = baseConfig();
+  TenancyPolicy Config = baseConfig();
   Config.Mode = PartitionMode::Shared;
   MultiTenantSimulator Sim(tenantTraces(), Config);
   const MultiTenantResult R = Sim.run();
@@ -100,7 +100,7 @@ TEST(MultiTenantTest, SharedModeSumsToGlobalStats) {
 TEST(MultiTenantTest, PartitionedModesSumToGlobalStats) {
   for (PartitionMode Mode :
        {PartitionMode::StaticPartition, PartitionMode::UnitQuota}) {
-    MultiTenantConfig Config = baseConfig();
+    TenancyPolicy Config = baseConfig();
     Config.Mode = Mode;
     MultiTenantSimulator Sim(tenantTraces(), Config);
     expectTenantSumsMatchGlobal(Sim.run());
@@ -110,7 +110,7 @@ TEST(MultiTenantTest, PartitionedModesSumToGlobalStats) {
 TEST(MultiTenantTest, SharedModeShowsCrossTenantEvictions) {
   // Under real pressure a fully shared FIFO cannot protect tenants from
   // each other: some block must eventually be evicted by a foreign miss.
-  MultiTenantConfig Config = baseConfig();
+  TenancyPolicy Config = baseConfig();
   Config.Mode = PartitionMode::Shared;
   Config.PressureFactor = 4.0;
   MultiTenantSimulator Sim(tenantTraces(), Config);
@@ -126,7 +126,7 @@ TEST(MultiTenantTest, SharedModeShowsCrossTenantEvictions) {
 TEST(MultiTenantTest, StaticPartitioningIsolatesTenants) {
   // Thrash the cache hard: even then, a tenant's blocks may only be
   // evicted by its own misses under static partitioning.
-  MultiTenantConfig Config = baseConfig();
+  TenancyPolicy Config = baseConfig();
   Config.Mode = PartitionMode::StaticPartition;
   Config.PressureFactor = 8.0;
   MultiTenantSimulator Sim(tenantTraces(), Config);
@@ -148,7 +148,7 @@ TEST(MultiTenantTest, StaticPartitioningIsolatesTenants) {
 }
 
 TEST(MultiTenantTest, UnitQuotaIsolatesAndUsesWholeUnits) {
-  MultiTenantConfig Config = baseConfig();
+  TenancyPolicy Config = baseConfig();
   Config.Mode = PartitionMode::UnitQuota;
   Config.PressureFactor = 8.0;
   MultiTenantSimulator Sim(tenantTraces(), Config);
@@ -167,7 +167,7 @@ TEST(MultiTenantTest, UnitQuotaIsolatesAndUsesWholeUnits) {
 TEST(MultiTenantTest, RunsAreDeterministic) {
   for (InterleaveKind Schedule :
        {InterleaveKind::RoundRobin, InterleaveKind::Weighted}) {
-    MultiTenantConfig Config = baseConfig();
+    TenancyPolicy Config = baseConfig();
     Config.Mode = PartitionMode::Shared;
     Config.Schedule = Schedule;
     Config.Tenants = {{1.0}, {2.5}, {0.5}};
@@ -187,7 +187,7 @@ TEST(MultiTenantTest, RunsAreDeterministic) {
 }
 
 TEST(MultiTenantTest, WeightedScheduleConsumesEveryStream) {
-  MultiTenantConfig Config = baseConfig();
+  TenancyPolicy Config = baseConfig();
   Config.Mode = PartitionMode::StaticPartition;
   Config.Schedule = InterleaveKind::Weighted;
   Config.Tenants = {{4.0}, {1.0}, {1.0}};
@@ -201,14 +201,15 @@ TEST(MultiTenantTest, FullyAuditedRunMatchesUnaudited) {
   // Arming the deep auditor on every tenant manager (which aborts on the
   // first violation) both certifies the shared-cache structures after
   // every mutation and must not perturb the simulation itself.
-  MultiTenantConfig Plain = baseConfig();
-  Plain.Mode = PartitionMode::Shared;
+  TenancyPolicy Config = baseConfig();
+  Config.Mode = PartitionMode::Shared;
+  TenantRunHooks Plain;
   Plain.Audit = AuditLevel::Off;
-  MultiTenantConfig Audited = Plain;
+  TenantRunHooks Audited = Plain;
   Audited.Audit = AuditLevel::Full;
 
-  MultiTenantSimulator A(tenantTraces(), Plain);
-  MultiTenantSimulator B(tenantTraces(), Audited);
+  MultiTenantSimulator A(tenantTraces(), Config, Plain);
+  MultiTenantSimulator B(tenantTraces(), Config, Audited);
   const MultiTenantResult RA = A.run();
   const MultiTenantResult RB = B.run();
 

@@ -1,7 +1,7 @@
 //===- tests/core/CacheEngineTest.cpp - Payload-callback engine tests -----===//
 //
 // The engine-specific surface on top of what CacheManagerTest already
-// covers (CacheManager is an alias of CacheEngine): the install() front
+// covers through access(): the install() front
 // door used by execution-driven owners, and the OnEvictPayload /
 // OnUnlinkPayload teardown hooks with their ordering contract -- evict
 // payload first (before the engine touches counters or links), unlink

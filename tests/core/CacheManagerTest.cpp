@@ -1,6 +1,6 @@
 //===- tests/core/CacheManagerTest.cpp - Cache manager tests ---------------===//
 
-#include "core/CacheManager.h"
+#include "core/CacheEngine.h"
 
 #include "support/Random.h"
 #include "gtest/gtest.h"
@@ -18,18 +18,18 @@ SuperblockRecord rec(SuperblockId Id, uint32_t Size,
   return R;
 }
 
-CacheManager makeManager(uint64_t Capacity, GranularitySpec Spec,
-                         bool Chaining = true) {
-  CacheManagerConfig Config;
+CacheEngine makeManager(uint64_t Capacity, GranularitySpec Spec,
+                        bool Chaining = true) {
+  CacheEngineConfig Config;
   Config.CapacityBytes = Capacity;
   Config.EnableChaining = Chaining;
-  return CacheManager(Config, makePolicy(Spec));
+  return CacheEngine(Config, makePolicy(Spec));
 }
 
 } // namespace
 
 TEST(CacheManagerTest, HitAndMissCounting) {
-  CacheManager M = makeManager(1000, GranularitySpec::fine());
+  CacheEngine M = makeManager(1000, GranularitySpec::fine());
   EXPECT_EQ(M.access(rec(0, 100)), AccessKind::Miss);
   EXPECT_EQ(M.access(rec(0, 100)), AccessKind::Hit);
   EXPECT_EQ(M.access(rec(1, 100)), AccessKind::Miss);
@@ -41,7 +41,7 @@ TEST(CacheManagerTest, HitAndMissCounting) {
 }
 
 TEST(CacheManagerTest, ColdVersusCapacityMisses) {
-  CacheManager M = makeManager(200, GranularitySpec::fine());
+  CacheEngine M = makeManager(200, GranularitySpec::fine());
   M.access(rec(0, 100));
   M.access(rec(1, 100));
   M.access(rec(2, 100)); // Evicts 0.
@@ -53,7 +53,7 @@ TEST(CacheManagerTest, ColdVersusCapacityMisses) {
 }
 
 TEST(CacheManagerTest, MissOverheadUsesEquation3) {
-  CacheManager M = makeManager(1000, GranularitySpec::fine());
+  CacheEngine M = makeManager(1000, GranularitySpec::fine());
   M.access(rec(0, 230));
   EXPECT_NEAR(M.stats().MissOverhead, 19264.0, 0.01);
   M.access(rec(0, 230)); // Hit: no extra charge.
@@ -61,7 +61,7 @@ TEST(CacheManagerTest, MissOverheadUsesEquation3) {
 }
 
 TEST(CacheManagerTest, EvictionOverheadUsesEquation2) {
-  CacheManager M = makeManager(200, GranularitySpec::fine());
+  CacheEngine M = makeManager(200, GranularitySpec::fine());
   M.access(rec(0, 100));
   M.access(rec(1, 100));
   M.access(rec(2, 150)); // One invocation evicting both (250 bytes... 200).
@@ -73,7 +73,7 @@ TEST(CacheManagerTest, EvictionOverheadUsesEquation2) {
 }
 
 TEST(CacheManagerTest, FlushPolicyChargesNoUnlinking) {
-  CacheManager M = makeManager(300, GranularitySpec::flush());
+  CacheEngine M = makeManager(300, GranularitySpec::flush());
   M.access(rec(0, 100, {1}));
   M.access(rec(1, 100, {0}));
   M.access(rec(2, 100));
@@ -89,7 +89,7 @@ TEST(CacheManagerTest, FlushPolicyChargesNoUnlinking) {
 }
 
 TEST(CacheManagerTest, FineFifoChargesUnlinking) {
-  CacheManager M = makeManager(300, GranularitySpec::fine());
+  CacheEngine M = makeManager(300, GranularitySpec::fine());
   M.access(rec(0, 100));
   M.access(rec(1, 100, {0}));
   M.access(rec(2, 100, {0}));
@@ -103,7 +103,7 @@ TEST(CacheManagerTest, FineFifoChargesUnlinking) {
 }
 
 TEST(CacheManagerTest, BackPointerMemoryTracked) {
-  CacheManager M = makeManager(1000, GranularitySpec::units(4));
+  CacheEngine M = makeManager(1000, GranularitySpec::units(4));
   M.access(rec(0, 100));
   M.access(rec(1, 100, {0}));
   const CacheStats &S = M.stats();
@@ -112,8 +112,7 @@ TEST(CacheManagerTest, BackPointerMemoryTracked) {
 }
 
 TEST(CacheManagerTest, ChainingDisabledTracksNoLinks) {
-  CacheManager M = makeManager(300, GranularitySpec::fine(),
-                               /*Chaining=*/false);
+  CacheEngine M = makeManager(300, GranularitySpec::fine(), /*Chaining=*/false);
   M.access(rec(0, 100, {1}));
   M.access(rec(1, 100, {0}));
   M.access(rec(2, 100));
@@ -125,7 +124,7 @@ TEST(CacheManagerTest, ChainingDisabledTracksNoLinks) {
 }
 
 TEST(CacheManagerTest, TooBigBlockIsMissNotCached) {
-  CacheManager M = makeManager(100, GranularitySpec::fine());
+  CacheEngine M = makeManager(100, GranularitySpec::fine());
   EXPECT_EQ(M.access(rec(0, 200)), AccessKind::MissTooBig);
   EXPECT_FALSE(M.cache().contains(0));
   EXPECT_EQ(M.stats().Misses, 1u);
@@ -134,7 +133,7 @@ TEST(CacheManagerTest, TooBigBlockIsMissNotCached) {
 }
 
 TEST(CacheManagerTest, TotalOverheadSelectsLinkTerm) {
-  CacheManager M = makeManager(300, GranularitySpec::fine());
+  CacheEngine M = makeManager(300, GranularitySpec::fine());
   M.access(rec(0, 100));
   M.access(rec(1, 100, {0}));
   M.access(rec(2, 100));
@@ -146,7 +145,7 @@ TEST(CacheManagerTest, TotalOverheadSelectsLinkTerm) {
 }
 
 TEST(CacheManagerTest, ManualFlushEntireCache) {
-  CacheManager M = makeManager(1000, GranularitySpec::units(4));
+  CacheEngine M = makeManager(1000, GranularitySpec::units(4));
   M.access(rec(0, 100));
   M.access(rec(1, 100));
   M.flushEntireCache();
@@ -163,9 +162,9 @@ TEST(CacheManagerTest, PreemptivePolicyFlushesOnPhaseChange) {
   Opts.WindowAccesses = 32;
   Opts.SpikeMissRate = 0.5;
   Opts.MinAccessesBetweenFlushes = 0;
-  CacheManagerConfig Config;
+  CacheEngineConfig Config;
   Config.CapacityBytes = 1 << 20; // Huge: no capacity evictions.
-  CacheManager M(Config, std::make_unique<PreemptiveFlushPolicy>(Opts));
+  CacheEngine M(Config, std::make_unique<PreemptiveFlushPolicy>(Opts));
   // Warm phase.
   M.access(rec(0, 100));
   for (int I = 0; I < 200; ++I)
@@ -178,9 +177,9 @@ TEST(CacheManagerTest, PreemptivePolicyFlushesOnPhaseChange) {
 }
 
 TEST(CacheManagerTest, CurrentQuantumClamped) {
-  CacheManager M = makeManager(100, GranularitySpec::units(256));
+  CacheEngine M = makeManager(100, GranularitySpec::units(256));
   EXPECT_EQ(M.currentQuantum(), 1u); // 100/256 -> clamp to 1.
-  CacheManager M2 = makeManager(100, GranularitySpec::flush());
+  CacheEngine M2 = makeManager(100, GranularitySpec::flush());
   EXPECT_EQ(M2.currentQuantum(), 100u);
 }
 
@@ -217,7 +216,7 @@ TEST_P(CacheManagerProperty, RandomStreamKeepsInvariants) {
   const auto Sweep = standardGranularitySweep();
   const GranularitySpec Spec = Sweep[static_cast<size_t>(GetParam())];
   Rng R(1234 + GetParam());
-  CacheManager M = makeManager(4096, Spec);
+  CacheEngine M = makeManager(4096, Spec);
 
   std::vector<std::vector<SuperblockId>> Edges(120);
   std::vector<uint32_t> Sizes(120);

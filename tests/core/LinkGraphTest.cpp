@@ -12,7 +12,7 @@ using namespace ccsim;
 namespace {
 
 /// Test fixture managing a cache + link graph pair with convenience
-/// insert/evict helpers mirroring the CacheManager's call order.
+/// insert/evict helpers mirroring the CacheEngine's call order.
 class LinkGraphFixture : public ::testing::Test {
 protected:
   CodeCache Cache{1000};

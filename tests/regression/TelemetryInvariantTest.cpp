@@ -147,12 +147,13 @@ TEST(TelemetryInvariantTest, PerTenantMetricsEqualSimulatorResults) {
     Traces.push_back(smallTrace(Name));
 
   telemetry::TelemetrySink Sink(1 << 18);
-  MultiTenantConfig Config;
+  TenancyPolicy Config;
   Config.Mode = PartitionMode::Shared;
   Config.Granularity = GranularitySpec::units(8);
   Config.PressureFactor = 2.0;
-  Config.Telemetry = &Sink;
-  MultiTenantSimulator Sim(Traces, Config);
+  TenantRunHooks Hooks;
+  Hooks.Telemetry = &Sink;
+  MultiTenantSimulator Sim(Traces, Config, Hooks);
   const MultiTenantResult R = Sim.run();
 
   EXPECT_EQ(Sink.Tracer.kindCount(telemetry::EventKind::TenantTag),

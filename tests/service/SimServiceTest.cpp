@@ -426,6 +426,45 @@ TEST(SimServiceTest, ExecuteJobFailsOnInvalidTraceWithoutAborting) {
   EXPECT_TRUE(O.Replay.empty());
 }
 
+TEST(SimServiceTest, SharedReplayJobRejectsWhatReplayJobRejects) {
+  // Both job kinds validate the same SimConfig, so a negative cost-model
+  // coefficient is rejected with one message whatever the guest count.
+  SimServiceConfig SC;
+  SC.Threads = 1;
+  SimService Service(SC);
+
+  ReplayJob Plain;
+  Plain.TraceData = scaledTrace("gzip", 0.05);
+  Plain.Config.Costs.MissBase = -1000.0;
+  SharedReplayJob Shared;
+  Shared.TraceData = Plain.TraceData;
+  Shared.Config.Costs.MissBase = -1000.0;
+  Shared.Config.GuestThreads = 2;
+
+  const JobOutcome PlainOut = Service.submit(Job(std::move(Plain))).wait();
+  const JobOutcome SharedOut = Service.submit(Job(std::move(Shared))).wait();
+  EXPECT_EQ(PlainOut.Status, JobStatus::Rejected);
+  EXPECT_EQ(SharedOut.Status, JobStatus::Rejected);
+  const std::string Want = "cost model coefficients must be nonnegative";
+  EXPECT_NE(PlainOut.Error.find(Want), std::string::npos) << PlainOut.Error;
+  EXPECT_EQ(SharedOut.Error, PlainOut.Error);
+}
+
+TEST(SimServiceTest, SharedReplayJobBoundsTheGuestCount) {
+  // Validation only: no job runs, so no guest thread is ever started.
+  SharedReplayJob Shared;
+  Shared.TraceData = syntheticTrace(4, 100);
+  for (const unsigned K : {0u, concurrent::MaxGuestThreads + 1}) {
+    Shared.Config.GuestThreads = K;
+    EXPECT_NE(Job(Shared).validate().find("guest threads"), std::string::npos)
+        << K;
+  }
+  for (const unsigned K : {1u, concurrent::MaxGuestThreads}) {
+    Shared.Config.GuestThreads = K;
+    EXPECT_TRUE(Job(Shared).validate().empty()) << K;
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Telemetry
 //===----------------------------------------------------------------------===//
@@ -524,9 +563,9 @@ TEST(SimServiceTest, FluentSettersAndValidateContracts) {
   Point.Spec.Units = 0;
   EXPECT_NE(Point.validate().find("at least one unit"), std::string::npos);
 
-  // MultiTenantConfig: per-tenant weights must be positive.
-  MultiTenantConfig Tenants =
-      MultiTenantConfig().withPressure(2.0).withTenants({{1.0}, {-1.0}});
+  // TenancyPolicy: per-tenant weights must be positive.
+  TenancyPolicy Tenants =
+      TenancyPolicy().withPressure(2.0).withTenants({{1.0}, {-1.0}});
   EXPECT_NE(Tenants.validate().find("weight"), std::string::npos);
   Tenants.Tenants[1].Weight = 2.0;
   EXPECT_TRUE(Tenants.validate().empty());

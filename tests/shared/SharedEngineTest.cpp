@@ -1,18 +1,20 @@
 //===- tests/shared/SharedEngineTest.cpp - Thread-shared engine tests -----===//
 //
 // The SharedCacheEngine contract on one thread, where every outcome is
-// deterministic: Exact mode replicates the plain CacheEngine access for
-// access, Concurrent mode settles to the same stats for access-stateless
-// policies, the install/probe front doors keep the residency index and
-// the owner's payload hooks in lockstep, and quiesce() exposes a state
-// the structural auditor accepts. The multi-threaded schedules live in
-// SharedStressTest.cpp; this file pins the semantics those runs rely on.
+// deterministic: one guest through runShared (Exact mode, the serial
+// simulator) matches a plain CacheEngine, the engine settles to the same
+// stats for access-stateless policies, the install/probe front doors keep
+// the residency index and the owner's payload hooks in lockstep, and
+// quiesce() exposes a state the structural auditor accepts. The
+// multi-threaded schedules live in SharedStressTest.cpp; this file pins
+// the semantics those runs rely on.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/SharedCacheEngine.h"
 
 #include "check/CacheAuditor.h"
+#include "concurrent/SharedEngineRunner.h"
 #include "telemetry/MetricsRegistry.h"
 
 #include "gtest/gtest.h"
@@ -89,24 +91,29 @@ TEST(SharedEngineTest, PreferredModePicksExactForOneGuestOrStatefulPolicy) {
 
 TEST(SharedEngineTest, ExactModeMatchesPlainEngineStats) {
   const std::vector<SuperblockId> Stream = strideStream(64, 5);
+  Trace T;
+  T.Name = "stride";
+  for (SuperblockId Id = 0; Id < 64; ++Id) {
+    SuperblockDef Def;
+    Def.SizeBytes = 40 + Id % 13;
+    Def.OutEdges = {(Id + 1) % 64};
+    T.Blocks.push_back(Def);
+  }
+  T.Accesses = Stream;
 
   CacheEngineConfig Plain;
   Plain.CapacityBytes = 1500;
   CacheEngine Reference(Plain, makePolicy(GranularitySpec::units(4)));
+  for (SuperblockId Id : Stream)
+    Reference.access(T.recordFor(Id));
 
-  SharedEngineConfig SC;
-  SC.Engine.CapacityBytes = 1500;
-  SharedCacheEngine Shared(SC, makePolicy(GranularitySpec::units(4)),
-                           ShareMode::Exact);
-
-  for (SuperblockId Id : Stream) {
-    // Keep the edge list alive for both access calls: the record's edge
-    // span aliases it.
-    const std::vector<SuperblockId> Edges = {(Id + 1) % 64};
-    const SuperblockRecord R = rec(Id, 40 + Id % 13, Edges);
-    EXPECT_EQ(Shared.access(R), Reference.access(R)) << "at block " << Id;
-  }
-  expectStatsEqual(Shared.stats(), Reference.stats());
+  concurrent::SharedRunConfig RC;
+  RC.GuestThreads = 1;
+  RC.ExplicitCapacityBytes = 1500;
+  const concurrent::SharedRunResult Got =
+      concurrent::runShared(T, GranularitySpec::units(4), RC);
+  EXPECT_EQ(Got.Mode, ShareMode::Exact);
+  expectStatsEqual(Got.Stats, Reference.stats());
 }
 
 TEST(SharedEngineTest, ConcurrentModeSettlesToSerialStats) {
@@ -121,8 +128,7 @@ TEST(SharedEngineTest, ConcurrentModeSettlesToSerialStats) {
 
   SharedEngineConfig SC;
   SC.Engine.CapacityBytes = 1200;
-  SharedCacheEngine Shared(SC, makePolicy(GranularitySpec::units(8)),
-                           ShareMode::Concurrent);
+  SharedCacheEngine Shared(SC, makePolicy(GranularitySpec::units(8)));
 
   for (SuperblockId Id : Stream) {
     const std::vector<SuperblockId> Edges = {(Id + 3) % 48};
@@ -140,8 +146,7 @@ TEST(SharedEngineTest, ConcurrentModeSettlesToSerialStats) {
 TEST(SharedEngineTest, ProbeAndInstallFrontDoors) {
   SharedEngineConfig SC;
   SC.Engine.CapacityBytes = 1000;
-  SharedCacheEngine E(SC, makePolicy(GranularitySpec::fine()),
-                      ShareMode::Concurrent);
+  SharedCacheEngine E(SC, makePolicy(GranularitySpec::fine()));
 
   EXPECT_FALSE(E.probe(5));
   EXPECT_TRUE(E.install(rec(5, 100)));
@@ -177,8 +182,7 @@ TEST(SharedEngineTest, InstallAndEvictPayloadsStayInLockstep) {
         for (const CodeCache::Resident &V : Victims)
           EXPECT_EQ(Payloads.erase(V.Id), 1u) << "untracked victim " << V.Id;
       };
-  SharedCacheEngine E(SC, makePolicy(GranularitySpec::units(4)),
-                      ShareMode::Concurrent);
+  SharedCacheEngine E(SC, makePolicy(GranularitySpec::units(4)));
 
   for (SuperblockId Id = 0; Id < 200; ++Id)
     E.install(rec(Id, 40 + Id % 17));
@@ -199,8 +203,7 @@ TEST(SharedEngineTest, QuiesceExposesAuditCleanStateAndSortedIndex) {
   SC.Engine.CapacityBytes = 900;
   SC.Shards = 8;
   SC.Fences = 4;
-  SharedCacheEngine E(SC, makePolicy(GranularitySpec::units(8)),
-                      ShareMode::Concurrent);
+  SharedCacheEngine E(SC, makePolicy(GranularitySpec::units(8)));
 
   const std::vector<SuperblockId> Stream = strideStream(40, 4);
   for (SuperblockId Id : Stream)
@@ -227,8 +230,7 @@ TEST(SharedEngineTest, QuiesceExposesAuditCleanStateAndSortedIndex) {
 TEST(SharedEngineTest, PublishContentionEmitsSharedMetrics) {
   SharedEngineConfig SC;
   SC.Engine.CapacityBytes = 800;
-  SharedCacheEngine E(SC, makePolicy(GranularitySpec::units(8)),
-                      ShareMode::Concurrent);
+  SharedCacheEngine E(SC, makePolicy(GranularitySpec::units(8)));
   for (SuperblockId Id = 0; Id < 60; ++Id)
     E.access(rec(Id, 30));
   E.settle(60);

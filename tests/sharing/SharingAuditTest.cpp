@@ -10,7 +10,7 @@
 
 #include "check/CacheAuditor.h"
 #include "check/Paranoia.h"
-#include "core/CacheManager.h"
+#include "core/CacheEngine.h"
 
 #include "gtest/gtest.h"
 
@@ -31,19 +31,19 @@ SuperblockRecord srec(SuperblockId Id, uint32_t Size, uint64_t Key,
   return R;
 }
 
-CacheManager makeManager(SharedContentIndex *Index) {
+CacheEngine makeManager(SharedContentIndex *Index) {
   CacheEngineConfig Config;
   Config.CapacityBytes = 1 << 16;
   Config.ContentIndex = Index;
-  return CacheManager(Config, makePolicy(GranularitySpec::units(8)));
+  return CacheEngine(Config, makePolicy(GranularitySpec::units(8)));
 }
 
 /// Two managers spanning one index: A owns the representative of key 7,
 /// B holds the only live link to it.
 struct SharedFleet {
   SharedContentIndex Idx;
-  CacheManager A;
-  CacheManager B;
+  CacheEngine A;
+  CacheEngine B;
 
   SharedFleet() : A(makeManager(&Idx)), B(makeManager(&Idx)) {
     EXPECT_EQ(A.access(srec(0, 256, 7, 0)), AccessKind::Miss);

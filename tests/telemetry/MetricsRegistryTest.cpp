@@ -111,7 +111,7 @@ TEST(MetricsRegistryTest, ConcurrentCounterAddsAreLossless) {
   EXPECT_EQ(C.value(), static_cast<uint64_t>(NumThreads) * PerThread);
 }
 
-// --- CacheStats::recordTo: the previously-unexposed counter audit -------
+// --- CacheStats::recordMetrics: the previously-unexposed counter audit --
 
 namespace {
 
@@ -122,7 +122,7 @@ const MetricLabels kLabels = {{"benchmark", "t"}, {"policy", "p"}};
 void recordOne(MetricsRegistry &R, void (*Set)(CacheStats &)) {
   CacheStats S;
   Set(S);
-  S.recordTo(R, kLabels);
+  S.recordMetrics(R, kLabels);
 }
 
 } // namespace
@@ -169,7 +169,7 @@ TEST(CacheStatsRecordToTest, ExposesBackPointerFootprint) {
   S.BackPointerBytesPeak = 4096;
   S.BackPointerBytesSum = 8192.0;
   MetricsRegistry R;
-  S.recordTo(R, kLabels);
+  S.recordMetrics(R, kLabels);
   EXPECT_DOUBLE_EQ(R.gaugeValue("cache.backpointer.bytes_peak", kLabels),
                    4096.0);
   EXPECT_DOUBLE_EQ(R.gaugeValue("cache.backpointer.bytes_avg", kLabels),
@@ -180,7 +180,7 @@ TEST(CacheStatsRecordToTest, CountersAccumulateAcrossRecords) {
   CacheStats S;
   S.Misses = 10;
   MetricsRegistry R;
-  S.recordTo(R, kLabels);
-  S.recordTo(R, kLabels);
+  S.recordMetrics(R, kLabels);
+  S.recordMetrics(R, kLabels);
   EXPECT_EQ(R.counterValue("cache.misses", kLabels), 20u);
 }

@@ -195,39 +195,6 @@ TEST(LintFixtures, SwallowedCatchClean) {
       lintFixture("swallowed_catch.clean.cpp", "src/f.cpp").empty());
 }
 
-TEST(LintFixtures, LegacyTenancyConfigViolates) {
-  const auto Vs =
-      lintFixture("legacy_tenant_config.violate.cpp", "src/sim/f.cpp");
-  ASSERT_EQ(Vs.size(), 2u); // Return type and local declaration.
-  EXPECT_EQ(Vs[0].RuleId, "tenancy.legacy-config");
-  EXPECT_EQ(Vs[1].RuleId, "tenancy.legacy-config");
-}
-
-TEST(LintFixtures, LegacyTenancyConfigClean) {
-  EXPECT_TRUE(
-      lintFixture("legacy_tenant_config.clean.cpp", "src/sim/f.cpp")
-          .empty());
-}
-
-TEST(LintFixtures, LegacyTenancyConfigScopeAndAllowlist) {
-  // Production trees are all in scope; tests keep exercising the shim
-  // until it is deleted, and the shim's own definition is allowlisted.
-  EXPECT_EQ(lintFixture("legacy_tenant_config.violate.cpp",
-                        "examples/ccsim_cli.cpp")
-                .size(),
-            2u);
-  EXPECT_EQ(lintFixture("legacy_tenant_config.violate.cpp",
-                        "bench/multitenant_contention.cpp")
-                .size(),
-            2u);
-  EXPECT_TRUE(lintFixture("legacy_tenant_config.violate.cpp",
-                          "tests/concurrent/MultiTenantTest.cpp")
-                  .empty());
-  EXPECT_TRUE(lintFixture("legacy_tenant_config.violate.cpp",
-                          "src/concurrent/MultiTenantSimulator.h")
-                  .empty());
-}
-
 //===----------------------------------------------------------------------===//
 // Suppressions
 //===----------------------------------------------------------------------===//

@@ -54,11 +54,6 @@ const std::vector<Rule> &ccsim::lint::ruleCatalog() {
        "between the pair deadlocks the next acquirer",
        "use ccsim::MutexLock from support/ThreadSafety.h (RAII, visible "
        "to the Clang thread-safety analysis)"},
-      {"tenancy.legacy-config",
-       "use of the deprecated MultiTenantConfig bundle outside its shim; "
-       "new code must configure tenancy through the unified policy type",
-       "build a TenancyPolicy (and TenantRunHooks for telemetry/audit/"
-       "cancellation) from concurrent/TenancyPolicy.h instead"},
   };
   return Catalog;
 }
@@ -691,26 +686,6 @@ void checkSwallowedCatchAll(const std::string &Path,
   }
 }
 
-/// tenancy.legacy-config — any mention of the deprecated MultiTenantConfig
-/// bundle in production trees (src/, examples/, bench/). Tests keep
-/// exercising the shim until it is deleted, so tests/ stays out of scope,
-/// and the shim's own definition is allowlisted.
-void checkLegacyTenancyConfig(const std::string &Path,
-                              const std::string &NormPath,
-                              const std::string &Code, const LineIndex &Lines,
-                              const LintOptions &Options,
-                              std::vector<Violation> &Out) {
-  if (!underTree(NormPath, "src") && !underTree(NormPath, "examples") &&
-      !underTree(NormPath, "bench"))
-    return;
-  for (const std::string &Allowed : Options.LegacyTenancyAllowlist)
-    if (NormPath.find(Allowed) != std::string::npos)
-      return;
-  for (size_t Pos : tokenOffsets(Code, "MultiTenantConfig"))
-    addViolation(Out, Path, Lines.lineOf(Pos), "tenancy.legacy-config",
-                 "use of deprecated MultiTenantConfig");
-}
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -733,7 +708,6 @@ std::vector<Violation> ccsim::lint::lintSource(const std::string &Path,
   checkEngineRawMutex(Path, NormPath, View.Code, Lines, Raw);
   checkNakedLock(Path, NormPath, View.Code, Lines, Raw);
   checkSwallowedCatchAll(Path, NormPath, View.Code, Lines, Raw);
-  checkLegacyTenancyConfig(Path, NormPath, View.Code, Lines, Options, Raw);
 
   std::vector<Violation> Out;
   for (Violation &V : Raw) {

@@ -31,9 +31,6 @@
 ///                                    exception without rethrow/capture
 ///   lint.suppression-without-reason  every suppression comment must say
 ///                                    why it is sound
-///   tenancy.legacy-config            no new MultiTenantConfig uses in
-///                                    src/, examples/, or bench/; build a
-///                                    TenancyPolicy (+ TenantRunHooks)
 ///
 /// Suppressions: a comment naming one or more rule ids, e.g.
 ///   // ccsim-lint: allow(contracts.raw-assert) -- third-party macro
@@ -93,13 +90,6 @@ struct LintOptions {
       "src/service/SimService.cpp",
       "src/service/Job.h",
       "src/support/Cancellation.h",
-  };
-
-  /// Path fragments exempt from the tenancy.legacy-config rule. Defaults
-  /// to the one place the deprecated MultiTenantConfig shim is allowed to
-  /// live: its own definition next to MultiTenantSimulator.
-  std::vector<std::string> LegacyTenancyAllowlist = {
-      "src/concurrent/MultiTenantSimulator",
   };
 };
 
