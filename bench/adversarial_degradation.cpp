@@ -13,8 +13,8 @@
 //
 // The correctness gate is the degradation floor, not wall-clock: the
 // record promises at least one (adversary, granularity) cell degrading
-// >= 5x over the benign baseline, and bench/record_adversarial.cmake
-// fails the record otherwise. Timings are informational.
+// >= 5x over the benign baseline, and bench/record_bench.cmake fails
+// the record otherwise. Timings are informational.
 //
 // Run: ./adversarial_degradation --scale=0.25 --out=BENCH_adversarial.json
 //

@@ -13,14 +13,14 @@
 //      audit (auditSharedEngine at the final quiesce) plus the operation
 //      conservation identities.
 //
-//   2. Service scale-out: thousands of shared-replay jobs pushed through a
-//      bounded SimService queue faster than the workers drain it, once per
-//      backpressure policy. The gate is exact accounting: every submitted
-//      job ends in exactly one terminal state and the tallies sum back to
-//      the submission count.
+//   2. Service scale-out: thousands of replay jobs (K guest threads each)
+//      pushed through a bounded SimService queue faster than the workers
+//      drain it, once per backpressure policy. The gate is exact
+//      accounting: every submitted job ends in exactly one terminal state
+//      and the tallies sum back to the submission count.
 //
 // Correctness (conservation, audits, accounting) is gated by
-// bench/record_service.cmake; wall-clock numbers are recorded but never
+// bench/record_bench.cmake; wall-clock numbers are recorded but never
 // gated. Scaling is reported honestly: misses serialize on the engine
 // lock by design (the deferred-settlement contract), so find-dominated
 // mixes scale and miss-dominated mixes flatten -- the record keeps both

@@ -22,7 +22,7 @@
 //   full_overlap_saves_ok at 100% overlap sharing links at least once
 //                         and strictly shrinks the installed footprint.
 //
-// bench/record_sharing.cmake validates the record and fails on any gate.
+// bench/record_bench.cmake validates the record and fails on any gate.
 //
 // Run: ./tenant_sharing --tenants=3 --overlaps=0,0.5,1
 //                       --out=BENCH_sharing.json

@@ -12,9 +12,10 @@
 /// these helpers verbatim, which is what keeps a manifest line and the
 /// equivalent serial command line byte-identical in meaning.
 ///
-/// Parsing here is strict: a malformed --policy or an inconsistent config
-/// is an error returned to the caller, never a warning plus a silent
-/// default.
+/// Parsing here is strict: a malformed policy, an out-of-range thread
+/// count or an inconsistent config is an error returned to the caller
+/// (who reports it as a usage error), never a warning plus a silent
+/// default. Each error is spelled once, in its reader.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +24,7 @@
 
 #include "concurrent/SharedEngineRunner.h"
 #include "concurrent/TenancyPolicy.h"
+#include "concurrent/ThreadPool.h"
 #include "multisweep/MultiConfigEngine.h"
 #include "sim/Simulator.h"
 #include "support/Flags.h"
@@ -31,6 +33,7 @@
 #include "workloads/Adversary.h"
 
 #include <cstdlib>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -145,19 +148,24 @@ adversarialTracesFromSpec(const std::string &Workload, double Scale,
   return Traces;
 }
 
-/// Strict "--policy" parser: "flush", "fine"/"fifo", or a positive unit
-/// count. Anything else is nullopt — callers report the error instead of
-/// running a policy the user did not ask for.
+/// Strict policy parser (--policy, --policies): "flush", "fine"/"fifo",
+/// or a unit count that fits GranularitySpec::Units (1..UINT_MAX).
+/// Anything else is nullopt with the description in \p Error — callers
+/// report it instead of running a policy the user did not ask for (a
+/// count past UINT_MAX would otherwise wrap to 0 or to a small count).
 inline std::optional<GranularitySpec>
-parsePolicySpec(const std::string &Text) {
+parsePolicySpec(const std::string &Text, std::string *Error) {
   if (Text == "flush" || Text == "FLUSH")
     return GranularitySpec::flush();
   if (Text == "fine" || Text == "fifo" || Text == "FIFO")
     return GranularitySpec::fine();
   char *End = nullptr;
-  const long Units = std::strtol(Text.c_str(), &End, 10);
-  if (End && *End == '\0' && !Text.empty() && Units >= 1)
+  const long long Units = std::strtoll(Text.c_str(), &End, 10);
+  if (End && *End == '\0' && !Text.empty() && Units >= 1 &&
+      Units <= std::numeric_limits<unsigned>::max())
     return GranularitySpec::units(static_cast<unsigned>(Units));
+  if (Error)
+    *Error = "bad policy '" + Text + "' (flush | fine | <unit count>)";
   return std::nullopt;
 }
 
@@ -172,9 +180,16 @@ inline std::optional<SimConfig> simConfigFromFlags(const FlagSet &Flags,
   Costs.MissBase = Flags.getDouble("cost-miss-base");
   Costs.UnlinkPerLink = Flags.getDouble("cost-unlink-per-link");
   Costs.UnlinkBase = Flags.getDouble("cost-unlink-base");
+  const int64_t Capacity = Flags.getInt("capacity");
+  if (Capacity < 0) {
+    if (Error)
+      *Error = "bad capacity " + std::to_string(Capacity) +
+               " (need >= 0; 0 = derive from --pressure)";
+    return std::nullopt;
+  }
   SimConfig Config;
   Config.withPressure(Flags.getDouble("pressure"))
-      .withCapacityBytes(static_cast<uint64_t>(Flags.getInt("capacity")))
+      .withCapacityBytes(static_cast<uint64_t>(Capacity))
       .withCosts(Costs)
       .withChaining(!Flags.getBool("no-chain"));
   std::string Err = Config.validate();
@@ -201,6 +216,23 @@ inline std::optional<unsigned> guestThreadsFromFlags(const FlagSet &Flags,
   return static_cast<unsigned>(K);
 }
 
+/// Strict "--jobs" reader: 0 (hardware threads) up to
+/// ThreadPool::MaxThreads, else nullopt with the description in \p Error.
+/// Every driver and manifest line that takes a worker count checks it
+/// here, before any pool is built.
+inline std::optional<unsigned> jobsFromFlags(const FlagSet &Flags,
+                                             std::string *Error) {
+  const int64_t N = Flags.getInt("jobs");
+  if (N < 0 || N > ThreadPool::MaxThreads) {
+    if (Error)
+      *Error = "bad jobs " + std::to_string(N) + " (need 0.." +
+               std::to_string(ThreadPool::MaxThreads) +
+               "; 0 = hardware threads)";
+    return std::nullopt;
+  }
+  return static_cast<unsigned>(N);
+}
+
 /// Declares the tenancy-shaped flags: partition mode, interleave
 /// schedule, and cross-tenant code sharing. Pairs with
 /// tenancyPolicyFromFlags the way addSimConfigFlags pairs with
@@ -220,13 +252,9 @@ inline void addTenancyFlags(FlagSet &Flags) {
 /// failure returns nullopt with the description in \p Error.
 inline std::optional<TenancyPolicy>
 tenancyPolicyFromFlags(const FlagSet &Flags, std::string *Error) {
-  const auto Spec = parsePolicySpec(Flags.getString("policy"));
-  if (!Spec) {
-    if (Error)
-      *Error = "bad policy '" + Flags.getString("policy") +
-               "' (flush | fine | <unit count>)";
+  const auto Spec = parsePolicySpec(Flags.getString("policy"), Error);
+  if (!Spec)
     return std::nullopt;
-  }
   const auto SC = simConfigFromFlags(Flags, Error);
   if (!SC)
     return std::nullopt;
@@ -262,23 +290,30 @@ tenancyPolicyFromFlags(const FlagSet &Flags, std::string *Error) {
   return Policy;
 }
 
-/// Resolves the addWorkloadFlags() flags to a (possibly scaled) workload
-/// model. On failure returns nullopt with the description in \p Error.
+/// Resolves a Table 1 benchmark name to its workload model, scaled when
+/// \p Scale is below 1. On failure returns nullopt with the description
+/// in \p Error.
 inline std::optional<WorkloadModel>
-workloadFromFlags(const FlagSet &Flags, std::string *Error) {
-  const WorkloadModel *M = findWorkload(Flags.getString("benchmark"));
+workloadModelFor(const std::string &Name, double Scale, std::string *Error) {
+  const WorkloadModel *M = findWorkload(Name);
   if (!M) {
     if (Error) {
-      *Error = "unknown benchmark '" + Flags.getString("benchmark") +
-               "'; pick one of:";
+      *Error = "unknown benchmark '" + Name + "'; pick one of:";
       for (const WorkloadModel &W : table1Workloads())
         *Error += " " + W.Name;
     }
     return std::nullopt;
   }
-  if (Flags.getDouble("scale") < 0.999)
-    return scaledWorkload(*M, Flags.getDouble("scale"));
+  if (Scale < 0.999)
+    return scaledWorkload(*M, Scale);
   return *M;
+}
+
+/// Resolves the addWorkloadFlags() flags to a workload model.
+inline std::optional<WorkloadModel>
+workloadFromFlags(const FlagSet &Flags, std::string *Error) {
+  return workloadModelFor(Flags.getString("benchmark"),
+                          Flags.getDouble("scale"), Error);
 }
 
 /// Generates the trace the addWorkloadFlags() flags describe: the

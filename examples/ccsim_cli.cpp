@@ -18,15 +18,16 @@
 //       Replay through the thread-shared engine with K guest threads.
 //       K=1 is the serial simulator itself; K>1 interleaves
 //       guests over one sharded engine. --mmap streams the trace out of
-//       a read-only mapping instead of loading it.
+//       a read-only mapping instead of loading it (a batch manifest's
+//       replay --mmap line copies the mapping into memory instead).
 //   ccsim_cli fit
 //       Re-derive the paper's overhead equations from a mini-DBT run.
 //   ccsim_cli suite --pressure=2 [--scale=0.2] [--jobs=N]
 //       Granularity sweep over the whole Table 1 suite, parallelized over
-//       N worker threads (default: hardware concurrency). The grid runs
-//       through the one-pass multi-configuration engine by default;
-//       --sweep-mode=per-config selects dense per-point replay (results
-//       are byte-identical either way).
+//       N worker threads (0..256; default 0 = hardware concurrency). The
+//       grid runs through the one-pass multi-configuration engine by
+//       default; --sweep-mode=per-config selects dense per-point replay
+//       (results are byte-identical either way).
 //   ccsim_cli tenants --tenants=gzip,vpr,crafty --mode=shared
 //       Multi-tenant simulation: interleave several benchmarks into one
 //       shared (or partitioned) code cache.
@@ -49,9 +50,15 @@
 //   ccsim_cli help [subcommand]
 //       This overview, or the full flag reference of one subcommand.
 //
+// The Subcommands table is the one list of verbs. A row with a job
+// builder is a job verb: one generic runner executes it as a subcommand,
+// and a batch manifest accepts exactly those verbs, built by the same
+// builder from the same flags.
+//
 // Exit codes are uniform across subcommands: 0 on success, 1 on usage
-// errors (bad flags, unknown benchmarks/policies, malformed manifests),
-// 2 on runtime failures (I/O, failed jobs, audit violations).
+// errors (bad flags, unknown benchmarks/policies, out-of-range --jobs or
+// --guest-threads, malformed manifests), 2 on runtime failures (I/O such
+// as an unreadable trace or manifest, failed jobs, audit violations).
 //
 //===----------------------------------------------------------------------===//
 
@@ -221,109 +228,117 @@ std::string renderOutcome(const service::JobOutcome &O) {
 // so a manifest line means exactly what the equivalent command line means.
 //===----------------------------------------------------------------------===//
 
-std::optional<service::ReplayJob>
-replayJobFromSimulateFlags(const FlagSet &Flags, std::string *Error) {
-  auto T = workloadTraceFromFlags(Flags, Error);
-  if (!T)
+/// Suite engines are expensive (trace generation for the whole Table 1
+/// suite), so manifest lines with the same (workload, scale, seed, jobs)
+/// share one.
+using EngineCache =
+    std::map<std::tuple<std::string, double, int64_t, unsigned>,
+             std::shared_ptr<const SweepEngine>>;
+
+/// Why a job builder failed, and the exit code that maps to: flag and
+/// config errors are usage errors, an unreadable trace is a runtime
+/// failure.
+struct BuildFailure {
+  int Exit = ExitUsage;
+  std::string Message;
+};
+
+/// The one signature of every job verb's builder.
+using JobBuilder = std::optional<service::Job> (*)(const FlagSet &Flags,
+                                                   EngineCache &Engines,
+                                                   BuildFailure *Failure);
+
+std::optional<service::Job> buildSimulateJob(const FlagSet &Flags,
+                                             EngineCache &,
+                                             BuildFailure *Failure) {
+  std::string *Error = &Failure->Message;
+  const auto Spec = parsePolicySpec(Flags.getString("policy"), Error);
+  if (!Spec)
     return std::nullopt;
-  const auto Spec = parsePolicySpec(Flags.getString("policy"));
-  if (!Spec) {
-    *Error = "bad policy '" + Flags.getString("policy") +
-             "' (flush | fine | <unit count>)";
-    return std::nullopt;
-  }
   const auto Config = simConfigFromFlags(Flags, Error);
   if (!Config)
+    return std::nullopt;
+  auto T = workloadTraceFromFlags(Flags, Error);
+  if (!T)
     return std::nullopt;
   service::ReplayJob Job;
   Job.TraceData = std::move(*T);
   Job.Spec = *Spec;
   Job.Config = *Config;
-  return Job;
+  return service::Job(std::move(Job));
 }
 
-/// A validated SimConfig as a shared-engine run config: the base carries
-/// over whole, so `replay --guest-threads=K` means exactly what `replay`
-/// means plus the guest count.
-concurrent::SharedRunConfig sharedConfigFrom(const SimConfig &Config,
-                                             unsigned GuestThreads) {
-  concurrent::SharedRunConfig SC;
-  static_cast<SimConfig &>(SC) = Config;
-  SC.GuestThreads = GuestThreads;
-  return SC;
-}
-
-/// Builds the job a `replay` line means: a plain ReplayJob by default, a
-/// SharedReplayJob when --guest-threads asks for more than one guest
-/// (the K=1 shared path is byte-identical, so the plain job keeps the
-/// default path unchanged). --mmap maps the trace instead of streaming
-/// it through the buffered reader; jobs own their trace either way.
-std::optional<service::Job>
-replayJobFromReplayFlags(const FlagSet &Flags, std::string *Error) {
+/// Everything a `replay` line means except its trace: policy, config and
+/// guest count. The job builder and runReplay's streaming arm share it.
+std::optional<service::ReplayJob>
+replaySettingsFromFlags(const FlagSet &Flags, std::string *Error) {
   if (Flags.positional().empty()) {
     *Error = "replay needs a trace file: replay <file.cct> [flags]";
     return std::nullopt;
   }
-  Trace T;
-  if (Flags.getBool("mmap")) {
-    auto Mapped = trace::MappedTrace::open(Flags.positional().front());
-    if (!Mapped) {
-      *Error = "cannot read " + Flags.positional().front();
-      return std::nullopt;
-    }
-    T = Mapped->toTrace();
-  } else {
-    const auto Loaded = readTrace(Flags.positional().front());
-    if (!Loaded) {
-      *Error = "cannot read " + Flags.positional().front();
-      return std::nullopt;
-    }
-    T = *Loaded;
-  }
-  const auto Spec = parsePolicySpec(Flags.getString("policy"));
-  if (!Spec) {
-    *Error = "bad policy '" + Flags.getString("policy") +
-             "' (flush | fine | <unit count>)";
+  const auto Spec = parsePolicySpec(Flags.getString("policy"), Error);
+  if (!Spec)
     return std::nullopt;
-  }
   const auto Config = simConfigFromFlags(Flags, Error);
   if (!Config)
     return std::nullopt;
   const auto GuestThreads = guestThreadsFromFlags(Flags, Error);
   if (!GuestThreads)
     return std::nullopt;
-  if (*GuestThreads == 1) {
-    service::ReplayJob Job;
-    Job.TraceData = std::move(T);
-    Job.Spec = *Spec;
-    Job.Config = *Config;
-    return service::Job(std::move(Job));
-  }
-  service::SharedReplayJob Job;
-  Job.TraceData = std::move(T);
+  service::ReplayJob Job;
   Job.Spec = *Spec;
-  Job.Config = sharedConfigFrom(*Config, *GuestThreads);
-  return service::Job(std::move(Job));
+  Job.Config = *Config;
+  Job.GuestThreads = *GuestThreads;
+  return Job;
 }
 
-/// Suite engines are expensive (trace generation for the whole Table 1
-/// suite), so manifest lines with the same (workload, scale, seed, jobs)
-/// share one.
-using EngineCache =
-    std::map<std::tuple<std::string, double, int64_t, int64_t>,
-             std::shared_ptr<const SweepEngine>>;
+/// Reads a trace file into memory, through a read-only mapping when
+/// \p Mapped (the --mmap of `audit` and of manifest `replay` lines).
+std::optional<Trace> loadTrace(const std::string &Path, bool Mapped) {
+  if (!Mapped)
+    return readTrace(Path);
+  if (const auto M = trace::MappedTrace::open(Path))
+    return M->toTrace();
+  return std::nullopt;
+}
 
-std::optional<service::SweepBatchJob>
-sweepJobFromSuiteFlags(const FlagSet &Flags, EngineCache &Engines,
-                       std::string *Error) {
+/// The job a `replay` line means. A job owns its trace, so --mmap here
+/// copies the mapped trace into memory; only the `replay` subcommand
+/// itself streams out of the mapping (runReplay).
+std::optional<service::Job> buildReplayJob(const FlagSet &Flags,
+                                           EngineCache &,
+                                           BuildFailure *Failure) {
+  auto Job = replaySettingsFromFlags(Flags, &Failure->Message);
+  if (!Job)
+    return std::nullopt;
+  const std::string &Path = Flags.positional().front();
+  auto T = loadTrace(Path, Flags.getBool("mmap"));
+  if (!T) {
+    Failure->Exit = ExitRuntime;
+    Failure->Message = "cannot read " + Path;
+    return std::nullopt;
+  }
+  Job->TraceData = std::move(*T);
+  return service::Job(std::move(*Job));
+}
+
+std::optional<service::Job> buildSuiteJob(const FlagSet &Flags,
+                                          EngineCache &Engines,
+                                          BuildFailure *Failure) {
+  std::string *Error = &Failure->Message;
   const auto Config = simConfigFromFlags(Flags, Error);
   if (!Config)
+    return std::nullopt;
+  const auto Mode = sweepModeFromFlags(Flags, Error);
+  if (!Mode)
+    return std::nullopt;
+  const auto Jobs = jobsFromFlags(Flags, Error);
+  if (!Jobs)
     return std::nullopt;
   const std::string Workload = Flags.getString("workload");
   const double Scale = Flags.getDouble("scale");
   const int64_t Seed = Flags.getInt("seed");
-  const int64_t Jobs = Flags.getInt("jobs");
-  auto &Slot = Engines[{Workload, Scale, Seed, Jobs}];
+  auto &Slot = Engines[{Workload, Scale, Seed, *Jobs}];
   if (!Slot) {
     std::optional<SweepEngine> Engine;
     if (Workload.empty()) {
@@ -340,19 +355,15 @@ sweepJobFromSuiteFlags(const FlagSet &Flags, EngineCache &Engines,
         return std::nullopt;
       Engine.emplace(std::move(*Traces));
     }
-    Engine->setNumThreads(Jobs > 0 ? static_cast<unsigned>(Jobs)
-                                   : ThreadPool::hardwareThreads());
+    Engine->setNumThreads(*Jobs ? *Jobs : ThreadPool::hardwareThreads());
     Slot = std::make_shared<const SweepEngine>(std::move(*Engine));
   }
-  const auto Mode = sweepModeFromFlags(Flags, Error);
-  if (!Mode)
-    return std::nullopt;
   service::SweepBatchJob Job;
   Job.Engine = Slot;
   Job.Jobs = makeSweepGrid(standardGranularitySweep(),
                            {Config->PressureFactor}, *Config);
   Job.Mode = *Mode;
-  return Job;
+  return service::Job(std::move(Job));
 }
 
 /// Parses "overlap:<K>@<F>" into K tagged per-tenant traces sharing
@@ -392,8 +403,13 @@ overlapSuiteFromEntry(const std::string &Name, double Scale, uint64_t Seed,
   return workloads::generateTenantOverlapSuite(Spec, Seed);
 }
 
-std::optional<service::TenantJob>
-tenantJobFromTenantsFlags(const FlagSet &Flags, std::string *Error) {
+std::optional<service::Job> buildTenantsJob(const FlagSet &Flags,
+                                            EngineCache &,
+                                            BuildFailure *Failure) {
+  std::string *Error = &Failure->Message;
+  const auto Policy = tenancyPolicyFromFlags(Flags, Error);
+  if (!Policy)
+    return std::nullopt;
   std::vector<Trace> Traces;
   for (const std::string &Name : splitList(Flags.getString("tenants"))) {
     // A tenant entry is a Table 1 benchmark, an adversarial workload
@@ -420,30 +436,20 @@ tenantJobFromTenantsFlags(const FlagSet &Flags, std::string *Error) {
         Traces.push_back(std::move(T));
       continue;
     }
-    const WorkloadModel *M = findWorkload(Name);
-    if (!M) {
-      *Error = "unknown benchmark '" + Name + "'";
+    const auto Model = workloadModelFor(Name, Flags.getDouble("scale"), Error);
+    if (!Model)
       return std::nullopt;
-    }
-    WorkloadModel Chosen = *M;
-    if (Flags.getDouble("scale") < 0.999)
-      Chosen = scaledWorkload(*M, Flags.getDouble("scale"));
     Traces.push_back(TraceGenerator::generateBenchmark(
-        Chosen, static_cast<uint64_t>(Flags.getInt("seed"))));
+        *Model, static_cast<uint64_t>(Flags.getInt("seed"))));
   }
   if (Traces.size() < 2) {
     *Error = "need at least two tenants";
     return std::nullopt;
   }
-
-  const auto Policy = tenancyPolicyFromFlags(Flags, Error);
-  if (!Policy)
-    return std::nullopt;
-
   service::TenantJob Job;
   Job.Traces = std::move(Traces);
   Job.Policy = *Policy;
-  return Job;
+  return service::Job(std::move(Job));
 }
 
 //===----------------------------------------------------------------------===//
@@ -480,9 +486,10 @@ FlagSet makeReplayFlags() {
                "replay; >1 = concurrent shared-engine replay, validated "
                "by the structural auditor).");
   Flags.addBool("mmap", false,
-                "Stream the trace out of a read-only mapping instead of "
-                "loading it (falls back to a buffered read when mmap is "
-                "unavailable).");
+                "Read the trace through a read-only mapping: the replay "
+                "subcommand streams accesses out of it, a batch manifest "
+                "line copies it into memory (jobs own their trace). Falls "
+                "back to a buffered read when mmap is unavailable.");
   addTelemetryFlags(Flags);
   return Flags;
 }
@@ -506,7 +513,8 @@ FlagSet makeSuiteFlags() {
   Flags.addInt("seed", static_cast<int64_t>(DefaultSuiteSeed),
                "Suite seed.");
   Flags.addInt("jobs", 0,
-               "Worker threads (0 = hardware concurrency, 1 = serial).");
+               "Worker threads, 0..256 (0 = hardware concurrency, 1 = "
+               "serial).");
   addSweepModeFlag(Flags);
   addTelemetryFlags(Flags);
   return Flags;
@@ -565,8 +573,9 @@ FlagSet makeAuditFlags() {
                "Accesses between quiesce-point audits with "
                "--guest-threads > 1 (0 = only the final audit).");
   Flags.addBool("mmap", false,
-                "Stream a file trace out of a read-only mapping instead "
-                "of loading it.");
+                "Read a file trace through a read-only mapping instead of "
+                "the buffered reader (the trace is copied into memory "
+                "before the audit).");
   return Flags;
 }
 
@@ -580,7 +589,7 @@ FlagSet makeBatchFlags() {
       "print in manifest order and are byte-identical to --serial "
       "execution (except replay --guest-threads > 1 lines, whose "
       "interleaving is schedule-dependent by design).");
-  Flags.addInt("jobs", 0, "Service worker threads (0 = hardware).");
+  Flags.addInt("jobs", 0, "Service worker threads, 0..256 (0 = hardware).");
   Flags.addInt("queue", 64, "Admission queue capacity.");
   Flags.addString("backpressure", "block",
                   "Full-queue policy: block | reject | shed-oldest.");
@@ -601,11 +610,13 @@ FlagSet makeBatchFlags() {
 // Serial subcommands
 //===----------------------------------------------------------------------===//
 
-/// Runs one job on the calling thread and prints it -- the tail shared by
-/// simulate/replay/tenants.
-int runJobAndPrint(service::Job Job, const FlagSet &Flags,
-                   const std::unique_ptr<telemetry::TelemetrySink> &Sink) {
-  const service::JobOutcome O = service::executeJob(Job, nullptr);
+/// The tail every job subcommand shares: make the sink the telemetry
+/// flags ask for, run (\p Run maps the sink to an outcome), print the
+/// outcome, write the exports.
+template <typename RunFn>
+int runAndReport(const FlagSet &Flags, const RunFn &Run) {
+  const auto Sink = makeSinkIfRequested(Flags);
+  const service::JobOutcome O = Run(Sink.get());
   if (O.Status != service::JobStatus::Done) {
     std::fprintf(stderr, "error: %s\n", O.Error.c_str());
     return ExitRuntime;
@@ -614,30 +625,20 @@ int runJobAndPrint(service::Job Job, const FlagSet &Flags,
   return exportTelemetry(Flags, Sink.get()) == 0 ? ExitOk : ExitRuntime;
 }
 
-/// Threads \p Sink into whichever payload \p Job carries.
-void setJobTelemetry(service::Job &Job, telemetry::TelemetrySink *Sink) {
-  if (auto *R = std::get_if<service::ReplayJob>(&Job.Payload)) {
-    R->Config.Telemetry = Sink;
-  } else if (auto *S = std::get_if<service::SweepBatchJob>(&Job.Payload)) {
-    for (SweepJob &Point : S->Jobs)
-      Point.Config.Telemetry = Sink;
-  } else if (auto *SR = std::get_if<service::SharedReplayJob>(&Job.Payload)) {
-    SR->Config.Telemetry = Sink;
-  } else {
-    std::get<service::TenantJob>(Job.Payload).Run.Telemetry = Sink;
-  }
-}
-
-int runSimulate(FlagSet &Flags) {
-  std::string Error;
-  auto Job = replayJobFromSimulateFlags(Flags, &Error);
+/// The generic runner of every job verb: build the job the flags mean,
+/// then execute it on this thread.
+int runJob(JobBuilder Build, const FlagSet &Flags) {
+  EngineCache Engines;
+  BuildFailure Failure;
+  auto Job = Build(Flags, Engines, &Failure);
   if (!Job) {
-    std::fprintf(stderr, "error: %s\n", Error.c_str());
-    return ExitUsage;
+    std::fprintf(stderr, "error: %s\n", Failure.Message.c_str());
+    return Failure.Exit;
   }
-  const auto Sink = makeSinkIfRequested(Flags);
-  Job->Config.Telemetry = Sink.get();
-  return runJobAndPrint(service::Job(std::move(*Job)), Flags, Sink);
+  return runAndReport(Flags, [&Job](telemetry::TelemetrySink *Sink) {
+    service::setJobTelemetry(*Job, Sink);
+    return service::executeJob(*Job, nullptr);
+  });
 }
 
 int runRecord(FlagSet &Flags) {
@@ -672,56 +673,34 @@ int runRecord(FlagSet &Flags) {
   return exportTelemetry(Flags, Sink.get()) == 0 ? ExitOk : ExitRuntime;
 }
 
-/// The --mmap arm of runReplay: replays straight out of the mapping
-/// through the shared-engine runner (K = 1 is sim::run over the mapped
-/// trace), so the access stream is never materialized.
-int replayMapped(FlagSet &Flags, unsigned GuestThreads) {
-  auto Mapped = trace::MappedTrace::open(Flags.positional().front());
+/// `replay`: the generic job runner, except that --mmap streams straight
+/// out of the mapping through runShared (K = 1 is sim::run over the
+/// mapped trace), so the access stream is never materialized. A job owns
+/// its Trace, so that arm runs outside the job path.
+int runReplay(FlagSet &Flags) {
+  if (!Flags.getBool("mmap"))
+    return runJob(buildReplayJob, Flags);
+  std::string Error;
+  const auto Settings = replaySettingsFromFlags(Flags, &Error);
+  if (!Settings) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
+    return ExitUsage;
+  }
+  const auto Mapped = trace::MappedTrace::open(Flags.positional().front());
   if (!Mapped) {
     std::fprintf(stderr, "error: cannot read %s\n",
                  Flags.positional().front().c_str());
     return ExitRuntime;
   }
-  const auto Spec = parsePolicySpec(Flags.getString("policy"));
-  if (!Spec) {
-    std::fprintf(stderr, "error: bad policy '%s' (flush | fine | <unit "
-                         "count>)\n",
-                 Flags.getString("policy").c_str());
-    return ExitUsage;
-  }
-  std::string Error;
-  const auto Config = simConfigFromFlags(Flags, &Error);
-  if (!Config) {
-    std::fprintf(stderr, "error: %s\n", Error.c_str());
-    return ExitUsage;
-  }
-  const auto Sink = makeSinkIfRequested(Flags);
-  concurrent::SharedRunConfig SC = sharedConfigFrom(*Config, GuestThreads);
-  SC.Telemetry = Sink.get();
-  const concurrent::SharedRunResult R =
-      concurrent::runShared(*Mapped, *Spec, SC);
-  std::fputs(renderSimResult(R).c_str(), stdout);
-  return exportTelemetry(Flags, Sink.get()) == 0 ? ExitOk : ExitRuntime;
-}
-
-int runReplay(FlagSet &Flags) {
-  std::string Error;
-  const auto GuestThreads = guestThreadsFromFlags(Flags, &Error);
-  if (!GuestThreads) {
-    std::fprintf(stderr, "error: %s\n", Error.c_str());
-    return ExitUsage;
-  }
-  if (Flags.getBool("mmap") && !Flags.positional().empty())
-    return replayMapped(Flags, *GuestThreads);
-  auto Job = replayJobFromReplayFlags(Flags, &Error);
-  if (!Job) {
-    const bool Usage = Flags.positional().empty();
-    std::fprintf(stderr, "error: %s\n", Error.c_str());
-    return Usage ? ExitUsage : ExitRuntime;
-  }
-  const auto Sink = makeSinkIfRequested(Flags);
-  setJobTelemetry(*Job, Sink.get());
-  return runJobAndPrint(std::move(*Job), Flags, Sink);
+  return runAndReport(Flags, [&](telemetry::TelemetrySink *Sink) {
+    concurrent::SharedRunConfig Config(Settings->Config,
+                                       Settings->GuestThreads);
+    Config.Telemetry = Sink;
+    service::JobOutcome O;
+    O.Status = service::JobStatus::Done;
+    O.Replay.push_back(concurrent::runShared(*Mapped, Settings->Spec, Config));
+    return O;
+  });
 }
 
 int runGen(FlagSet &Flags) {
@@ -800,32 +779,6 @@ int runFit(FlagSet &Flags) {
   return ExitOk;
 }
 
-int runSuite(FlagSet &Flags) {
-  std::string Error;
-  EngineCache Engines;
-  auto Job = sweepJobFromSuiteFlags(Flags, Engines, &Error);
-  if (!Job) {
-    std::fprintf(stderr, "error: %s\n", Error.c_str());
-    return ExitUsage;
-  }
-  const auto Sink = makeSinkIfRequested(Flags);
-  service::Job Wrapped(std::move(*Job));
-  setJobTelemetry(Wrapped, Sink.get());
-  return runJobAndPrint(std::move(Wrapped), Flags, Sink);
-}
-
-int runTenants(FlagSet &Flags) {
-  std::string Error;
-  auto Job = tenantJobFromTenantsFlags(Flags, &Error);
-  if (!Job) {
-    std::fprintf(stderr, "error: %s\n", Error.c_str());
-    return ExitUsage;
-  }
-  const auto Sink = makeSinkIfRequested(Flags);
-  Job->Run.Telemetry = Sink.get();
-  return runJobAndPrint(service::Job(std::move(*Job)), Flags, Sink);
-}
-
 /// The --dbt arm of runAudit: run the mini-DBT (two-tier) with the deep
 /// auditor armed on both engines, so every install re-validates placement,
 /// chaining, stats, and the dispatch.* table-vs-residency rules.
@@ -838,10 +791,11 @@ int auditTranslatorRun(const FlagSet &Flags) {
   Spec.Seed = static_cast<uint64_t>(Flags.getInt("seed"));
   const Program P = generateProgram(Spec);
 
+  std::string Error;
   for (const std::string &PolSpec : splitList(Flags.getString("policies"))) {
-    const auto Policy = parsePolicySpec(PolSpec);
+    const auto Policy = parsePolicySpec(PolSpec, &Error);
     if (!Policy) {
-      std::fprintf(stderr, "error: bad policy '%s'\n", PolSpec.c_str());
+      std::fprintf(stderr, "error: %s\n", Error.c_str());
       return ExitUsage;
     }
     TranslatorConfig Config;
@@ -891,15 +845,15 @@ int auditTranslatorRun(const FlagSet &Flags) {
 /// every quiesce point and once over the drained final state.
 int auditSharedRun(const FlagSet &Flags, const Trace &T,
                    const SimConfig &Capacity, unsigned GuestThreads) {
+  std::string Error;
   for (const std::string &Spec : splitList(Flags.getString("policies"))) {
-    const auto Policy = parsePolicySpec(Spec);
+    const auto Policy = parsePolicySpec(Spec, &Error);
     if (!Policy) {
-      std::fprintf(stderr, "error: bad policy '%s'\n", Spec.c_str());
+      std::fprintf(stderr, "error: %s\n", Error.c_str());
       return ExitUsage;
     }
     size_t Violations = 0;
-    concurrent::SharedRunConfig SC =
-        sharedConfigFrom(Capacity, GuestThreads);
+    concurrent::SharedRunConfig SC(Capacity, GuestThreads);
     SC.Audit = AuditLevel::Full;
     const int64_t Quiesce = Flags.getInt("quiesce-interval");
     SC.QuiesceInterval = Quiesce > 0 ? static_cast<uint64_t>(Quiesce) : 0;
@@ -933,24 +887,13 @@ int runAudit(FlagSet &Flags) {
 
   Trace T;
   if (!Flags.positional().empty()) {
-    if (Flags.getBool("mmap")) {
-      const auto Mapped =
-          trace::MappedTrace::open(Flags.positional().front());
-      if (!Mapped) {
-        std::fprintf(stderr, "error: cannot read %s\n",
-                     Flags.positional().front().c_str());
-        return ExitRuntime;
-      }
-      T = Mapped->toTrace();
-    } else {
-      const auto Loaded = readTrace(Flags.positional().front());
-      if (!Loaded) {
-        std::fprintf(stderr, "error: cannot read %s\n",
-                     Flags.positional().front().c_str());
-        return ExitRuntime;
-      }
-      T = *Loaded;
+    auto Loaded = loadTrace(Flags.positional().front(), Flags.getBool("mmap"));
+    if (!Loaded) {
+      std::fprintf(stderr, "error: cannot read %s\n",
+                   Flags.positional().front().c_str());
+      return ExitRuntime;
     }
+    T = std::move(*Loaded);
   } else {
     std::string Error;
     auto Generated = workloadTraceFromFlags(Flags, &Error);
@@ -976,9 +919,9 @@ int runAudit(FlagSet &Flags) {
     return auditSharedRun(Flags, T, *Capacity, *GuestThreads);
 
   for (const std::string &Spec : splitList(Flags.getString("policies"))) {
-    const auto Policy = parsePolicySpec(Spec);
+    const auto Policy = parsePolicySpec(Spec, &Error);
     if (!Policy) {
-      std::fprintf(stderr, "error: bad policy '%s'\n", Spec.c_str());
+      std::fprintf(stderr, "error: %s\n", Error.c_str());
       return ExitUsage;
     }
     CacheEngineConfig MC;
@@ -1014,15 +957,54 @@ int runAudit(FlagSet &Flags) {
 }
 
 //===----------------------------------------------------------------------===//
+// The subcommand table: the one list of verbs
+//===----------------------------------------------------------------------===//
+
+int runBatch(FlagSet &Flags);
+
+/// One subcommand. Job verbs carry a Build; they run through runJob unless
+/// the row names its own Run, and they are the verbs a batch manifest
+/// accepts.
+struct SubcommandDef {
+  const char *Name;
+  const char *Brief;
+  FlagSet (*Make)();
+  int (*Run)(FlagSet &);
+  JobBuilder Build;
+};
+
+constexpr SubcommandDef Subcommands[] = {
+    {"simulate", "trace-driven simulation of a Table 1 benchmark",
+     makeSimulateFlags, nullptr, buildSimulateJob},
+    {"record", "run the mini-DBT, save its superblock log", makeRecordFlags,
+     runRecord, nullptr},
+    {"replay", "replay a saved log through the simulator", makeReplayFlags,
+     runReplay, buildReplayJob},
+    {"gen",
+     "generate a workload trace (--list: adversarial catalog)",
+     makeGenFlags, runGen, nullptr},
+    {"fit", "re-derive the paper's overhead equations", makeFitFlags,
+     runFit, nullptr},
+    {"suite", "granularity sweep over the whole suite (--jobs)",
+     makeSuiteFlags, nullptr, buildSuiteJob},
+    {"tenants", "multi-tenant shared-cache simulation", makeTenantsFlags,
+     nullptr, buildTenantsJob},
+    {"audit",
+     "replay under the paranoid structural auditor (--dbt: audit a "
+     "mini-DBT run instead)",
+     makeAuditFlags, runAudit, nullptr},
+    {"batch", "run a job manifest through the async SimService",
+     makeBatchFlags, runBatch, nullptr},
+};
+
+//===----------------------------------------------------------------------===//
 // batch: the asynchronous SimService front-end
 //===----------------------------------------------------------------------===//
 
 /// One parsed manifest line: the job it means (telemetry unset), its
 /// scheduling options, and the per-job outputs it requested.
 struct JobRecipe {
-  size_t LineNo = 0;
   std::string Verb;
-  std::string Text;
   service::Job Proto;
   int64_t DeadlineMs = 0;
   std::string MetricsOut;
@@ -1041,11 +1023,16 @@ void addManifestLineFlags(FlagSet &Flags) {
                   "Telemetry label (default: line-<n> in batch mode).");
 }
 
+/// Parses a manifest into recipes. A line's verb must name a job row of
+/// the Subcommands table; the row's flags and builder turn the line into
+/// its job. On failure \p Failure says why and which exit code that is.
 std::optional<std::vector<JobRecipe>>
 parseManifest(const std::string &Path, EngineCache &Engines,
-              std::string *Error) {
+              BuildFailure *Failure) {
+  std::string *Error = &Failure->Message;
   std::ifstream In(Path);
   if (!In) {
+    Failure->Exit = ExitRuntime;
     *Error = "cannot read manifest " + Path;
     return std::nullopt;
   }
@@ -1065,19 +1052,22 @@ parseManifest(const std::string &Path, EngineCache &Engines,
     char Prefix[48];
     std::snprintf(Prefix, sizeof(Prefix), "manifest line %zu: ", LineNo);
     const std::string &Verb = Tokens.front();
-    FlagSet Flags =
-        Verb == "simulate" ? makeSimulateFlags()
-        : Verb == "replay" ? makeReplayFlags()
-        : Verb == "suite"  ? makeSuiteFlags()
-        : Verb == "tenants"
-            ? makeTenantsFlags()
-            : FlagSet("ccsim_cli batch: unknown manifest verb.");
-    if (Verb != "simulate" && Verb != "replay" && Verb != "suite" &&
-        Verb != "tenants") {
-      *Error = Prefix + ("unknown verb '" + Verb +
-                         "' (simulate|replay|suite|tenants)");
+    const SubcommandDef *Row = nullptr;
+    std::string JobVerbs;
+    for (const SubcommandDef &Def : Subcommands) {
+      if (!Def.Build)
+        continue;
+      if (!JobVerbs.empty())
+        JobVerbs += '|';
+      JobVerbs += Def.Name;
+      if (Verb == Def.Name)
+        Row = &Def;
+    }
+    if (!Row) {
+      *Error = Prefix + ("unknown verb '" + Verb + "' (" + JobVerbs + ")");
       return std::nullopt;
     }
+    FlagSet Flags = Row->Make();
     addManifestLineFlags(Flags);
     std::vector<const char *> Argv;
     Argv.reserve(Tokens.size());
@@ -1088,40 +1078,14 @@ parseManifest(const std::string &Path, EngineCache &Engines,
       return std::nullopt;
     }
 
-    JobRecipe R;
-    R.LineNo = LineNo;
-    R.Verb = Verb;
-    R.Text = Line;
-    std::string BuildError;
-    if (Verb == "simulate") {
-      auto J = replayJobFromSimulateFlags(Flags, &BuildError);
-      if (!J) {
-        *Error = Prefix + BuildError;
-        return std::nullopt;
-      }
-      R.Proto = service::Job(std::move(*J));
-    } else if (Verb == "replay") {
-      auto J = replayJobFromReplayFlags(Flags, &BuildError);
-      if (!J) {
-        *Error = Prefix + BuildError;
-        return std::nullopt;
-      }
-      R.Proto = std::move(*J);
-    } else if (Verb == "suite") {
-      auto J = sweepJobFromSuiteFlags(Flags, Engines, &BuildError);
-      if (!J) {
-        *Error = Prefix + BuildError;
-        return std::nullopt;
-      }
-      R.Proto = service::Job(std::move(*J));
-    } else {
-      auto J = tenantJobFromTenantsFlags(Flags, &BuildError);
-      if (!J) {
-        *Error = Prefix + BuildError;
-        return std::nullopt;
-      }
-      R.Proto = service::Job(std::move(*J));
+    auto Proto = Row->Build(Flags, Engines, Failure);
+    if (!Proto) {
+      *Error = Prefix + *Error;
+      return std::nullopt;
     }
+    JobRecipe R;
+    R.Verb = Verb;
+    R.Proto = std::move(*Proto);
     R.Proto.Options.Priority =
         static_cast<int>(Flags.getInt("priority"));
     R.Proto.Options.Label = Flags.getString("label");
@@ -1186,18 +1150,29 @@ struct JobRun {
   service::JobStatus Status = service::JobStatus::Queued;
   std::string Report;
   std::string MetricsCsv;
+  bool OutputsWritten = true;
 };
 
-JobRun runRecipeSerial(size_t Index, const JobRecipe &R) {
-  telemetry::TelemetrySink Sink(1 << 20);
-  service::Job Job = R.Proto;
-  setJobTelemetry(Job, &Sink);
-  const service::JobOutcome O = service::executeJob(Job, nullptr);
+/// The record of one finished job, service or serial alike; with
+/// \p WriteOutputs it also writes the per-job files the line asked for.
+JobRun finishJob(size_t Index, const JobRecipe &R, const service::JobOutcome &O,
+                 const telemetry::TelemetrySink &Sink, bool WriteOutputs) {
   JobRun Run;
   Run.Status = O.Status;
   Run.Report = renderJobReport(Index, R, O);
   Run.MetricsCsv = telemetry::renderMetricsCsv(Sink.Metrics);
+  Run.OutputsWritten = !WriteOutputs || writeJobOutputs(R, Sink) == ExitOk;
   return Run;
+}
+
+/// Runs one recipe on this thread: the `--serial` execution, and the
+/// reference `--verify-serial` compares the service against.
+JobRun runRecipeSerial(size_t Index, const JobRecipe &R, bool WriteOutputs) {
+  telemetry::TelemetrySink Sink(1 << 20);
+  service::Job Job = R.Proto;
+  service::setJobTelemetry(Job, &Sink);
+  return finishJob(Index, R, service::executeJob(Job, nullptr), Sink,
+                   WriteOutputs);
 }
 
 int runBatch(FlagSet &Flags) {
@@ -1216,13 +1191,20 @@ int runBatch(FlagSet &Flags) {
     return ExitUsage;
   }
 
-  EngineCache Engines;
   std::string Error;
-  const auto Recipes =
-      parseManifest(Flags.positional().front(), Engines, &Error);
-  if (!Recipes) {
+  const auto Workers = jobsFromFlags(Flags, &Error);
+  if (!Workers) {
     std::fprintf(stderr, "error: %s\n", Error.c_str());
     return ExitUsage;
+  }
+
+  EngineCache Engines;
+  BuildFailure Failure;
+  const auto Recipes =
+      parseManifest(Flags.positional().front(), Engines, &Failure);
+  if (!Recipes) {
+    std::fprintf(stderr, "error: %s\n", Failure.Message.c_str());
+    return Failure.Exit;
   }
 
   int Exit = ExitOk;
@@ -1230,14 +1212,10 @@ int runBatch(FlagSet &Flags) {
 
   if (Flags.getBool("serial")) {
     for (size_t I = 0; I < Recipes->size(); ++I) {
-      telemetry::TelemetrySink Sink(1 << 20);
-      service::Job Job = (*Recipes)[I].Proto;
-      setJobTelemetry(Job, &Sink);
-      const service::JobOutcome O = service::executeJob(Job, nullptr);
-      std::fputs(renderJobReport(I, (*Recipes)[I], O).c_str(), stdout);
-      if (O.Status != service::JobStatus::Done)
-        Exit = ExitRuntime;
-      if (writeJobOutputs((*Recipes)[I], Sink) != ExitOk)
+      const JobRun Run =
+          runRecipeSerial(I, (*Recipes)[I], /*WriteOutputs=*/true);
+      std::fputs(Run.Report.c_str(), stdout);
+      if (Run.Status != service::JobStatus::Done || !Run.OutputsWritten)
         Exit = ExitRuntime;
     }
     return Exit;
@@ -1245,9 +1223,7 @@ int runBatch(FlagSet &Flags) {
 
   telemetry::TelemetrySink ServiceSink(1 << 20);
   service::SimServiceConfig SC;
-  SC.Threads = Flags.getInt("jobs") > 0
-                   ? static_cast<unsigned>(Flags.getInt("jobs"))
-                   : 0;
+  SC.Threads = *Workers;
   SC.QueueCapacity = static_cast<size_t>(std::max<int64_t>(
       1, Flags.getInt("queue")));
   SC.Pressure = *Pressure;
@@ -1266,23 +1242,18 @@ int runBatch(FlagSet &Flags) {
     for (const JobRecipe &R : *Recipes) {
       Sinks.push_back(std::make_unique<telemetry::TelemetrySink>(1 << 20));
       service::Job Job = R.Proto;
-      setJobTelemetry(Job, Sinks.back().get());
+      service::setJobTelemetry(Job, Sinks.back().get());
       if (R.DeadlineMs > 0)
         Job.Options.withDeadlineIn(std::chrono::milliseconds(R.DeadlineMs));
       Handles.push_back(Service.submit(std::move(Job)));
     }
     Service.start();
     for (size_t I = 0; I < Handles.size(); ++I) {
-      const service::JobOutcome &O = Handles[I].wait();
-      JobRun Run;
-      Run.Status = O.Status;
-      Run.Report = renderJobReport(I, (*Recipes)[I], O);
-      Run.MetricsCsv = telemetry::renderMetricsCsv(Sinks[I]->Metrics);
+      JobRun Run = finishJob(I, (*Recipes)[I], Handles[I].wait(), *Sinks[I],
+                             /*WriteOutputs=*/true);
       std::fputs(Run.Report.c_str(), stdout);
-      ++StatusCounts[static_cast<size_t>(O.Status)];
-      if (O.Status != service::JobStatus::Done)
-        Exit = ExitRuntime;
-      if (writeJobOutputs((*Recipes)[I], *Sinks[I]) != ExitOk)
+      ++StatusCounts[static_cast<size_t>(Run.Status)];
+      if (Run.Status != service::JobStatus::Done || !Run.OutputsWritten)
         Exit = ExitRuntime;
       ServiceRuns.push_back(std::move(Run));
     }
@@ -1317,7 +1288,8 @@ int runBatch(FlagSet &Flags) {
   if (Flags.getBool("verify-serial")) {
     size_t Mismatches = 0;
     for (size_t I = 0; I < Recipes->size(); ++I) {
-      const JobRun Serial = runRecipeSerial(I, (*Recipes)[I]);
+      const JobRun Serial =
+          runRecipeSerial(I, (*Recipes)[I], /*WriteOutputs=*/false);
       if (Serial.Report != ServiceRuns[I].Report ||
           Serial.MetricsCsv != ServiceRuns[I].MetricsCsv) {
         ++Mismatches;
@@ -1343,37 +1315,6 @@ int runBatch(FlagSet &Flags) {
 //===----------------------------------------------------------------------===//
 // Dispatch
 //===----------------------------------------------------------------------===//
-
-struct SubcommandDef {
-  const char *Name;
-  const char *Brief;
-  FlagSet (*Make)();
-  int (*Run)(FlagSet &);
-};
-
-constexpr SubcommandDef Subcommands[] = {
-    {"simulate", "trace-driven simulation of a Table 1 benchmark",
-     makeSimulateFlags, runSimulate},
-    {"record", "run the mini-DBT, save its superblock log", makeRecordFlags,
-     runRecord},
-    {"replay", "replay a saved log through the simulator", makeReplayFlags,
-     runReplay},
-    {"gen",
-     "generate a workload trace (--list: adversarial catalog)",
-     makeGenFlags, runGen},
-    {"fit", "re-derive the paper's overhead equations", makeFitFlags,
-     runFit},
-    {"suite", "granularity sweep over the whole suite (--jobs)",
-     makeSuiteFlags, runSuite},
-    {"tenants", "multi-tenant shared-cache simulation", makeTenantsFlags,
-     runTenants},
-    {"audit",
-     "replay under the paranoid structural auditor (--dbt: audit a "
-     "mini-DBT run instead)",
-     makeAuditFlags, runAudit},
-    {"batch", "run a job manifest through the async SimService",
-     makeBatchFlags, runBatch},
-};
 
 void usage(std::FILE *Out) {
   std::fputs("ccsim_cli <subcommand> [flags]\n\nsubcommands:\n", Out);
@@ -1417,7 +1358,7 @@ int main(int Argc, char **Argv) {
       FlagSet Flags = Def.Make();
       if (!Flags.parse(Argc - 1, Argv + 1))
         return ExitUsage;
-      return Def.Run(Flags);
+      return Def.Run ? Def.Run(Flags) : runJob(Def.Build, Flags);
     }
   std::fprintf(stderr, "error: unknown subcommand '%s'\n", Cmd);
   usage(stderr);

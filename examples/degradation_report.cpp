@@ -53,11 +53,11 @@ int main(int Argc, char **Argv) {
       PolicyNames.push_back(Item);
     Item.clear();
   }
+  std::string Error;
   for (const std::string &Text : PolicyNames) {
-    const auto Spec = parsePolicySpec(Text);
+    const auto Spec = parsePolicySpec(Text, &Error);
     if (!Spec) {
-      std::fprintf(stderr, "error: bad policy '%s' (flush | fine | <units>)\n",
-                   Text.c_str());
+      std::fprintf(stderr, "error: %s\n", Error.c_str());
       return 1;
     }
     Config.Policies.push_back(*Spec);

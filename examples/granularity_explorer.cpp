@@ -32,7 +32,8 @@ int main(int Argc, char **Argv) {
   addWorkloadFlags(Flags);
   addSimConfigFlags(Flags, 10.0);
   Flags.addInt("jobs", 0,
-               "Worker threads (0 = hardware concurrency, 1 = serial).");
+               "Worker threads, 0..256 (0 = hardware concurrency, 1 = "
+               "serial).");
   addSweepModeFlag(Flags);
   addTelemetryFlags(Flags);
   if (!Flags.parse(Argc, Argv))
@@ -41,6 +42,11 @@ int main(int Argc, char **Argv) {
   std::string Error;
   const auto Mode = sweepModeFromFlags(Flags, &Error);
   if (!Mode) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
+    return 1;
+  }
+  const auto Jobs = jobsFromFlags(Flags, &Error);
+  if (!Jobs) {
     std::fprintf(stderr, "error: %s\n", Error.c_str());
     return 1;
   }
@@ -82,9 +88,7 @@ int main(int Argc, char **Argv) {
     multisweep::MultiConfigEngine Engine(T, Points, Plan);
     Results = Engine.run();
   } else {
-    ThreadPool Pool(Flags.getInt("jobs") > 0
-                        ? static_cast<unsigned>(Flags.getInt("jobs"))
-                        : ThreadPool::hardwareThreads());
+    ThreadPool Pool(*Jobs); // 0 = hardware threads.
     Pool.parallelFor(
         Specs.size(),
         [&](size_t I) { Results[I] = sim::run(T, Specs[I], Config); },

@@ -31,6 +31,7 @@
 #define CCSIM_CONCURRENT_SHAREDENGINERUNNER_H
 
 #include "check/AuditReport.h"
+#include "concurrent/ThreadPool.h"
 #include "core/SharedCacheEngine.h"
 #include "sim/Simulator.h"
 
@@ -39,14 +40,20 @@
 namespace ccsim::concurrent {
 
 /// Upper bound on guest threads per run. Each guest is an OS thread, so
-/// the bound keeps a hostile manifest or flag from asking for thousands;
-/// every bench and test uses at most 8.
-inline constexpr unsigned MaxGuestThreads = 256;
+/// it shares the thread pool's bound.
+inline constexpr unsigned MaxGuestThreads = ThreadPool::MaxThreads;
 
 /// Configuration of one shared-engine replay: the serial simulator's
 /// knobs (pressure, capacity, costs, chaining, telemetry, audit,
 /// cancellation) with identical semantics, plus the guest count.
 struct SharedRunConfig : SimConfig {
+  SharedRunConfig() = default;
+
+  /// \p Base with \p K guests: the base carries over whole, so a K-guest
+  /// replay means exactly what the serial replay of \p Base means.
+  SharedRunConfig(const SimConfig &Base, unsigned K)
+      : SimConfig(Base), GuestThreads(K) {}
+
   /// Guest threads sharing the engine, 1..MaxGuestThreads. 1 runs the
   /// serial simulator.
   unsigned GuestThreads = 1;

@@ -12,21 +12,33 @@ using namespace ccsim;
 
 unsigned ThreadPool::hardwareThreads() {
   const unsigned HW = std::thread::hardware_concurrency();
-  return HW ? HW : 4;
+  return HW ? std::min(HW, MaxThreads) : 4;
 }
 
 ThreadPool::ThreadPool(unsigned NumThreads, bool AlwaysSpawnWorkers)
     : NumThreads(NumThreads ? NumThreads : hardwareThreads()) {
+  CCSIM_REQUIRE(this->NumThreads <= MaxThreads,
+                "thread pool of %u workers exceeds the bound of %u",
+                this->NumThreads, MaxThreads);
   // A one-thread pool runs everything inline; no worker needed — unless
   // the caller wants submit() to be asynchronous even then.
   if (this->NumThreads <= 1 && !AlwaysSpawnWorkers)
     return;
   Workers.reserve(this->NumThreads);
-  for (unsigned T = 0; T < this->NumThreads; ++T)
-    Workers.emplace_back([this]() { workerLoop(); });
+  try {
+    for (unsigned T = 0; T < this->NumThreads; ++T)
+      Workers.emplace_back([this]() { workerLoop(); });
+  } catch (...) {
+    // A spawn failed part-way and the destructor will not run; destroying
+    // a joinable std::thread terminates, so join the started workers.
+    stopAndJoin();
+    throw;
+  }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { stopAndJoin(); }
+
+void ThreadPool::stopAndJoin() {
   {
     MutexLock Lock(Mu);
     Stopping = true;

@@ -22,7 +22,9 @@
 ///     run, every index before it is),
 ///   - N == 0 is a no-op; N smaller than the thread count and pools
 ///     larger than the hardware both work (oversubscription-safe),
-///   - a pool of one thread executes inline on the calling thread.
+///   - a pool of one thread executes inline on the calling thread,
+///   - a pool never holds more than MaxThreads workers; a failed spawn
+///     joins the workers already started before the error propagates.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,10 +45,15 @@ namespace ccsim {
 /// Fixed worker pool with a FIFO task queue.
 class ThreadPool {
 public:
-  /// Spawns \p NumThreads workers; 0 means hardwareThreads(). By default
-  /// a one-thread pool executes inline on the calling thread;
-  /// \p AlwaysSpawnWorkers forces a real worker even then, so submit()
-  /// never blocks the submitter (what an asynchronous service needs).
+  /// Upper bound on the OS threads a pool (or a shared-engine replay)
+  /// starts, so a hostile flag or manifest cannot ask for thousands.
+  static constexpr unsigned MaxThreads = 256;
+
+  /// Spawns \p NumThreads workers, at most MaxThreads; 0 means
+  /// hardwareThreads(). By default a one-thread pool executes inline on
+  /// the calling thread; \p AlwaysSpawnWorkers forces a real worker even
+  /// then, so submit() never blocks the submitter (what an asynchronous
+  /// service needs).
   explicit ThreadPool(unsigned NumThreads = 0,
                       bool AlwaysSpawnWorkers = false);
 
@@ -77,7 +84,7 @@ public:
   void parallelFor(size_t N, const std::function<void(size_t)> &Body,
                    size_t ChunkSize = 0) CCSIM_EXCLUDES(Mu);
 
-  /// Hardware concurrency with a sane fallback.
+  /// Hardware concurrency with a sane fallback, capped at MaxThreads.
   static unsigned hardwareThreads();
 
 private:
@@ -92,6 +99,7 @@ private:
   bool Stopping CCSIM_GUARDED_BY(Mu) = false;
 
   void workerLoop() CCSIM_EXCLUDES(Mu);
+  void stopAndJoin() CCSIM_EXCLUDES(Mu);
 };
 
 /// One-shot convenience: runs \p Body over [0, N) on a transient pool of

@@ -6,12 +6,13 @@
 ///
 /// \file
 /// The job vocabulary of the asynchronous simulation service: every
-/// workload the serial drivers can launch (a single trace replay, a sweep
-/// batch, a multi-tenant run) is expressible as one typed Job, so the
-/// service and the one-shot CLI subcommands execute the exact same code
-/// path. Jobs are pure values: a job owns (or shares immutably) everything
-/// it needs, runs on any thread, and never touches global state, which is
-/// what makes service results byte-identical to serial execution.
+/// workload the serial drivers can launch is one of three typed jobs -- a
+/// trace replay (one guest or K guests over one shared engine), a sweep
+/// batch, a multi-tenant run -- so the service and the one-shot CLI
+/// subcommands execute the exact same code path. Jobs are pure values: a
+/// job owns (or shares immutably) everything it needs, runs on any
+/// thread, and never touches global state, which is what makes service
+/// results byte-identical to serial execution.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,11 +58,17 @@ inline bool isTerminal(JobStatus S) {
 }
 
 /// Replay one trace through one policy (the `simulate`/`replay`
-/// subcommands). The job owns its trace.
+/// subcommands and the sustained-load driver). Every replay runs through
+/// concurrent::runShared: one guest is sim::run itself, byte for byte;
+/// K > 1 guests share one engine and are audit-validated. The job owns
+/// its trace.
 struct ReplayJob {
   Trace TraceData;
   GranularitySpec Spec = GranularitySpec::units(8);
   SimConfig Config;
+
+  /// Guest threads sharing the engine, 1..concurrent::MaxGuestThreads.
+  unsigned GuestThreads = 1;
 };
 
 /// Run a list of sweep-grid points over a shared suite engine (the
@@ -87,18 +94,6 @@ struct TenantJob {
   std::vector<Trace> Traces;
   TenancyPolicy Policy;
   TenantRunHooks Run;
-};
-
-/// Replay one trace through a thread-shared engine with K guest threads
-/// (the `replay --guest-threads` path and the sustained-load driver).
-/// Config validates like a ReplayJob's SimConfig, plus K in
-/// 1..concurrent::MaxGuestThreads. K == 1 runs sim::run, so the outcome
-/// is byte-identical to the equivalent ReplayJob; with K > 1 results are
-/// audit-validated. The job owns its trace.
-struct SharedReplayJob {
-  Trace TraceData;
-  GranularitySpec Spec = GranularitySpec::units(8);
-  concurrent::SharedRunConfig Config;
 };
 
 /// Scheduling metadata attached to a job at submission.
@@ -136,7 +131,7 @@ struct JobOptions {
 
 /// One unit of service work: a typed payload plus scheduling options.
 struct Job {
-  std::variant<ReplayJob, SweepBatchJob, TenantJob, SharedReplayJob> Payload;
+  std::variant<ReplayJob, SweepBatchJob, TenantJob> Payload;
   JobOptions Options;
 
   Job() = default;
@@ -146,11 +141,9 @@ struct Job {
       : Payload(std::move(S)), Options(std::move(O)) {}
   Job(TenantJob T, JobOptions O = {})
       : Payload(std::move(T)), Options(std::move(O)) {}
-  Job(SharedReplayJob R, JobOptions O = {})
-      : Payload(std::move(R)), Options(std::move(O)) {}
 
-  /// Stable kind label for metrics
-  /// ("replay" | "sweep" | "tenants" | "shared-replay").
+  /// Stable kind label for metrics: "replay" ("shared-replay" when more
+  /// than one guest thread shares the engine) | "sweep" | "tenants".
   const char *kindName() const;
 
   /// Empty when the payload is runnable; else the descriptive error of
@@ -179,6 +172,10 @@ struct JobOutcome {
 /// replays stop at trace-chunk granularity; a triggered stop reports
 /// Cancelled or TimedOut. Never throws: failures land in the outcome.
 JobOutcome executeJob(const Job &J, CancelToken *Cancel);
+
+/// Threads \p Sink into whichever payload \p J carries: the replay's
+/// config, every sweep point's config, or the tenant run's hooks.
+void setJobTelemetry(Job &J, telemetry::TelemetrySink *Sink);
 
 } // namespace ccsim::service
 

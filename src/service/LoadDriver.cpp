@@ -26,10 +26,10 @@ ccsim::service::runSustainedLoad(const LoadDriverConfig &Config) {
   {
     SimService Service(SC);
     for (uint64_t I = 0; I < Config.TotalJobs; ++I) {
-      SharedReplayJob J;
+      ReplayJob J;
       J.TraceData = Config.TraceData;
       J.Spec = Config.Spec;
-      J.Config.GuestThreads = Config.GuestThreads;
+      J.GuestThreads = Config.GuestThreads;
       J.Config.PressureFactor = Config.PressureFactor;
       J.Config.Audit = Config.Audit;
       Handles.push_back(Service.submit(

@@ -5,13 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Drives a SimService at sustained load: thousands of shared-replay
-/// jobs pushed through a bounded admission queue faster than the
-/// workers drain it, so the configured backpressure policy (shed /
-/// reject / block) actually engages. The report is an exact accounting
-/// -- every submitted job ends in exactly one terminal state, and the
-/// driver checks that the tallies sum back to the submission count --
-/// which is what the service bench gates on.
+/// Drives a SimService at sustained load: thousands of ReplayJobs (K
+/// guest threads each) pushed through a bounded admission queue faster
+/// than the workers drain it, so the configured backpressure policy
+/// (shed / reject / block) actually engages. The report is an exact
+/// accounting -- every submitted job ends in exactly one terminal state,
+/// and the driver checks that the tallies sum back to the submission
+/// count -- which is what the service bench gates on.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,7 +30,7 @@ struct LoadDriverConfig {
   Trace TraceData;
   GranularitySpec Spec = GranularitySpec::units(8);
 
-  /// Guest threads per shared-replay job (1 = exact serial semantics).
+  /// Guest threads per replay job (1 = exact serial semantics).
   unsigned GuestThreads = 1;
   double PressureFactor = 8.0;
   AuditLevel Audit = AuditLevel::Off;
@@ -66,7 +66,7 @@ struct LoadDriverReport {
   bool Accounted = false;
 };
 
-/// Submits Config.TotalJobs shared-replay jobs, drains the service, and
+/// Submits Config.TotalJobs replay jobs, drains the service, and
 /// tallies every terminal outcome.
 LoadDriverReport runSustainedLoad(const LoadDriverConfig &Config);
 

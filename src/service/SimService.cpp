@@ -40,12 +40,10 @@ const char *ccsim::service::jobStatusName(JobStatus S) {
 }
 
 const char *Job::kindName() const {
-  if (std::holds_alternative<ReplayJob>(Payload))
-    return "replay";
+  if (const auto *R = std::get_if<ReplayJob>(&Payload))
+    return R->GuestThreads > 1 ? "shared-replay" : "replay";
   if (std::holds_alternative<SweepBatchJob>(Payload))
     return "sweep";
-  if (std::holds_alternative<SharedReplayJob>(Payload))
-    return "shared-replay";
   return "tenants";
 }
 
@@ -56,6 +54,10 @@ std::string Job::validate() const {
              "' is structurally invalid";
     if (R->Spec.Kind == GranularitySpec::KindType::Units && R->Spec.Units < 1)
       return "replay job needs at least one eviction unit";
+    if (R->GuestThreads < 1 || R->GuestThreads > concurrent::MaxGuestThreads)
+      return "replay job needs 1.." +
+             std::to_string(concurrent::MaxGuestThreads) +
+             " guest threads, not " + std::to_string(R->GuestThreads);
     return R->Config.validate();
   }
   if (const auto *S = std::get_if<SweepBatchJob>(&Payload)) {
@@ -64,20 +66,6 @@ std::string Job::validate() const {
     if (S->Engine->traces().empty())
       return "sweep batch job's suite engine has no benchmarks";
     return validateSweepGrid(S->Jobs);
-  }
-  if (const auto *SR = std::get_if<SharedReplayJob>(&Payload)) {
-    if (!SR->TraceData.validate())
-      return "shared replay job trace '" + SR->TraceData.Name +
-             "' is structurally invalid";
-    if (SR->Spec.Kind == GranularitySpec::KindType::Units &&
-        SR->Spec.Units < 1)
-      return "shared replay job needs at least one eviction unit";
-    if (SR->Config.GuestThreads < 1 ||
-        SR->Config.GuestThreads > concurrent::MaxGuestThreads)
-      return "shared replay job needs 1.." +
-             std::to_string(concurrent::MaxGuestThreads) +
-             " guest threads, not " + std::to_string(SR->Config.GuestThreads);
-    return SR->Config.validate();
   }
   const auto &T = std::get<TenantJob>(Payload);
   if (T.Traces.empty())
@@ -109,18 +97,13 @@ JobOutcome ccsim::service::executeJob(const Job &J, CancelToken *Cancel) {
   }
   try {
     if (const auto *R = std::get_if<ReplayJob>(&J.Payload)) {
-      SimConfig Config = R->Config;
+      concurrent::SharedRunConfig Config(R->Config, R->GuestThreads);
       Config.Cancel = Cancel;
-      Out.Replay.push_back(sim::run(R->TraceData, R->Spec, Config));
-    } else if (const auto *SR = std::get_if<SharedReplayJob>(&J.Payload)) {
-      concurrent::SharedRunConfig Config = SR->Config;
-      Config.Cancel = Cancel;
-      // Shared replays surface through the same SimResult slot as plain
-      // replays (the base of SharedRunResult) so every renderer (CLI,
-      // batch output, exporters) works unchanged -- and so the K=1
-      // outcome is byte-identical to a ReplayJob of the same trace.
+      // K = 1 is sim::run itself. Every replay surfaces through the
+      // SimResult base of SharedRunResult, so every renderer (CLI, batch
+      // output, exporters) reads one shape whatever the guest count.
       Out.Replay.push_back(
-          concurrent::runShared(SR->TraceData, SR->Spec, Config));
+          concurrent::runShared(R->TraceData, R->Spec, Config));
     } else if (const auto *S = std::get_if<SweepBatchJob>(&J.Payload)) {
       std::vector<SweepJob> Points = S->Jobs;
       for (SweepJob &Point : Points)
@@ -156,6 +139,17 @@ JobOutcome ccsim::service::executeJob(const Job &J, CancelToken *Cancel) {
     Out.Tenants.reset();
   }
   return Out;
+}
+
+void ccsim::service::setJobTelemetry(Job &J, telemetry::TelemetrySink *Sink) {
+  if (auto *R = std::get_if<ReplayJob>(&J.Payload)) {
+    R->Config.Telemetry = Sink;
+  } else if (auto *S = std::get_if<SweepBatchJob>(&J.Payload)) {
+    for (SweepJob &Point : S->Jobs)
+      Point.Config.Telemetry = Sink;
+  } else {
+    std::get<TenantJob>(J.Payload).Run.Telemetry = Sink;
+  }
 }
 
 //===----------------------------------------------------------------------===//

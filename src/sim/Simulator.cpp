@@ -10,7 +10,7 @@
 using namespace ccsim;
 
 std::string SimConfig::validate() const {
-  if (ExplicitCapacityBytes == 0 && PressureFactor < 1.0) {
+  if (ExplicitCapacityBytes == 0 && !(PressureFactor >= 1.0)) { // or NaN
     char Buf[128];
     std::snprintf(Buf, sizeof(Buf),
                   "pressure factor %g below 1 would be an over-provisioned "

@@ -164,7 +164,7 @@ SweepEngine::runParallel(const std::vector<SweepJob> &Jobs) const {
       Unique.push_back(J);
   const size_t Cells = Unique.size() * NumBenchmarks;
   std::vector<SimResult> Flat(Cells);
-  ThreadPool Pool(std::max<unsigned>(1, NumThreads));
+  ThreadPool Pool(std::max(1u, std::min<unsigned>(NumThreads, Cells)));
   Pool.parallelFor(
       Cells,
       [&](size_t Cell) {

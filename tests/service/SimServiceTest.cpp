@@ -7,6 +7,7 @@
 #include "gtest/gtest.h"
 
 #include <chrono>
+#include <cmath>
 #include <thread>
 #include <variant>
 #include <vector>
@@ -56,16 +57,6 @@ Job thrashingJob(size_t NumAccesses, JobOptions Options = {}) {
   R.Config.ExplicitCapacityBytes = 64 * 4096 / 2;
   R.Config.CancelCheckInterval = 64;
   return Job(std::move(R), std::move(Options));
-}
-
-void setJobTelemetry(Job &J, telemetry::TelemetrySink *Sink) {
-  if (auto *R = std::get_if<ReplayJob>(&J.Payload))
-    R->Config.Telemetry = Sink;
-  else if (auto *S = std::get_if<SweepBatchJob>(&J.Payload))
-    for (SweepJob &Point : S->Jobs)
-      Point.Config.Telemetry = Sink;
-  else if (auto *T = std::get_if<TenantJob>(&J.Payload))
-    T->Run.Telemetry = Sink;
 }
 
 /// The mixed workload used by the byte-identity test: every job kind,
@@ -426,9 +417,9 @@ TEST(SimServiceTest, ExecuteJobFailsOnInvalidTraceWithoutAborting) {
   EXPECT_TRUE(O.Replay.empty());
 }
 
-TEST(SimServiceTest, SharedReplayJobRejectsWhatReplayJobRejects) {
-  // Both job kinds validate the same SimConfig, so a negative cost-model
-  // coefficient is rejected with one message whatever the guest count.
+TEST(SimServiceTest, MultiGuestReplayJobRejectsWhatOneGuestRejects) {
+  // Every guest count validates the same SimConfig, so a negative
+  // cost-model coefficient is rejected with one message whatever K is.
   SimServiceConfig SC;
   SC.Threads = 1;
   SimService Service(SC);
@@ -436,10 +427,8 @@ TEST(SimServiceTest, SharedReplayJobRejectsWhatReplayJobRejects) {
   ReplayJob Plain;
   Plain.TraceData = scaledTrace("gzip", 0.05);
   Plain.Config.Costs.MissBase = -1000.0;
-  SharedReplayJob Shared;
-  Shared.TraceData = Plain.TraceData;
-  Shared.Config.Costs.MissBase = -1000.0;
-  Shared.Config.GuestThreads = 2;
+  ReplayJob Shared = Plain;
+  Shared.GuestThreads = 2;
 
   const JobOutcome PlainOut = Service.submit(Job(std::move(Plain))).wait();
   const JobOutcome SharedOut = Service.submit(Job(std::move(Shared))).wait();
@@ -450,19 +439,93 @@ TEST(SimServiceTest, SharedReplayJobRejectsWhatReplayJobRejects) {
   EXPECT_EQ(SharedOut.Error, PlainOut.Error);
 }
 
-TEST(SimServiceTest, SharedReplayJobBoundsTheGuestCount) {
+TEST(SimServiceTest, ReplayJobBoundsTheGuestCount) {
   // Validation only: no job runs, so no guest thread is ever started.
-  SharedReplayJob Shared;
+  ReplayJob Shared;
   Shared.TraceData = syntheticTrace(4, 100);
   for (const unsigned K : {0u, concurrent::MaxGuestThreads + 1}) {
-    Shared.Config.GuestThreads = K;
+    Shared.GuestThreads = K;
     EXPECT_NE(Job(Shared).validate().find("guest threads"), std::string::npos)
         << K;
   }
   for (const unsigned K : {1u, concurrent::MaxGuestThreads}) {
-    Shared.Config.GuestThreads = K;
+    Shared.GuestThreads = K;
     EXPECT_TRUE(Job(Shared).validate().empty()) << K;
   }
+}
+
+TEST(SimServiceTest, TwoGuestReplayJobRunsToDoneAndConserves) {
+  // The service's K > 1 path: two guests share one engine on a 2-worker
+  // service. The interleaving is schedule-dependent, so the contract is
+  // the conservation identities, not a byte pin.
+  telemetry::TelemetrySink Sink;
+  SimServiceConfig SC;
+  SC.Threads = 2;
+  SC.Telemetry = &Sink;
+  SimService Service(SC);
+
+  ReplayJob R;
+  R.TraceData = scaledTrace("gzip", 0.05);
+  R.Spec = GranularitySpec::units(8);
+  R.Config.PressureFactor = 8.0;
+  R.GuestThreads = 2;
+  const uint64_t TraceLength = R.TraceData.numAccesses();
+  const JobOutcome O = Service.submit(Job(std::move(R))).wait();
+
+  ASSERT_EQ(O.Status, JobStatus::Done) << O.Error;
+  ASSERT_EQ(O.Replay.size(), 1u);
+  const CacheStats &S = O.Replay.front().Stats;
+  EXPECT_EQ(S.Accesses, TraceLength);
+  EXPECT_EQ(S.Hits + S.Misses, S.Accesses);
+  EXPECT_EQ(S.ColdMisses + S.CapacityMisses, S.Misses);
+  EXPECT_EQ(Sink.Metrics.counterValue(
+                "service_jobs_finished",
+                {{"kind", "shared-replay"}, {"status", "done"}}),
+            1u);
+}
+
+TEST(SimServiceTest, OneGuestReplayJobMatchesSimRunFieldForField) {
+  ReplayJob R;
+  R.TraceData = scaledTrace("vpr", 0.05);
+  R.Spec = GranularitySpec::units(8);
+  R.Config.PressureFactor = 6.0;
+  const SimResult Want = sim::run(R.TraceData, R.Spec, R.Config);
+  const JobOutcome O = executeJob(Job(std::move(R)), nullptr);
+
+  ASSERT_EQ(O.Status, JobStatus::Done) << O.Error;
+  ASSERT_EQ(O.Replay.size(), 1u);
+  const CacheStats &A = O.Replay.front().Stats;
+  const CacheStats &B = Want.Stats;
+  // Exact double equality is intentional: K = 1 is sim::run itself.
+  EXPECT_EQ(A.Accesses, B.Accesses);
+  EXPECT_EQ(A.Hits, B.Hits);
+  EXPECT_EQ(A.Misses, B.Misses);
+  EXPECT_EQ(A.ColdMisses, B.ColdMisses);
+  EXPECT_EQ(A.CapacityMisses, B.CapacityMisses);
+  EXPECT_EQ(A.TooBigMisses, B.TooBigMisses);
+  EXPECT_EQ(A.Inserts, B.Inserts);
+  EXPECT_EQ(A.InsertedBytes, B.InsertedBytes);
+  EXPECT_EQ(A.EvictionInvocations, B.EvictionInvocations);
+  EXPECT_EQ(A.EvictedBlocks, B.EvictedBlocks);
+  EXPECT_EQ(A.EvictedBytes, B.EvictedBytes);
+  EXPECT_EQ(A.UnitsFlushed, B.UnitsFlushed);
+  EXPECT_EQ(A.PreemptiveFlushes, B.PreemptiveFlushes);
+  EXPECT_EQ(A.WastedBytes, B.WastedBytes);
+  EXPECT_EQ(A.LinksCreated, B.LinksCreated);
+  EXPECT_EQ(A.InterUnitLinksCreated, B.InterUnitLinksCreated);
+  EXPECT_EQ(A.SelfLinksCreated, B.SelfLinksCreated);
+  EXPECT_EQ(A.UnlinkedLinks, B.UnlinkedLinks);
+  EXPECT_EQ(A.UnlinkOperations, B.UnlinkOperations);
+  EXPECT_EQ(A.LinksDestroyed, B.LinksDestroyed);
+  EXPECT_EQ(A.SharingActive, B.SharingActive);
+  EXPECT_EQ(A.SharedInstalls, B.SharedInstalls);
+  EXPECT_EQ(A.SharedBytesSaved, B.SharedBytesSaved);
+  EXPECT_EQ(A.UnshareUnlinks, B.UnshareUnlinks);
+  EXPECT_EQ(A.MissOverhead, B.MissOverhead);
+  EXPECT_EQ(A.EvictionOverhead, B.EvictionOverhead);
+  EXPECT_EQ(A.UnlinkOverhead, B.UnlinkOverhead);
+  EXPECT_EQ(A.BackPointerBytesPeak, B.BackPointerBytesPeak);
+  EXPECT_EQ(A.BackPointerBytesSum, B.BackPointerBytesSum);
 }
 
 //===----------------------------------------------------------------------===//
@@ -546,6 +609,8 @@ TEST(SimServiceTest, FluentSettersAndValidateContracts) {
   EXPECT_NE(LowPressure.validate().find("pressure factor"), std::string::npos);
   // An explicit capacity makes sub-unit pressure irrelevant.
   EXPECT_TRUE(LowPressure.withCapacityBytes(1 << 20).validate().empty());
+  SimConfig NanPressure = SimConfig().withPressure(std::nan(""));
+  EXPECT_NE(NanPressure.validate().find("pressure factor"), std::string::npos);
 
   SimConfig BadCosts = SimConfig().withPressure(4.0);
   BadCosts.Costs.MissBase = -1.0;
