@@ -14,6 +14,9 @@
 // Output per (granularity, mode): per-tenant and aggregate miss rates and
 // modeled overheads (Eqs. 2-4), plus blocks lost to other tenants.
 //
+// Every list is parsed before the first run: a bad granularity, mode or
+// schedule, or a policy that fails validate(), exits 1 with nothing run.
+//
 // Run: ./multitenant_contention --tenants=gzip,vpr,crafty,twolf --scale=0.2
 //
 //===----------------------------------------------------------------------===//
@@ -27,36 +30,6 @@
 using namespace ccsim;
 
 namespace {
-
-std::vector<std::string> splitList(const std::string &Text) {
-  std::vector<std::string> Parts;
-  std::string Cur;
-  for (char C : Text) {
-    if (C == ',') {
-      if (!Cur.empty())
-        Parts.push_back(Cur);
-      Cur.clear();
-    } else {
-      Cur.push_back(C);
-    }
-  }
-  if (!Cur.empty())
-    Parts.push_back(Cur);
-  return Parts;
-}
-
-GranularitySpec parseGranularity(const std::string &Text) {
-  if (Text == "flush" || Text == "FLUSH")
-    return GranularitySpec::flush();
-  if (Text == "fine" || Text == "fifo" || Text == "FIFO")
-    return GranularitySpec::fine();
-  const long Units = std::strtol(Text.c_str(), nullptr, 10);
-  if (Units >= 1)
-    return GranularitySpec::units(static_cast<unsigned>(Units));
-  std::fprintf(stderr, "warning: bad granularity '%s', using 8 units\n",
-               Text.c_str());
-  return GranularitySpec::units(8);
-}
 
 void printRun(const MultiTenantResult &R) {
   std::printf("-- %s / %s (schedule %s, capacity %s)\n", R.PolicyLabel.c_str(),
@@ -129,6 +102,24 @@ int main(int Argc, char **Argv) {
   if (!Flags.parse(Argc, Argv))
     return 1;
 
+  std::string Error;
+  const auto Schedule =
+      parseInterleaveKind(Flags.getString("schedule"), &Error);
+  if (!Schedule) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
+    return 1;
+  }
+  TenancyPolicy Base;
+  Base.PressureFactor = Flags.getDouble("pressure");
+  Base.Schedule = *Schedule;
+  Base.ScheduleSeed = static_cast<uint64_t>(Flags.getInt("schedule-seed"));
+  const auto Grid = makeTenancyGrid(Base, Flags.getString("granularities"),
+                                    Flags.getString("modes"), &Error);
+  if (!Grid) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
+    return 1;
+  }
+
   benchutil::printHeader(
       "Multi-tenant contention: shared code caches across guests",
       "extension of Sections 4-5 (ShareJIT/Memshare-style multi-tenancy)");
@@ -151,29 +142,7 @@ int main(int Argc, char **Argv) {
     return 1;
   }
 
-  for (const std::string &GranText :
-       splitList(Flags.getString("granularities"))) {
-    for (const std::string &ModeText : splitList(Flags.getString("modes"))) {
-      const std::optional<PartitionMode> Mode = parsePartitionMode(ModeText);
-      if (!Mode) {
-        std::fprintf(stderr, "warning: unknown mode '%s', skipping\n",
-                     ModeText.c_str());
-        continue;
-      }
-      TenancyPolicy Policy =
-          TenancyPolicy()
-              .withGranularity(parseGranularity(GranText))
-              .withMode(*Mode)
-              .withSchedule(Flags.getString("schedule") == "weighted"
-                                ? InterleaveKind::Weighted
-                                : InterleaveKind::RoundRobin)
-              .withScheduleSeed(
-                  static_cast<uint64_t>(Flags.getInt("schedule-seed")))
-              .withPressure(Flags.getDouble("pressure"));
-
-      MultiTenantSimulator Sim(Traces, Policy);
-      printRun(Sim.run());
-    }
-  }
+  for (const TenancyPolicy &Policy : *Grid)
+    printRun(MultiTenantSimulator(Traces, Policy).run());
   return 0;
 }

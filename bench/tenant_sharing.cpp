@@ -23,6 +23,8 @@
 //                         and strictly shrinks the installed footprint.
 //
 // bench/record_bench.cmake validates the record and fails on any gate.
+// Every list is parsed before the first run: a bad overlap, granularity
+// or mode, or a policy that fails validate(), exits 1 with nothing run.
 //
 // Run: ./tenant_sharing --tenants=3 --overlaps=0,0.5,1
 //                       --out=BENCH_sharing.json
@@ -41,36 +43,6 @@
 using namespace ccsim;
 
 namespace {
-
-std::vector<std::string> splitList(const std::string &Text) {
-  std::vector<std::string> Parts;
-  std::string Cur;
-  for (char C : Text) {
-    if (C == ',') {
-      if (!Cur.empty())
-        Parts.push_back(Cur);
-      Cur.clear();
-    } else {
-      Cur.push_back(C);
-    }
-  }
-  if (!Cur.empty())
-    Parts.push_back(Cur);
-  return Parts;
-}
-
-GranularitySpec parseGranularity(const std::string &Text) {
-  if (Text == "flush" || Text == "FLUSH")
-    return GranularitySpec::flush();
-  if (Text == "fine" || Text == "fifo" || Text == "FIFO")
-    return GranularitySpec::fine();
-  const long Units = std::strtol(Text.c_str(), nullptr, 10);
-  if (Units >= 1)
-    return GranularitySpec::units(static_cast<unsigned>(Units));
-  std::fprintf(stderr, "warning: bad granularity '%s', using 8 units\n",
-               Text.c_str());
-  return GranularitySpec::units(8);
-}
 
 /// One lattice cell: the same suite replayed sharing-OFF then sharing-ON.
 struct Cell {
@@ -120,59 +92,61 @@ int main(int Argc, char **Argv) {
   if (!Flags.parse(Argc, Argv))
     return 1;
 
-  benchutil::printHeader(
-      "Cross-tenant superblock sharing: footprint vs duplication",
-      "extension of Sections 4-5 (ShareJIT-style content dedup)");
-
-  const uint32_t Tenants = static_cast<uint32_t>(Flags.getInt("tenants"));
+  const int64_t TenantFlag = Flags.getInt("tenants");
+  const uint32_t Tenants = static_cast<uint32_t>(TenantFlag);
+  if (TenantFlag != int64_t(Tenants)) {
+    std::fprintf(stderr, "error: bad tenants %lld\n",
+                 static_cast<long long>(TenantFlag));
+    return 1;
+  }
   const uint64_t Seed = static_cast<uint64_t>(Flags.getInt("seed"));
   const double Scale = Flags.getDouble("scale");
-
-  const auto Start = std::chrono::steady_clock::now();
-  std::vector<Cell> Cells;
+  std::vector<workloads::AdversarySpec> Suites;
   for (const std::string &OverlapText :
        splitList(Flags.getString("overlaps"))) {
-    const double Overlap = std::strtod(OverlapText.c_str(), nullptr);
     workloads::AdversarySpec Spec = *workloads::findAdversarial("overlap");
     if (Scale < 0.999 || Scale > 1.001)
       Spec = workloads::scaledAdversary(Spec, Scale);
     Spec.Tenants = Tenants;
-    Spec.OverlapFraction = Overlap;
+    char *End = nullptr;
+    Spec.OverlapFraction = std::strtod(OverlapText.c_str(), &End);
+    const std::string Err = *End ? "not a number" : Spec.validate();
+    if (!Err.empty()) {
+      std::fprintf(stderr, "error: bad overlap '%s': %s\n",
+                   OverlapText.c_str(), Err.c_str());
+      return 1;
+    }
+    Suites.push_back(Spec);
+  }
+  TenancyPolicy Base;
+  Base.PressureFactor = Flags.getDouble("pressure");
+  std::string Error;
+  const auto Grid = makeTenancyGrid(Base, Flags.getString("granularities"),
+                                    Flags.getString("modes"), &Error);
+  if (!Grid) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
+    return 1;
+  }
+
+  benchutil::printHeader(
+      "Cross-tenant superblock sharing: footprint vs duplication",
+      "extension of Sections 4-5 (ShareJIT-style content dedup)");
+
+  const auto Start = std::chrono::steady_clock::now();
+  std::vector<Cell> Cells;
+  for (const workloads::AdversarySpec &Spec : Suites) {
     const std::vector<Trace> Suite =
         workloads::generateTenantOverlapSuite(Spec, Seed);
-
-    for (const std::string &GranText :
-         splitList(Flags.getString("granularities"))) {
-      for (const std::string &ModeText :
-           splitList(Flags.getString("modes"))) {
-        const std::optional<PartitionMode> Mode =
-            parsePartitionMode(ModeText);
-        if (!Mode) {
-          std::fprintf(stderr, "warning: unknown mode '%s', skipping\n",
-                       ModeText.c_str());
-          continue;
-        }
-        TenancyPolicy Policy = TenancyPolicy()
-                                   .withGranularity(parseGranularity(GranText))
-                                   .withMode(*Mode)
-                                   .withPressure(Flags.getDouble("pressure"));
-
-        Cell C;
-        C.Overlap = Overlap;
-        Policy.ShareCode = false;
-        {
-          MultiTenantSimulator Sim(Suite, Policy);
-          C.Off = Sim.run();
-        }
-        Policy.ShareCode = true;
-        {
-          MultiTenantSimulator Sim(Suite, Policy);
-          C.On = Sim.run();
-        }
-        C.PolicyLabel = C.On.PolicyLabel;
-        C.ModeLabel = C.On.ModeLabel;
-        Cells.push_back(std::move(C));
-      }
+    for (TenancyPolicy Policy : *Grid) {
+      Cell C;
+      C.Overlap = Spec.OverlapFraction;
+      Policy.ShareCode = false;
+      C.Off = MultiTenantSimulator(Suite, Policy).run();
+      Policy.ShareCode = true;
+      C.On = MultiTenantSimulator(Suite, Policy).run();
+      C.PolicyLabel = C.On.PolicyLabel;
+      C.ModeLabel = C.On.ModeLabel;
+      Cells.push_back(std::move(C));
     }
   }
   const auto End = std::chrono::steady_clock::now();

@@ -12,10 +12,11 @@
 /// these helpers verbatim, which is what keeps a manifest line and the
 /// equivalent serial command line byte-identical in meaning.
 ///
-/// Parsing here is strict: a malformed policy, an out-of-range thread
-/// count or an inconsistent config is an error returned to the caller
-/// (who reports it as a usage error), never a warning plus a silent
-/// default. Each error is spelled once, in its reader.
+/// Parsing here is strict: a malformed policy (core's parsePolicySpec),
+/// an out-of-range count (the one bounded reader, boundedIntFlag) or an
+/// inconsistent config is an error returned to the caller (who reports it
+/// as a usage error), never a warning plus a silent default. Each error
+/// is spelled once, in its reader.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,8 +33,6 @@
 #include "trace/WorkloadModel.h"
 #include "workloads/Adversary.h"
 
-#include <cstdlib>
-#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -148,27 +147,6 @@ adversarialTracesFromSpec(const std::string &Workload, double Scale,
   return Traces;
 }
 
-/// Strict policy parser (--policy, --policies): "flush", "fine"/"fifo",
-/// or a unit count that fits GranularitySpec::Units (1..UINT_MAX).
-/// Anything else is nullopt with the description in \p Error — callers
-/// report it instead of running a policy the user did not ask for (a
-/// count past UINT_MAX would otherwise wrap to 0 or to a small count).
-inline std::optional<GranularitySpec>
-parsePolicySpec(const std::string &Text, std::string *Error) {
-  if (Text == "flush" || Text == "FLUSH")
-    return GranularitySpec::flush();
-  if (Text == "fine" || Text == "fifo" || Text == "FIFO")
-    return GranularitySpec::fine();
-  char *End = nullptr;
-  const long long Units = std::strtoll(Text.c_str(), &End, 10);
-  if (End && *End == '\0' && !Text.empty() && Units >= 1 &&
-      Units <= std::numeric_limits<unsigned>::max())
-    return GranularitySpec::units(static_cast<unsigned>(Units));
-  if (Error)
-    *Error = "bad policy '" + Text + "' (flush | fine | <unit count>)";
-  return std::nullopt;
-}
-
 /// Assembles a SimConfig from the addSimConfigFlags() flags and validates
 /// it. On failure returns nullopt with the description in \p Error.
 inline std::optional<SimConfig> simConfigFromFlags(const FlagSet &Flags,
@@ -201,36 +179,45 @@ inline std::optional<SimConfig> simConfigFromFlags(const FlagSet &Flags,
   return Config;
 }
 
-/// Strict "--guest-threads" reader: 1..concurrent::MaxGuestThreads, else
-/// nullopt with the description in \p Error. Every subcommand and
-/// manifest line that takes a guest count checks it here.
+/// The one bounded integer flag reader: the value of --\p Name when it
+/// lies in [\p Lo, \p Hi], else nullopt with "bad <name> <value> (need
+/// <Lo>..<Hi>)" in \p Error. Every count and size flag a driver narrows
+/// to an unsigned field goes through it, so a negative or oversized value
+/// is a usage error instead of wrapping.
+inline std::optional<int64_t> boundedIntFlag(const FlagSet &Flags,
+                                             const std::string &Name,
+                                             int64_t Lo, int64_t Hi,
+                                             std::string *Error) {
+  const int64_t Value = Flags.getInt(Name);
+  if (Value >= Lo && Value <= Hi)
+    return Value;
+  if (Error)
+    *Error = "bad " + Name + " " + std::to_string(Value) + " (need " +
+             std::to_string(Lo) + ".." + std::to_string(Hi) + ")";
+  return std::nullopt;
+}
+
+/// Strict "--guest-threads" reader: 1..concurrent::MaxGuestThreads. Every
+/// subcommand and manifest line that takes a guest count checks it here.
 inline std::optional<unsigned> guestThreadsFromFlags(const FlagSet &Flags,
                                                      std::string *Error) {
-  const int64_t K = Flags.getInt("guest-threads");
-  if (K < 1 || K > concurrent::MaxGuestThreads) {
-    if (Error)
-      *Error = "bad guest-threads " + std::to_string(K) + " (need 1.." +
-               std::to_string(concurrent::MaxGuestThreads) + ")";
+  const auto K = boundedIntFlag(Flags, "guest-threads", 1,
+                                concurrent::MaxGuestThreads, Error);
+  if (!K)
     return std::nullopt;
-  }
-  return static_cast<unsigned>(K);
+  return static_cast<unsigned>(*K);
 }
 
 /// Strict "--jobs" reader: 0 (hardware threads) up to
-/// ThreadPool::MaxThreads, else nullopt with the description in \p Error.
-/// Every driver and manifest line that takes a worker count checks it
-/// here, before any pool is built.
+/// ThreadPool::MaxThreads. Every driver and manifest line that takes a
+/// worker count checks it here, before any pool is built.
 inline std::optional<unsigned> jobsFromFlags(const FlagSet &Flags,
                                              std::string *Error) {
-  const int64_t N = Flags.getInt("jobs");
-  if (N < 0 || N > ThreadPool::MaxThreads) {
-    if (Error)
-      *Error = "bad jobs " + std::to_string(N) + " (need 0.." +
-               std::to_string(ThreadPool::MaxThreads) +
-               "; 0 = hardware threads)";
+  const auto N =
+      boundedIntFlag(Flags, "jobs", 0, ThreadPool::MaxThreads, Error);
+  if (!N)
     return std::nullopt;
-  }
-  return static_cast<unsigned>(N);
+  return static_cast<unsigned>(*N);
 }
 
 /// Declares the tenancy-shaped flags: partition mode, interleave
@@ -248,8 +235,9 @@ inline void addTenancyFlags(FlagSet &Flags) {
 
 /// Assembles a TenancyPolicy from the addPolicyFlag + addSimConfigFlags +
 /// addTenancyFlags flags and validates it — the one construction path
-/// `ccsim_cli tenants`, batch manifests, and the benches share. On
-/// failure returns nullopt with the description in \p Error.
+/// `ccsim_cli tenants` and batch manifests share. The policy is built on
+/// the SimConfig simConfigFromFlags already validated. On failure returns
+/// nullopt with the description in \p Error.
 inline std::optional<TenancyPolicy>
 tenancyPolicyFromFlags(const FlagSet &Flags, std::string *Error) {
   const auto Spec = parsePolicySpec(Flags.getString("policy"), Error);
@@ -258,29 +246,18 @@ tenancyPolicyFromFlags(const FlagSet &Flags, std::string *Error) {
   const auto SC = simConfigFromFlags(Flags, Error);
   if (!SC)
     return std::nullopt;
-  const auto Mode = parsePartitionMode(Flags.getString("mode"));
-  if (!Mode) {
-    if (Error)
-      *Error = "unknown mode '" + Flags.getString("mode") +
-               "' (shared|static|quota)";
+  const auto Mode = parsePartitionMode(Flags.getString("mode"), Error);
+  if (!Mode)
     return std::nullopt;
-  }
-  const auto Schedule = parseInterleaveKind(Flags.getString("schedule"));
-  if (!Schedule) {
-    if (Error)
-      *Error = "unknown schedule '" + Flags.getString("schedule") +
-               "' (rr|weighted)";
+  const auto Schedule =
+      parseInterleaveKind(Flags.getString("schedule"), Error);
+  if (!Schedule)
     return std::nullopt;
-  }
-  TenancyPolicy Policy;
-  Policy.withMode(*Mode)
-      .withSchedule(*Schedule)
-      .withGranularity(*Spec)
-      .withPressure(SC->PressureFactor)
-      .withCapacityBytes(SC->ExplicitCapacityBytes)
-      .withCosts(SC->Costs)
-      .withChaining(SC->EnableChaining)
-      .withShareCode(Flags.getBool("share-code"));
+  TenancyPolicy Policy(*SC);
+  Policy.Mode = *Mode;
+  Policy.Schedule = *Schedule;
+  Policy.Granularity = *Spec;
+  Policy.ShareCode = Flags.getBool("share-code");
   std::string Err = Policy.validate();
   if (!Err.empty()) {
     if (Error)

@@ -56,9 +56,11 @@
 // builder from the same flags.
 //
 // Exit codes are uniform across subcommands: 0 on success, 1 on usage
-// errors (bad flags, unknown benchmarks/policies, out-of-range --jobs or
-// --guest-threads, malformed manifests), 2 on runtime failures (I/O such
-// as an unreadable trace or manifest, failed jobs, audit violations).
+// errors (bad flags, unknown benchmarks/policies, an out-of-range count
+// or size such as --jobs, --guest-threads or the mini-DBT's --functions,
+// malformed manifests), 2 on runtime failures (I/O such as an unreadable
+// trace or manifest, failed jobs, audit violations). A usage error ends
+// the run before any replay: audit parses its whole --policies list first.
 //
 //===----------------------------------------------------------------------===//
 
@@ -105,6 +107,12 @@ constexpr int ExitOk = 0;
 constexpr int ExitUsage = 1;
 constexpr int ExitRuntime = 2;
 
+/// Reports a flag or config error; returns the usage exit code.
+int usageError(const std::string &Error) {
+  std::fprintf(stderr, "error: %s\n", Error.c_str());
+  return ExitUsage;
+}
+
 void appendf(std::string &Out, const char *Fmt, ...) {
   char Buf[512];
   va_list Args;
@@ -112,23 +120,6 @@ void appendf(std::string &Out, const char *Fmt, ...) {
   std::vsnprintf(Buf, sizeof(Buf), Fmt, Args);
   va_end(Args);
   Out += Buf;
-}
-
-std::vector<std::string> splitList(const std::string &Text) {
-  std::vector<std::string> Parts;
-  std::string Cur;
-  for (char C : Text) {
-    if (C == ',') {
-      if (!Cur.empty())
-        Parts.push_back(Cur);
-      Cur.clear();
-    } else {
-      Cur.push_back(C);
-    }
-  }
-  if (!Cur.empty())
-    Parts.push_back(Cur);
-  return Parts;
 }
 
 //===----------------------------------------------------------------------===//
@@ -469,9 +460,9 @@ FlagSet makeSimulateFlags() {
 FlagSet makeRecordFlags() {
   FlagSet Flags("ccsim_cli record: run the mini-DBT and save its log.");
   Flags.addString("out", "ccsim_run.cct", "Output trace path.");
-  Flags.addInt("functions", 48, "Guest call-graph size.");
-  Flags.addInt("iterations", 1500, "Main loop trips per phase.");
-  Flags.addInt("phases", 6, "Program phases.");
+  Flags.addInt("functions", 48, "Guest call-graph size, 1..4096.");
+  Flags.addInt("iterations", 1500, "Main loop trips per phase, 1..32000.");
+  Flags.addInt("phases", 6, "Program phases, 1..256.");
   Flags.addInt("seed", 7, "Program seed.");
   addTelemetryFlags(Flags);
   return Flags;
@@ -496,8 +487,9 @@ FlagSet makeReplayFlags() {
 
 FlagSet makeFitFlags() {
   FlagSet Flags("ccsim_cli fit: re-derive Equations 2-4.");
-  Flags.addInt("cache-kb", 24, "Mini-DBT cache size in KB.");
-  Flags.addInt("budget", 20000000, "Guest instruction budget.");
+  Flags.addInt("cache-kb", 24, "Mini-DBT cache size in KB, 1..1048576.");
+  Flags.addInt("budget", 20000000,
+               "Guest instruction budget, 1..1099511627776 (2^40).");
   return Flags;
 }
 
@@ -562,9 +554,10 @@ FlagSet makeAuditFlags() {
                 "Audit the execution-driven path instead: run the "
                 "mini-DBT (two-tier) with the auditor armed on every "
                 "install.");
-  Flags.addInt("functions", 32, "Guest call-graph size (--dbt).");
-  Flags.addInt("iterations", 600, "Main loop trip count (--dbt).");
-  Flags.addInt("cache-kb", 2, "Code cache size in KB (--dbt).");
+  Flags.addInt("functions", 32, "Guest call-graph size, 1..4096 (--dbt).");
+  Flags.addInt("iterations", 600,
+               "Main loop trip count, 1..32000 (--dbt).");
+  Flags.addInt("cache-kb", 2, "Code cache size in KB, 1..1048576 (--dbt).");
   Flags.addInt("guest-threads", 1,
                "Audit the thread-shared engine under this many "
                "concurrent guests instead of the serial manager (trace "
@@ -641,15 +634,46 @@ int runJob(JobBuilder Build, const FlagSet &Flags) {
   });
 }
 
-int runRecord(FlagSet &Flags) {
+/// The mini-DBT guest program --functions, --iterations and --seed
+/// describe (`record`, `audit --dbt`). Both counts are bounded: the
+/// generator needs at least one function, and a main-loop trip count must
+/// fit its 16-bit loop immediate.
+std::optional<ProgramSpec> guestProgramFromFlags(const FlagSet &Flags,
+                                                 std::string *Error) {
+  const auto Functions = boundedIntFlag(Flags, "functions", 1, 4096, Error);
+  if (!Functions)
+    return std::nullopt;
+  const auto Iterations = boundedIntFlag(Flags, "iterations", 1, 32000, Error);
+  if (!Iterations)
+    return std::nullopt;
   ProgramSpec Spec;
-  Spec.NumFunctions = static_cast<uint32_t>(Flags.getInt("functions"));
-  Spec.OuterIterations = static_cast<uint32_t>(Flags.getInt("iterations"));
-  Spec.MainPhases = static_cast<uint32_t>(Flags.getInt("phases"));
+  Spec.NumFunctions = static_cast<uint32_t>(*Functions);
+  Spec.OuterIterations = static_cast<uint32_t>(*Iterations);
   Spec.MeanCallsPerFunction = 0.6;
   Spec.RareBranchProb = 0.1;
   Spec.Seed = static_cast<uint64_t>(Flags.getInt("seed"));
-  const Program P = generateProgram(Spec);
+  return Spec;
+}
+
+/// --cache-kb in bytes, 1 KB up to 1 GB (`fit`, `audit --dbt`).
+std::optional<uint64_t> cacheBytesFromFlags(const FlagSet &Flags,
+                                            std::string *Error) {
+  const auto KB = boundedIntFlag(Flags, "cache-kb", 1, 1 << 20, Error);
+  if (!KB)
+    return std::nullopt;
+  return static_cast<uint64_t>(*KB) << 10;
+}
+
+int runRecord(FlagSet &Flags) {
+  std::string Error;
+  auto Spec = guestProgramFromFlags(Flags, &Error);
+  if (!Spec)
+    return usageError(Error);
+  const auto Phases = boundedIntFlag(Flags, "phases", 1, 256, &Error);
+  if (!Phases)
+    return usageError(Error);
+  Spec->MainPhases = static_cast<uint32_t>(*Phases);
+  const Program P = generateProgram(*Spec);
 
   TranslatorConfig Config;
   Config.CacheBytes = 64ULL << 20;
@@ -682,10 +706,8 @@ int runReplay(FlagSet &Flags) {
     return runJob(buildReplayJob, Flags);
   std::string Error;
   const auto Settings = replaySettingsFromFlags(Flags, &Error);
-  if (!Settings) {
-    std::fprintf(stderr, "error: %s\n", Error.c_str());
-    return ExitUsage;
-  }
+  if (!Settings)
+    return usageError(Error);
   const auto Mapped = trace::MappedTrace::open(Flags.positional().front());
   if (!Mapped) {
     std::fprintf(stderr, "error: cannot read %s\n",
@@ -723,10 +745,8 @@ int runGen(FlagSet &Flags) {
 
   std::string Error;
   auto T = workloadTraceFromFlags(Flags, &Error);
-  if (!T) {
-    std::fprintf(stderr, "error: %s\n", Error.c_str());
-    return ExitUsage;
-  }
+  if (!T)
+    return usageError(Error);
   std::printf("generated %s: %zu superblocks / %s accesses, maxCache %s\n",
               T->Name.c_str(), T->numSuperblocks(),
               formatWithCommas(T->numAccesses()).c_str(),
@@ -764,12 +784,20 @@ int runGen(FlagSet &Flags) {
 }
 
 int runFit(FlagSet &Flags) {
+  std::string Error;
+  const auto CacheBytes = cacheBytesFromFlags(Flags, &Error);
+  if (!CacheBytes)
+    return usageError(Error);
+  const auto Budget =
+      boundedIntFlag(Flags, "budget", 1, int64_t(1) << 40, &Error);
+  if (!Budget)
+    return usageError(Error);
   const Program P = generateProgram(fig9ProgramSpec());
   TranslatorConfig Config;
-  Config.CacheBytes = static_cast<uint64_t>(Flags.getInt("cache-kb")) << 10;
+  Config.CacheBytes = *CacheBytes;
   Translator T(P, Config);
-  const OverheadFits Fits = fitOverheads(
-      T.run(static_cast<uint64_t>(Flags.getInt("budget"))).Ops);
+  const OverheadFits Fits =
+      fitOverheads(T.run(static_cast<uint64_t>(*Budget)).Ops);
   std::printf("eviction: %.2f * bytes + %.1f   (paper 2.77x + 3055)\n",
               Fits.Eviction.Slope, Fits.Eviction.Intercept);
   std::printf("miss:     %.2f * bytes + %.1f   (paper 75.4x + 1922)\n",
@@ -782,39 +810,34 @@ int runFit(FlagSet &Flags) {
 /// The --dbt arm of runAudit: run the mini-DBT (two-tier) with the deep
 /// auditor armed on both engines, so every install re-validates placement,
 /// chaining, stats, and the dispatch.* table-vs-residency rules.
-int auditTranslatorRun(const FlagSet &Flags) {
-  ProgramSpec Spec;
-  Spec.NumFunctions = static_cast<uint32_t>(Flags.getInt("functions"));
-  Spec.OuterIterations = static_cast<uint32_t>(Flags.getInt("iterations"));
-  Spec.MeanCallsPerFunction = 0.6;
-  Spec.RareBranchProb = 0.1;
-  Spec.Seed = static_cast<uint64_t>(Flags.getInt("seed"));
-  const Program P = generateProgram(Spec);
-
+int auditTranslatorRun(const FlagSet &Flags,
+                       const std::vector<GranularitySpec> &Policies) {
   std::string Error;
-  for (const std::string &PolSpec : splitList(Flags.getString("policies"))) {
-    const auto Policy = parsePolicySpec(PolSpec, &Error);
-    if (!Policy) {
-      std::fprintf(stderr, "error: %s\n", Error.c_str());
-      return ExitUsage;
-    }
+  const auto Spec = guestProgramFromFlags(Flags, &Error);
+  if (!Spec)
+    return usageError(Error);
+  const auto CacheBytes = cacheBytesFromFlags(Flags, &Error);
+  if (!CacheBytes)
+    return usageError(Error);
+  const Program P = generateProgram(*Spec);
+
+  for (const GranularitySpec &Policy : Policies) {
     TranslatorConfig Config;
-    Config.CacheBytes = static_cast<uint64_t>(Flags.getInt("cache-kb"))
-                        << 10;
+    Config.CacheBytes = *CacheBytes;
     Config.BBCacheBytes = Config.CacheBytes / 2;
-    Config.Policy = *Policy;
+    Config.Policy = Policy;
     Config.UseBasicBlockCache = true; // Exercise both tier engines.
     Translator T(P, Config);
 
     size_t Violations = 0;
     check::ParanoiaOptions Opts;
     Opts.Level = AuditLevel::Full;
-    Opts.OnViolation = [&Violations, &PolSpec](
+    Opts.OnViolation = [&Violations, &Policy](
                            const check::AuditReport &Report,
                            const char *Where) {
       Violations += Report.size();
       std::fprintf(stderr, "audit FAILED (policy %s, after %s):\n%s",
-                   PolSpec.c_str(), Where, Report.render().c_str());
+                   Policy.label().c_str(), Where, Report.render().c_str());
     };
     check::armAuditor(T, Opts);
 
@@ -823,7 +846,7 @@ int auditTranslatorRun(const FlagSet &Flags) {
     if (!Final.clean()) {
       Violations += Final.size();
       std::fprintf(stderr, "audit FAILED (policy %s, final state):\n%s",
-                   PolSpec.c_str(), Final.render().c_str());
+                   Policy.label().c_str(), Final.render().c_str());
     }
     if (Violations > 0)
       return ExitRuntime;
@@ -844,27 +867,21 @@ int auditTranslatorRun(const FlagSet &Flags) {
 /// the shared engine with the full auditSharedEngine rule set firing at
 /// every quiesce point and once over the drained final state.
 int auditSharedRun(const FlagSet &Flags, const Trace &T,
+                   const std::vector<GranularitySpec> &Policies,
                    const SimConfig &Capacity, unsigned GuestThreads) {
-  std::string Error;
-  for (const std::string &Spec : splitList(Flags.getString("policies"))) {
-    const auto Policy = parsePolicySpec(Spec, &Error);
-    if (!Policy) {
-      std::fprintf(stderr, "error: %s\n", Error.c_str());
-      return ExitUsage;
-    }
+  for (const GranularitySpec &Policy : Policies) {
     size_t Violations = 0;
     concurrent::SharedRunConfig SC(Capacity, GuestThreads);
     SC.Audit = AuditLevel::Full;
     const int64_t Quiesce = Flags.getInt("quiesce-interval");
     SC.QuiesceInterval = Quiesce > 0 ? static_cast<uint64_t>(Quiesce) : 0;
-    SC.OnViolation = [&Violations, &Spec](const check::AuditReport &Report,
-                                          const char *Where) {
+    SC.OnViolation = [&Violations, &Policy](const check::AuditReport &Report,
+                                            const char *Where) {
       Violations += Report.size();
       std::fprintf(stderr, "audit FAILED (policy %s, after %s):\n%s",
-                   Spec.c_str(), Where, Report.render().c_str());
+                   Policy.label().c_str(), Where, Report.render().c_str());
     };
-    const concurrent::SharedRunResult R =
-        concurrent::runShared(T, *Policy, SC);
+    const concurrent::SharedRunResult R = concurrent::runShared(T, Policy, SC);
     if (Violations > 0)
       return ExitRuntime;
     std::printf("policy %-8s %s accesses, %s evictions, %u guests, "
@@ -881,9 +898,23 @@ int auditSharedRun(const FlagSet &Flags, const Trace &T,
   return ExitOk;
 }
 
+/// `audit`: every flag, the whole --policies list included, is checked
+/// before the first replay, so a usage error never follows a partial
+/// audit.
 int runAudit(FlagSet &Flags) {
+  std::string Error;
+  const auto Policies = parsePolicyList(Flags.getString("policies"), &Error);
+  if (!Policies)
+    return usageError(Error);
   if (Flags.getBool("dbt"))
-    return auditTranslatorRun(Flags);
+    return auditTranslatorRun(Flags, *Policies);
+
+  const auto Capacity = simConfigFromFlags(Flags, &Error);
+  if (!Capacity)
+    return usageError(Error);
+  const auto GuestThreads = guestThreadsFromFlags(Flags, &Error);
+  if (!GuestThreads)
+    return usageError(Error);
 
   Trace T;
   if (!Flags.positional().empty()) {
@@ -895,47 +926,27 @@ int runAudit(FlagSet &Flags) {
     }
     T = std::move(*Loaded);
   } else {
-    std::string Error;
     auto Generated = workloadTraceFromFlags(Flags, &Error);
-    if (!Generated) {
-      std::fprintf(stderr, "error: %s\n", Error.c_str());
-      return ExitUsage;
-    }
+    if (!Generated)
+      return usageError(Error);
     T = std::move(*Generated);
   }
-
-  std::string Error;
-  const auto Capacity = simConfigFromFlags(Flags, &Error);
-  if (!Capacity) {
-    std::fprintf(stderr, "error: %s\n", Error.c_str());
-    return ExitUsage;
-  }
-  const auto GuestThreads = guestThreadsFromFlags(Flags, &Error);
-  if (!GuestThreads) {
-    std::fprintf(stderr, "error: %s\n", Error.c_str());
-    return ExitUsage;
-  }
   if (*GuestThreads > 1)
-    return auditSharedRun(Flags, T, *Capacity, *GuestThreads);
+    return auditSharedRun(Flags, T, *Policies, *Capacity, *GuestThreads);
 
-  for (const std::string &Spec : splitList(Flags.getString("policies"))) {
-    const auto Policy = parsePolicySpec(Spec, &Error);
-    if (!Policy) {
-      std::fprintf(stderr, "error: %s\n", Error.c_str());
-      return ExitUsage;
-    }
+  for (const GranularitySpec &Policy : *Policies) {
     CacheEngineConfig MC;
     MC.CapacityBytes = sim::capacityFor(T, *Capacity);
-    CacheEngine Manager(MC, makePolicy(*Policy));
+    CacheEngine Manager(MC, makePolicy(Policy));
 
     size_t Violations = 0;
     check::ParanoiaOptions Opts;
     Opts.Level = AuditLevel::Full;
-    Opts.OnViolation = [&Violations, &Spec](const check::AuditReport &Report,
-                                            const char *Where) {
+    Opts.OnViolation = [&Violations, &Policy](const check::AuditReport &Report,
+                                              const char *Where) {
       Violations += Report.size();
       std::fprintf(stderr, "audit FAILED (policy %s, after %s):\n%s",
-                   Spec.c_str(), Where, Report.render().c_str());
+                   Policy.label().c_str(), Where, Report.render().c_str());
     };
     check::armAuditor(Manager, Opts);
 
@@ -1193,10 +1204,8 @@ int runBatch(FlagSet &Flags) {
 
   std::string Error;
   const auto Workers = jobsFromFlags(Flags, &Error);
-  if (!Workers) {
-    std::fprintf(stderr, "error: %s\n", Error.c_str());
-    return ExitUsage;
-  }
+  if (!Workers)
+    return usageError(Error);
 
   EngineCache Engines;
   BuildFailure Failure;

@@ -11,16 +11,16 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/EvictionPolicy.h"
 #include "support/Flags.h"
 #include "support/StringUtils.h"
 #include "support/Table.h"
+#include "trace/WorkloadModel.h"
 #include "workloads/Degradation.h"
 
 #include <cstdio>
 #include <string>
 #include <vector>
-
-#include "SimFlags.h"
 
 using namespace ccsim;
 
@@ -41,27 +41,13 @@ int main(int Argc, char **Argv) {
   Config.Scale = Flags.getDouble("scale");
   Config.Seed = static_cast<uint64_t>(Flags.getInt("seed"));
   Config.BaselineBenchmark = Flags.getString("benchmark");
-  Config.Policies.clear();
-  std::string Item;
-  std::vector<std::string> PolicyNames;
-  for (char C : Flags.getString("policies") + ",") {
-    if (C != ',') {
-      Item.push_back(C);
-      continue;
-    }
-    if (!Item.empty())
-      PolicyNames.push_back(Item);
-    Item.clear();
-  }
   std::string Error;
-  for (const std::string &Text : PolicyNames) {
-    const auto Spec = parsePolicySpec(Text, &Error);
-    if (!Spec) {
-      std::fprintf(stderr, "error: %s\n", Error.c_str());
-      return 1;
-    }
-    Config.Policies.push_back(*Spec);
+  const auto Policies = parsePolicyList(Flags.getString("policies"), &Error);
+  if (!Policies) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
+    return 1;
   }
+  Config.Policies = *Policies;
   if (!findWorkload(Config.BaselineBenchmark)) {
     std::fprintf(stderr, "error: unknown benchmark '%s'\n",
                  Config.BaselineBenchmark.c_str());

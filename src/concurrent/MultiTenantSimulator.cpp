@@ -51,9 +51,8 @@ void TenantResult::recordMetrics(
 }
 
 MultiTenantSimulator::MultiTenantSimulator(const std::vector<Trace> &Traces,
-                                           const TenancyPolicy &Policy,
-                                           const TenantRunHooks &Hooks)
-    : Traces(Traces), Policy(Policy), Hooks(Hooks) {
+                                           const TenancyPolicy &Policy)
+    : Traces(Traces), Policy(Policy) {
   CCSIM_REQUIRE(!Traces.empty(),
                 "multi-tenant run needs at least one trace");
 
@@ -107,22 +106,11 @@ MultiTenantSimulator::MultiTenantSimulator(const std::vector<Trace> &Traces,
     }
   }
 
-  TotalCapacity = deriveTotalCapacity();
-  planPartitions();
-}
-
-uint64_t MultiTenantSimulator::deriveTotalCapacity() const {
-  if (Policy.ExplicitCapacityBytes != 0)
-    return Policy.ExplicitCapacityBytes;
-  CCSIM_REQUIRE(Policy.PressureFactor >= 1.0,
-                "pressure factor %g below 1 would be an over-provisioned cache",
-                Policy.PressureFactor);
   uint64_t SuiteMaxCache = 0;
   for (const Trace &T : Traces)
     SuiteMaxCache += T.maxCacheBytes();
-  const double Derived =
-      static_cast<double>(SuiteMaxCache) / Policy.PressureFactor;
-  return std::max<uint64_t>(1, static_cast<uint64_t>(Derived));
+  TotalCapacity = sim::capacityFor(SuiteMaxCache, Policy);
+  planPartitions();
 }
 
 void MultiTenantSimulator::planPartitions() {
@@ -232,7 +220,7 @@ MultiTenantResult MultiTenantSimulator::run() {
 
   // Tenant roster: one TenantTag record per tenant so trace viewers can
   // resolve the tenant lanes to benchmark names.
-  if (telemetry::TelemetrySink *Tel = Hooks.Telemetry)
+  if (telemetry::TelemetrySink *Tel = Policy.Telemetry)
     for (size_t T = 0; T < K; ++T)
       Tel->Tracer.record(telemetry::EventKind::TenantTag,
                          static_cast<uint32_t>(T), telemetry::NoBlock,
@@ -254,7 +242,7 @@ MultiTenantResult MultiTenantSimulator::run() {
     MC.Costs = Policy.Costs;
     MC.EnableChaining = Policy.EnableChaining;
     MC.OnEviction = Observer;
-    MC.Telemetry = Hooks.Telemetry;
+    MC.Telemetry = Policy.Telemetry;
     if (Policy.ShareCode) {
       MC.ContentIndex = &ContentIdx;
       MC.OnUnshare = ShareObserver;
@@ -273,7 +261,7 @@ MultiTenantResult MultiTenantSimulator::run() {
     }
     Managers.push_back(std::make_unique<CacheEngine>(MC, std::move(EP)));
   }
-  if (Hooks.Audit != AuditLevel::Off) {
+  if (Policy.Audit != AuditLevel::Off) {
     if (Policy.ShareCode) {
       // Sharing couples the managers through the content index, so every
       // audit must see all caches at once (orphan and alias-residency
@@ -283,10 +271,10 @@ MultiTenantResult MultiTenantSimulator::run() {
       for (const auto &M : Managers)
         Raw.push_back(M.get());
       check::armSharedTenancyAuditors(
-          Raw, ContentIdx, check::ParanoiaOptions{Hooks.Audit, true, {}});
+          Raw, ContentIdx, check::ParanoiaOptions{Policy.Audit, true, {}});
     } else {
       for (const auto &M : Managers)
-        check::armAuditor(*M, check::ParanoiaOptions{Hooks.Audit, true, {}});
+        check::armAuditor(*M, check::ParanoiaOptions{Policy.Audit, true, {}});
     }
   }
 
@@ -299,19 +287,16 @@ MultiTenantResult MultiTenantSimulator::run() {
       ++LiveCount;
 
   // Cancellation at interleave-chunk granularity, mirroring sim::run.
-  uint64_t StepsUntilCheck = std::max<uint32_t>(1, Hooks.CancelCheckInterval);
+  uint64_t StepsUntilCheck = std::max<uint32_t>(1, Policy.CancelCheckInterval);
   auto CheckCancel = [&]() {
-    if (!Hooks.Cancel)
+    if (!Policy.Cancel)
       return;
     if (--StepsUntilCheck > 0)
       return;
-    StepsUntilCheck = std::max<uint32_t>(1, Hooks.CancelCheckInterval);
-    if (const char *Reason = Hooks.Cancel->stopReason())
-      throw ReplayCancelled(
-          "multi-tenant replay stopped mid-interleave: " +
-              std::string(Reason),
-          Hooks.Cancel->deadlineExpired() &&
-              !Hooks.Cancel->cancelRequested());
+    StepsUntilCheck = std::max<uint32_t>(1, Policy.CancelCheckInterval);
+    Policy.Cancel->throwIfStopped([] {
+      return std::string("multi-tenant replay stopped mid-interleave");
+    });
   };
 
   auto Step = [&](size_t T) {
@@ -398,7 +383,7 @@ MultiTenantResult MultiTenantSimulator::run() {
 
   // Publish attributed metrics: one label set per tenant, plus the merged
   // manager counters under scope=global.
-  if (telemetry::TelemetrySink *Tel = Hooks.Telemetry) {
+  if (telemetry::TelemetrySink *Tel = Policy.Telemetry) {
     for (const TenantResult &TR : Result.Tenants)
       TR.recordMetrics(Tel->Metrics, {{"tenant", TR.Name},
                                       {"mode", Result.ModeLabel}});

@@ -32,8 +32,10 @@
 /// the same benchmark share 100% of their code, and distinct benchmarks
 /// never collide.
 ///
-/// Configuration lives in concurrent/TenancyPolicy.h: TenancyPolicy (what
-/// to simulate) + TenantRunHooks (how to instrument this execution).
+/// Configuration lives in concurrent/TenancyPolicy.h: one TenancyPolicy,
+/// a SimConfig plus the tenancy fields. The shared capacity is
+/// sim::capacityFor over the tenants' summed maxCache -- the serial
+/// simulator's derivation, not a copy of it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,7 +45,6 @@
 #include "concurrent/TenancyPolicy.h"
 #include "core/CacheEngine.h"
 #include "core/SharedContentIndex.h"
-#include "support/Cancellation.h"
 #include "trace/Trace.h"
 
 #include <string>
@@ -152,8 +153,7 @@ struct MultiTenantResult {
 class MultiTenantSimulator {
 public:
   MultiTenantSimulator(const std::vector<Trace> &Traces,
-                       const TenancyPolicy &Policy,
-                       const TenantRunHooks &Hooks = {});
+                       const TenancyPolicy &Policy);
 
   /// Replays the interleaved streams to completion (every tenant's trace
   /// is fully consumed) and returns attributed results.
@@ -171,7 +171,6 @@ public:
 private:
   const std::vector<Trace> &Traces;
   TenancyPolicy Policy;
-  TenantRunHooks Hooks;
 
   std::vector<SuperblockId> IdBase;   ///< Global-id offset per tenant.
   std::vector<std::vector<std::vector<SuperblockId>>> RemappedEdges;
@@ -188,7 +187,6 @@ private:
   SharedContentIndex ContentIdx;
   std::vector<std::vector<uint64_t>> ContentKeys;
 
-  uint64_t deriveTotalCapacity() const;
   void planPartitions();
 };
 

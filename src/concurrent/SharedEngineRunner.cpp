@@ -39,15 +39,6 @@ void runQuiesceAudit(SharedCacheEngine &Engine, const SharedRunConfig &Config,
   });
 }
 
-[[noreturn]] void throwCancelled(const std::string &Name, uint64_t DoneSoFar,
-                                 size_t N, const char *Reason,
-                                 const CancelToken &Cancel) {
-  throw ReplayCancelled("replay of " + Name + " stopped after " +
-                            std::to_string(DoneSoFar) + " of " +
-                            std::to_string(N) + " accesses: " + Reason,
-                        Cancel.deadlineExpired() && !Cancel.cancelRequested());
-}
-
 /// The K > 1 path: guests claim GrabBlock-sized runs of the access
 /// stream from a shared cursor. Structural validation happens at
 /// quiesce points (the guest that carries the global done-counter past
@@ -107,9 +98,11 @@ SharedRunResult runThreaded(const TraceT &T,
               ++SincePoll >=
                   std::max<uint32_t>(1, Config.CancelCheckInterval)) {
             SincePoll = 0;
-            if (const char *Reason = Config.Cancel->stopReason())
-              throwCancelled(T.name(), Done.load(std::memory_order_relaxed), N,
-                             Reason, *Config.Cancel);
+            Config.Cancel->throwIfStopped([&] {
+              return "replay of " + T.name() + " stopped after " +
+                     std::to_string(Done.load(std::memory_order_relaxed)) +
+                     " of " + std::to_string(N) + " accesses";
+            });
           }
           Engine.access(T.recordFor(T.idAt(I)));
         }

@@ -2,26 +2,33 @@
 
 #include "concurrent/TenancyPolicy.h"
 
+#include "support/StringUtils.h"
+
 #include <cstdio>
 
 using namespace ccsim;
 
-std::optional<PartitionMode> ccsim::parsePartitionMode(std::string_view Text) {
+std::optional<PartitionMode> ccsim::parsePartitionMode(const std::string &Text,
+                                                       std::string *Error) {
   if (Text == "shared")
     return PartitionMode::Shared;
   if (Text == "static")
     return PartitionMode::StaticPartition;
   if (Text == "quota")
     return PartitionMode::UnitQuota;
+  if (Error)
+    *Error = "unknown mode '" + Text + "' (shared|static|quota)";
   return std::nullopt;
 }
 
 std::optional<InterleaveKind>
-ccsim::parseInterleaveKind(std::string_view Text) {
+ccsim::parseInterleaveKind(const std::string &Text, std::string *Error) {
   if (Text == "rr" || Text == "round-robin")
     return InterleaveKind::RoundRobin;
   if (Text == "weighted")
     return InterleaveKind::Weighted;
+  if (Error)
+    *Error = "unknown schedule '" + Text + "' (rr|weighted)";
   return std::nullopt;
 }
 
@@ -42,14 +49,9 @@ const char *ccsim::interleaveKindLabel(InterleaveKind Kind) {
 }
 
 std::string TenancyPolicy::validate() const {
-  if (ExplicitCapacityBytes == 0 && PressureFactor < 1.0) {
-    char Buf[128];
-    std::snprintf(Buf, sizeof(Buf),
-                  "pressure factor %g below 1 would be an over-provisioned "
-                  "cache (set an explicit capacity instead)",
-                  PressureFactor);
-    return Buf;
-  }
+  std::string Err = SimConfig::validate();
+  if (!Err.empty())
+    return Err;
   if (Granularity.Kind == GranularitySpec::KindType::Units &&
       Granularity.Units < 1)
     return "unit granularity needs at least one unit";
@@ -61,15 +63,36 @@ std::string TenancyPolicy::validate() const {
                     Tenants[I].Weight);
       return Buf;
     }
-  if (Costs.EvictionPerByte < 0.0 || Costs.MissPerByte < 0.0 ||
-      Costs.UnlinkPerLink < 0.0 || Costs.EvictionBase < 0.0 ||
-      Costs.MissBase < 0.0 || Costs.UnlinkBase < 0.0)
-    return "cost model coefficients must be nonnegative";
   return {};
 }
 
-std::string TenantRunHooks::validate() const {
-  if (CancelCheckInterval == 0)
-    return "cancellation check interval must be at least 1 access";
-  return {};
+std::optional<std::vector<TenancyPolicy>>
+ccsim::makeTenancyGrid(const TenancyPolicy &Base,
+                       const std::string &Granularities,
+                       const std::string &Modes, std::string *Error) {
+  const auto Specs = parsePolicyList(Granularities, Error);
+  if (!Specs)
+    return std::nullopt;
+  std::vector<PartitionMode> ModeList;
+  for (const std::string &Text : splitList(Modes)) {
+    const auto Mode = parsePartitionMode(Text, Error);
+    if (!Mode)
+      return std::nullopt;
+    ModeList.push_back(*Mode);
+  }
+  std::vector<TenancyPolicy> Grid;
+  for (const GranularitySpec &Spec : *Specs)
+    for (PartitionMode Mode : ModeList) {
+      TenancyPolicy Policy = Base;
+      Policy.Granularity = Spec;
+      Policy.Mode = Mode;
+      std::string Err = Policy.validate();
+      if (!Err.empty()) {
+        if (Error)
+          *Error = std::move(Err);
+        return std::nullopt;
+      }
+      Grid.push_back(std::move(Policy));
+    }
+  return Grid;
 }

@@ -5,14 +5,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The one tenancy surface. A TenancyPolicy is a pure value describing
-/// *what* a multi-tenant run simulates — isolation mode, interleave
-/// schedule, eviction granularity, capacity/pressure, cost model,
-/// chaining, cross-tenant content sharing, and per-tenant weights — and
-/// TenantRunHooks carries *how* one particular execution is instrumented
-/// (telemetry sink, audit level, cancellation). Every construction path
+/// The one tenancy surface. A multi-tenant run is the serial simulator's
+/// run over more than one trace, so TenancyPolicy *is* a SimConfig:
+/// pressure (applied to the tenants' summed maxCache), explicit capacity,
+/// cost model, chaining, audit level and cancellation mean what they mean
+/// to sim::run, and the telemetry sink receives the per-tenant and global
+/// series of MultiTenantSimulator::run. It declares only the six fields
+/// tenancy adds: isolation mode, interleave schedule and its seed,
+/// eviction granularity, cross-tenant content sharing, and per-tenant
+/// weights. Like SharedRunConfig it has no setters of its own; an
+/// inherited SimConfig setter returns the base. Every construction path
 /// (`ccsim_cli tenants`, batch manifests, service::TenantJob, tests,
-/// benches) builds the same TenancyPolicy and validates it with the same
+/// benches) builds the same TenancyPolicy and checks it with the same
 /// validate().
 ///
 //===----------------------------------------------------------------------===//
@@ -20,12 +24,10 @@
 #ifndef CCSIM_CONCURRENT_TENANCYPOLICY_H
 #define CCSIM_CONCURRENT_TENANCYPOLICY_H
 
-#include "core/CacheEngine.h"
-#include "support/Cancellation.h"
+#include "sim/Simulator.h"
 
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace ccsim {
@@ -51,11 +53,15 @@ struct TenantSpec {
 };
 
 /// Parses the CLI/manifest spelling of a partition mode ("shared",
-/// "static", "quota"); std::nullopt on anything else.
-std::optional<PartitionMode> parsePartitionMode(std::string_view Text);
+/// "static", "quota"); std::nullopt with the description in \p Error on
+/// anything else.
+std::optional<PartitionMode> parsePartitionMode(const std::string &Text,
+                                                std::string *Error);
 
-/// Parses the CLI/manifest spelling of a schedule ("rr", "weighted").
-std::optional<InterleaveKind> parseInterleaveKind(std::string_view Text);
+/// Parses the CLI/manifest spelling of a schedule ("rr", "weighted");
+/// std::nullopt with the description in \p Error on anything else.
+std::optional<InterleaveKind> parseInterleaveKind(const std::string &Text,
+                                                  std::string *Error);
 
 /// Report/metric label of \p Mode ("shared", "static-partition",
 /// "unit-quota").
@@ -64,9 +70,15 @@ const char *partitionModeLabel(PartitionMode Mode);
 /// Report/metric label of \p Kind ("round-robin", "weighted").
 const char *interleaveKindLabel(InterleaveKind Kind);
 
-/// What a multi-tenant run simulates. Pure value type: no pointers to
-/// live objects, copyable, comparable by field.
-struct TenancyPolicy {
+/// What a multi-tenant run simulates and how it is instrumented: the
+/// base SimConfig with identical semantics, plus the tenancy fields.
+struct TenancyPolicy : SimConfig {
+  TenancyPolicy() = default;
+
+  /// \p Base as a tenancy run with every tenancy field at its default:
+  /// the base carries over whole, the way SharedRunConfig(Base, K) does.
+  explicit TenancyPolicy(const SimConfig &Base) : SimConfig(Base) {}
+
   PartitionMode Mode = PartitionMode::Shared;
   InterleaveKind Schedule = InterleaveKind::RoundRobin;
   uint64_t ScheduleSeed = 0x7e9a9751ULL;
@@ -75,14 +87,6 @@ struct TenancyPolicy {
   /// quota currency: a cache of capacity C run at N units has units of
   /// C / N bytes, and tenant i receives round(N * share_i) of them.
   GranularitySpec Granularity = GranularitySpec::units(8);
-
-  /// Shared capacity = sum of tenant maxCache / PressureFactor, unless
-  /// ExplicitCapacityBytes overrides it.
-  double PressureFactor = 2.0;
-  uint64_t ExplicitCapacityBytes = 0;
-
-  CostModel Costs = CostModel::paperDefaults();
-  bool EnableChaining = true;
 
   /// ShareJIT-style cross-tenant content sharing: misses on content that
   /// is already resident under another tenant's id link the shared copy
@@ -93,97 +97,19 @@ struct TenancyPolicy {
   /// Optional per-tenant weights; defaults to 1.0 each.
   std::vector<TenantSpec> Tenants;
 
-  // Fluent setters, mirroring SimConfig's.
-  TenancyPolicy &withMode(PartitionMode M) {
-    Mode = M;
-    return *this;
-  }
-  TenancyPolicy &withSchedule(InterleaveKind K) {
-    Schedule = K;
-    return *this;
-  }
-  TenancyPolicy &withScheduleSeed(uint64_t Seed) {
-    ScheduleSeed = Seed;
-    return *this;
-  }
-  TenancyPolicy &withGranularity(const GranularitySpec &Spec) {
-    Granularity = Spec;
-    return *this;
-  }
-  TenancyPolicy &withPressure(double Factor) {
-    PressureFactor = Factor;
-    return *this;
-  }
-  TenancyPolicy &withCapacityBytes(uint64_t Bytes) {
-    ExplicitCapacityBytes = Bytes;
-    return *this;
-  }
-  TenancyPolicy &withCosts(const CostModel &Model) {
-    Costs = Model;
-    return *this;
-  }
-  TenancyPolicy &withChaining(bool Enable) {
-    EnableChaining = Enable;
-    return *this;
-  }
-  TenancyPolicy &withShareCode(bool Enable) {
-    ShareCode = Enable;
-    return *this;
-  }
-  TenancyPolicy &withTenants(std::vector<TenantSpec> Specs) {
-    Tenants = std::move(Specs);
-    return *this;
-  }
-
-  /// Empty when the policy is usable, else a descriptive error (same
-  /// contract as SimConfig::validate).
+  /// SimConfig::validate(), then the granularity and weight checks. Empty
+  /// when the policy is usable, else a descriptive error.
   std::string validate() const;
 };
 
-/// How one execution of a policy is instrumented. Separated from
-/// TenancyPolicy because these are pointers to live objects owned by the
-/// caller, not part of the experiment's identity.
-struct TenantRunHooks {
-  /// Optional telemetry endpoint. run() tags every tenant with a
-  /// TenantTag record, forwards the sink into the underlying cache
-  /// manager(s), and publishes per-tenant and global metrics labeled by
-  /// tenant name and partition mode. Null costs nothing.
-  telemetry::TelemetrySink *Telemetry = nullptr;
-
-  /// Deep structural auditing of every underlying manager during the
-  /// replay (check::armAuditor; check::armSharedTenancyAuditors when the
-  /// policy shares code). Defaults to Full in CCSIM_PARANOID builds, Off
-  /// otherwise; violations print their report and abort.
-  AuditLevel Audit = defaultAuditLevel();
-
-  /// Optional cooperative cancellation. When set, run() polls the token
-  /// every CancelCheckInterval interleaved accesses and throws
-  /// ReplayCancelled when it asks to stop.
-  CancelToken *Cancel = nullptr;
-
-  /// Interleaved accesses between cancellation checks.
-  uint32_t CancelCheckInterval = 1024;
-
-  TenantRunHooks &withTelemetry(telemetry::TelemetrySink *Sink) {
-    Telemetry = Sink;
-    return *this;
-  }
-  TenantRunHooks &withAudit(AuditLevel Level) {
-    Audit = Level;
-    return *this;
-  }
-  TenantRunHooks &withCancel(CancelToken *Token) {
-    Cancel = Token;
-    return *this;
-  }
-  TenantRunHooks &withCancelCheckInterval(uint32_t Interval) {
-    CancelCheckInterval = Interval;
-    return *this;
-  }
-
-  /// Empty when the hooks are usable, else a descriptive error.
-  std::string validate() const;
-};
+/// The tenancy counterpart of makeSweepGrid: one policy per (granularity,
+/// mode) pair of the comma-separated \p Granularities ("flush,8,fine")
+/// and \p Modes ("shared,static,quota") lists, granularity-major, each
+/// \p Base with that pair and validated. nullopt with the first bad entry
+/// or failing policy in \p Error, so a typo stops a sweep before any run.
+std::optional<std::vector<TenancyPolicy>>
+makeTenancyGrid(const TenancyPolicy &Base, const std::string &Granularities,
+                const std::string &Modes, std::string *Error);
 
 } // namespace ccsim
 

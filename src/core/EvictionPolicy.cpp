@@ -2,8 +2,11 @@
 
 #include "core/EvictionPolicy.h"
 #include "support/Contracts.h"
+#include "support/StringUtils.h"
 
 #include <algorithm>
+#include <cstdlib>
+#include <limits>
 
 using namespace ccsim;
 
@@ -133,6 +136,34 @@ std::string GranularitySpec::label() const {
     return "FIFO";
   }
   return "?";
+}
+
+std::optional<GranularitySpec> ccsim::parsePolicySpec(const std::string &Text,
+                                                      std::string *Error) {
+  if (Text == "flush" || Text == "FLUSH")
+    return GranularitySpec::flush();
+  if (Text == "fine" || Text == "fifo" || Text == "FIFO")
+    return GranularitySpec::fine();
+  char *End = nullptr;
+  const long long Units = std::strtoll(Text.c_str(), &End, 10);
+  if (End && *End == '\0' && !Text.empty() && Units >= 1 &&
+      Units <= std::numeric_limits<unsigned>::max())
+    return GranularitySpec::units(static_cast<unsigned>(Units));
+  if (Error)
+    *Error = "bad policy '" + Text + "' (flush | fine | <unit count>)";
+  return std::nullopt;
+}
+
+std::optional<std::vector<GranularitySpec>>
+ccsim::parsePolicyList(const std::string &Text, std::string *Error) {
+  std::vector<GranularitySpec> Specs;
+  for (const std::string &Entry : splitList(Text)) {
+    const auto Spec = parsePolicySpec(Entry, Error);
+    if (!Spec)
+      return std::nullopt;
+    Specs.push_back(*Spec);
+  }
+  return Specs;
 }
 
 std::unique_ptr<EvictionPolicy> ccsim::makePolicy(const GranularitySpec &Spec) {

@@ -34,6 +34,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -195,6 +196,22 @@ struct GranularitySpec {
   /// Axis label as it appears in the paper's figures.
   std::string label() const;
 };
+
+/// The one strict reader of a policy spelling (CLI --policy/--policies,
+/// manifests, benches): "flush", "fine"/"fifo", or a unit count that fits
+/// GranularitySpec::Units (1..UINT_MAX). Anything else is nullopt with the
+/// description in \p Error -- callers report it instead of running a
+/// policy the user did not ask for (a count past UINT_MAX would otherwise
+/// wrap to 0 or to a small count).
+std::optional<GranularitySpec> parsePolicySpec(const std::string &Text,
+                                               std::string *Error);
+
+/// parsePolicySpec over a comma-separated list ("flush,8,fine"): every
+/// entry, or nullopt with the first bad entry's description in \p Error.
+/// Drivers parse the whole list before running anything, so a typo late
+/// in the list is a usage error, not a partial run.
+std::optional<std::vector<GranularitySpec>>
+parsePolicyList(const std::string &Text, std::string *Error);
 
 /// Instantiates the policy for \p Spec.
 std::unique_ptr<EvictionPolicy> makePolicy(const GranularitySpec &Spec);

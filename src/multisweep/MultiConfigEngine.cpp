@@ -155,14 +155,11 @@ void MultiConfigEngine::sharedPass() {
       Cancel ? std::max<uint32_t>(1, Plan.SharedCancelInterval) : N;
   size_t I = 0;
   while (I < N) {
-    if (Cancel) {
-      if (const char *Reason = Cancel->stopReason())
-        throw ReplayCancelled(
-            "one-pass sweep of " + T.Name + " stopped after " +
-                std::to_string(I) + " of " + std::to_string(N) +
-                " accesses: " + Reason,
-            Cancel->deadlineExpired() && !Cancel->cancelRequested());
-    }
+    if (Cancel)
+      Cancel->throwIfStopped([&] {
+        return "one-pass sweep of " + T.Name + " stopped after " +
+               std::to_string(I) + " of " + std::to_string(N) + " accesses";
+      });
     const size_t End = std::min(N, I + Chunk);
     for (; I < End; ++I) {
       const SuperblockId Id = T.Accesses[I];

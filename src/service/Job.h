@@ -12,7 +12,10 @@
 /// subcommands execute the exact same code path. Jobs are pure values: a
 /// job owns (or shares immutably) everything it needs, runs on any
 /// thread, and never touches global state, which is what makes service
-/// results byte-identical to serial execution.
+/// results byte-identical to serial execution. Every payload's run config
+/// is a SimConfig -- ReplayJob::Config, each sweep point's Config, and
+/// TenantJob::Policy, a SimConfig plus the tenancy fields -- so every job
+/// kind passes the same SimConfig::validate() before it is admitted.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -87,13 +90,12 @@ struct SweepBatchJob {
 };
 
 /// Interleave several traces into one shared/partitioned cache (the
-/// `tenants` subcommand). The job owns its traces. Policy says what to
-/// simulate; Run carries the per-execution instrumentation (the service
-/// overrides Run.Cancel with its own token at execution time).
+/// `tenants` subcommand). The job owns its traces. Policy is the whole
+/// run config, a SimConfig like every other job's (the service overrides
+/// Policy.Cancel with its own token at execution time).
 struct TenantJob {
   std::vector<Trace> Traces;
   TenancyPolicy Policy;
-  TenantRunHooks Run;
 };
 
 /// Scheduling metadata attached to a job at submission.
@@ -174,7 +176,7 @@ struct JobOutcome {
 JobOutcome executeJob(const Job &J, CancelToken *Cancel);
 
 /// Threads \p Sink into whichever payload \p J carries: the replay's
-/// config, every sweep point's config, or the tenant run's hooks.
+/// config, every sweep point's config, or the tenant run's policy.
 void setJobTelemetry(Job &J, telemetry::TelemetrySink *Sink);
 
 } // namespace ccsim::service

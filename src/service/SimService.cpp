@@ -81,10 +81,7 @@ std::string Job::validate() const {
                   T.Traces.size(), T.Policy.Tenants.size());
     return Buf;
   }
-  std::string Err = T.Policy.validate();
-  if (Err.empty())
-    Err = T.Run.validate();
-  return Err;
+  return T.Policy.validate();
 }
 
 JobOutcome ccsim::service::executeJob(const Job &J, CancelToken *Cancel) {
@@ -119,10 +116,9 @@ JobOutcome ccsim::service::executeJob(const Job &J, CancelToken *Cancel) {
       Out.Suite = multisweep::runSweepGrid(*S->Engine, Points, Options);
     } else {
       const auto &T = std::get<TenantJob>(J.Payload);
-      TenantRunHooks Run = T.Run;
-      Run.Cancel = Cancel;
-      MultiTenantSimulator Sim(T.Traces, T.Policy, Run);
-      Out.Tenants = Sim.run();
+      TenancyPolicy Policy = T.Policy;
+      Policy.Cancel = Cancel;
+      Out.Tenants = MultiTenantSimulator(T.Traces, Policy).run();
     }
     Out.Status = JobStatus::Done;
   } catch (const ReplayCancelled &RC) {
@@ -148,7 +144,7 @@ void ccsim::service::setJobTelemetry(Job &J, telemetry::TelemetrySink *Sink) {
     for (SweepJob &Point : S->Jobs)
       Point.Config.Telemetry = Sink;
   } else {
-    std::get<TenantJob>(J.Payload).Run.Telemetry = Sink;
+    std::get<TenantJob>(J.Payload).Policy.Telemetry = Sink;
   }
 }
 
@@ -298,13 +294,15 @@ void SimService::finish(const std::shared_ptr<JobState> &S, JobStatus Terminal,
   Outcome.Status = Terminal;
   if (!Error.empty())
     Outcome.Error = std::move(Error);
+  // Count the transition before publishing it: a waiter that sees the
+  // terminal status also sees it in service_jobs_finished.
+  recordTransition(*S, Terminal);
   {
     MutexLock Lock(S->Mu);
     S->Outcome = std::move(Outcome);
     S->Status = Terminal;
   }
   S->Terminal.notify_all();
-  recordTransition(*S, Terminal);
 }
 
 JobHandle SimService::submit(Job J) {
@@ -434,10 +432,8 @@ void SimService::runOne() {
   // A deadline or cancellation that fired while the job sat in the queue
   // resolves it without running it at all.
   if (const char *Reason = S->Cancel.stopReason()) {
-    const bool TimedOut =
-        S->Cancel.deadlineExpired() && !S->Cancel.cancelRequested();
     finish(S,
-           TimedOut ? JobStatus::TimedOut : JobStatus::Cancelled,
+           S->Cancel.timedOut() ? JobStatus::TimedOut : JobStatus::Cancelled,
            std::string("stopped while queued: ") + Reason, {});
   } else {
     uint64_t Seq;

@@ -27,9 +27,8 @@ std::string SimConfig::validate() const {
   return {};
 }
 
-namespace {
-
-uint64_t capacityForMaxCache(uint64_t MaxCacheBytes, const SimConfig &Config) {
+uint64_t ccsim::sim::capacityFor(uint64_t MaxCacheBytes,
+                                 const SimConfig &Config) {
   if (Config.ExplicitCapacityBytes != 0)
     return Config.ExplicitCapacityBytes;
   CCSIM_REQUIRE(Config.PressureFactor >= 1.0,
@@ -39,6 +38,8 @@ uint64_t capacityForMaxCache(uint64_t MaxCacheBytes, const SimConfig &Config) {
       static_cast<double>(MaxCacheBytes) / Config.PressureFactor;
   return std::max<uint64_t>(1, static_cast<uint64_t>(Derived));
 }
+
+namespace {
 
 /// The replay loop, written once over both trace sources (Trace and
 /// trace::MappedTrace share name/numAccesses/idAt/recordFor).
@@ -50,7 +51,7 @@ SimResult replay(const TraceT &T, std::unique_ptr<EvictionPolicy> Policy,
   Result.BenchmarkName = T.name();
   Result.PolicyName = Policy->name();
   Result.MaxCacheBytes = T.maxCacheBytes();
-  Result.CapacityBytes = capacityForMaxCache(Result.MaxCacheBytes, Config);
+  Result.CapacityBytes = sim::capacityFor(Result.MaxCacheBytes, Config);
 
   CacheEngineConfig EC;
   EC.CapacityBytes = Result.CapacityBytes;
@@ -80,12 +81,10 @@ SimResult replay(const TraceT &T, std::unique_ptr<EvictionPolicy> Policy,
     const size_t Chunk = std::max<uint32_t>(1, Config.CancelCheckInterval);
     size_t I = 0;
     while (I < N) {
-      if (const char *Reason = Config.Cancel->stopReason())
-        throw ReplayCancelled("replay of " + T.name() + " stopped after " +
-                                  std::to_string(I) + " of " +
-                                  std::to_string(N) + " accesses: " + Reason,
-                              Config.Cancel->deadlineExpired() &&
-                                  !Config.Cancel->cancelRequested());
+      Config.Cancel->throwIfStopped([&] {
+        return "replay of " + T.name() + " stopped after " +
+               std::to_string(I) + " of " + std::to_string(N) + " accesses";
+      });
       const size_t End = std::min(N, I + Chunk);
       for (; I < End; ++I)
         Engine.access(T.recordFor(T.idAt(I)));
@@ -109,12 +108,12 @@ SimResult replay(const TraceT &T, std::unique_ptr<EvictionPolicy> Policy,
 } // namespace
 
 uint64_t ccsim::sim::capacityFor(const Trace &T, const SimConfig &Config) {
-  return capacityForMaxCache(T.maxCacheBytes(), Config);
+  return capacityFor(T.maxCacheBytes(), Config);
 }
 
 uint64_t ccsim::sim::capacityFor(const trace::MappedTrace &T,
                                  const SimConfig &Config) {
-  return capacityForMaxCache(T.maxCacheBytes(), Config);
+  return capacityFor(T.maxCacheBytes(), Config);
 }
 
 SimResult ccsim::sim::run(const Trace &T,

@@ -117,6 +117,11 @@ namespace sim {
 uint64_t capacityFor(const Trace &T, const SimConfig &Config);
 uint64_t capacityFor(const trace::MappedTrace &T, const SimConfig &Config);
 
+/// The derivation itself, from an unbounded-cache size: the explicit
+/// capacity when set, else \p MaxCacheBytes / pressure (at least 1 byte).
+/// A multi-tenant run passes its tenants' summed maxCache.
+uint64_t capacityFor(uint64_t MaxCacheBytes, const SimConfig &Config);
+
 /// Replays \p T through a fresh CacheEngine running \p Policy.
 SimResult run(const Trace &T, std::unique_ptr<EvictionPolicy> Policy,
               const SimConfig &Config);

@@ -6,11 +6,13 @@
 ///
 /// \file
 /// The cooperative cancellation primitive shared by every long-running
-/// replay loop (sim::run, MultiTenantSimulator::run) and their
-/// controllers (SimService workers, tests, drivers). A replay polls
-/// stopReason() at trace-chunk granularity; the controller requests
-/// cancellation or installs a deadline from any thread. Loops honor a
-/// stop request by throwing ReplayCancelled, discarding the partial run.
+/// replay loop (sim::run, the K-guest shared runner, the one-pass sweep,
+/// MultiTenantSimulator::run) and their controllers (SimService workers,
+/// tests, drivers). A replay calls throwIfStopped() once per trace chunk;
+/// the controller requests cancellation or installs a deadline from any
+/// thread. throwIfStopped() is the one place a stop becomes a
+/// ReplayCancelled (discarding the partial run) and the one place the
+/// deadline-versus-cancel rule (timedOut()) is written.
 ///
 /// Thread-safety: CancelToken is deliberately lock-free — both fields
 /// are atomics with release/acquire pairing — so it carries no
@@ -66,7 +68,24 @@ public:
     return nullptr;
   }
 
+  /// True when a stop is a deadline expiry rather than an explicit
+  /// cancellation request (which wins when both hold).
+  bool timedOut() const { return deadlineExpired() && !cancelRequested(); }
+
+  /// The replay loops' poll: returns when the replay may continue, else
+  /// throws ReplayCancelled whose message is Where() + ": " + the stop
+  /// reason. Where runs only on the stopping path, so a poll that does
+  /// not stop builds no string.
+  template <typename WhereFn>
+  void throwIfStopped(WhereFn &&Where) const {
+    if (const char *Reason = stopReason()) [[unlikely]]
+      throwStopped(Where(), Reason);
+  }
+
 private:
+  [[noreturn]] void throwStopped(const std::string &Where,
+                                 const char *Reason) const;
+
   std::atomic<bool> Cancelled{false};
   std::atomic<int64_t> DeadlineNs{0};
 };
@@ -83,6 +102,11 @@ public:
   /// cancellation request.
   bool TimedOut;
 };
+
+inline void CancelToken::throwStopped(const std::string &Where,
+                                      const char *Reason) const {
+  throw ReplayCancelled(Where + ": " + Reason, timedOut());
+}
 
 } // namespace ccsim
 

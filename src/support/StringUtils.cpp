@@ -56,3 +56,20 @@ std::string ccsim::padLeft(const std::string &S, size_t Width) {
     return S;
   return std::string(Width - S.size(), ' ') + S;
 }
+
+std::vector<std::string> ccsim::splitList(const std::string &Text) {
+  std::vector<std::string> Parts;
+  std::string Cur;
+  for (char C : Text) {
+    if (C == ',') {
+      if (!Cur.empty())
+        Parts.push_back(Cur);
+      Cur.clear();
+    } else {
+      Cur.push_back(C);
+    }
+  }
+  if (!Cur.empty())
+    Parts.push_back(Cur);
+  return Parts;
+}

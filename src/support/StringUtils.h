@@ -5,8 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Small text formatting helpers shared by the table printer, the
-/// histograms, and the experiment harnesses.
+/// Small text helpers shared by the table printer, the histograms, and
+/// the experiment harnesses: formatting, and the one comma-list splitter
+/// the drivers' list flags use.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,6 +16,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace ccsim {
 
@@ -35,6 +37,10 @@ std::string padRight(const std::string &S, size_t Width);
 
 /// Pads \p S with spaces on the left to at least \p Width characters.
 std::string padLeft(const std::string &S, size_t Width);
+
+/// Splits a comma-separated flag value ("gzip,vpr", "flush,8,fine") into
+/// its entries, dropping empty ones.
+std::vector<std::string> splitList(const std::string &Text);
 
 } // namespace ccsim
 

@@ -7,7 +7,8 @@
 /// \file
 /// The one object drivers thread through the stack: an event tracer plus a
 /// metrics registry. Every configuration struct that can emit telemetry
-/// (CacheEngineConfig, SimConfig, TenantRunHooks) carries a
+/// (CacheEngineConfig, TranslatorConfig, and SimConfig -- which the
+/// shared-engine and multi-tenant configs derive from) carries a
 /// `TelemetrySink *` defaulting to null; a null sink is the disabled fast
 /// path and costs one predictable branch per emission site, with no
 /// allocation and no locking.

@@ -7,6 +7,8 @@
 
 #include "gtest/gtest.h"
 
+#include <cmath>
+
 using namespace ccsim;
 
 namespace {
@@ -201,15 +203,14 @@ TEST(MultiTenantTest, FullyAuditedRunMatchesUnaudited) {
   // Arming the deep auditor on every tenant manager (which aborts on the
   // first violation) both certifies the shared-cache structures after
   // every mutation and must not perturb the simulation itself.
-  TenancyPolicy Config = baseConfig();
-  Config.Mode = PartitionMode::Shared;
-  TenantRunHooks Plain;
+  TenancyPolicy Plain = baseConfig();
+  Plain.Mode = PartitionMode::Shared;
   Plain.Audit = AuditLevel::Off;
-  TenantRunHooks Audited = Plain;
+  TenancyPolicy Audited = Plain;
   Audited.Audit = AuditLevel::Full;
 
-  MultiTenantSimulator A(tenantTraces(), Config, Plain);
-  MultiTenantSimulator B(tenantTraces(), Config, Audited);
+  MultiTenantSimulator A(tenantTraces(), Plain);
+  MultiTenantSimulator B(tenantTraces(), Audited);
   const MultiTenantResult RA = A.run();
   const MultiTenantResult RB = B.run();
 
@@ -224,4 +225,49 @@ TEST(MultiTenantTest, FullyAuditedRunMatchesUnaudited) {
   }
   EXPECT_GT(RB.Global.EvictedBlocks, 0u);
   expectTenantSumsMatchGlobal(RB);
+}
+
+TEST(MultiTenantTest, PolicyIsBuiltOnAValidatedSimConfig) {
+  // The base carries over whole; only the tenancy fields take defaults.
+  SimConfig Base;
+  Base.PressureFactor = 6.0;
+  Base.EnableChaining = false;
+  Base.CancelCheckInterval = 7;
+  const TenancyPolicy Policy(Base);
+  EXPECT_DOUBLE_EQ(Policy.PressureFactor, 6.0);
+  EXPECT_FALSE(Policy.EnableChaining);
+  EXPECT_EQ(Policy.CancelCheckInterval, 7u);
+  EXPECT_EQ(Policy.Mode, PartitionMode::Shared);
+  EXPECT_TRUE(Policy.validate().empty());
+
+  // The capacity is the serial simulator's derivation over the summed
+  // maxCache, not a copy of it.
+  uint64_t SuiteMaxCache = 0;
+  for (const Trace &T : tenantTraces())
+    SuiteMaxCache += T.maxCacheBytes();
+  MultiTenantSimulator Sim(tenantTraces(), Policy);
+  EXPECT_EQ(Sim.totalCapacityBytes(), sim::capacityFor(SuiteMaxCache, Base));
+}
+
+TEST(MultiTenantTest, TenancyGridIsStrictAndGranularityMajor) {
+  TenancyPolicy Base = baseConfig();
+  Base.PressureFactor = 3.0;
+  std::string Error;
+  const auto Grid = makeTenancyGrid(Base, "flush,8", "shared,quota", &Error);
+  ASSERT_TRUE(Grid) << Error;
+  ASSERT_EQ(Grid->size(), 4u);
+  EXPECT_EQ((*Grid)[1].Granularity.label(), "FLUSH");
+  EXPECT_EQ((*Grid)[1].Mode, PartitionMode::UnitQuota);
+  EXPECT_EQ((*Grid)[2].Granularity.label(), "8-unit");
+  EXPECT_EQ((*Grid)[2].Mode, PartitionMode::Shared);
+  for (const TenancyPolicy &P : *Grid)
+    EXPECT_DOUBLE_EQ(P.PressureFactor, 3.0);
+
+  EXPECT_FALSE(makeTenancyGrid(Base, "8,bogus", "shared", &Error));
+  EXPECT_NE(Error.find("bad policy"), std::string::npos) << Error;
+  EXPECT_FALSE(makeTenancyGrid(Base, "8", "shared,split", &Error));
+  EXPECT_NE(Error.find("unknown mode"), std::string::npos) << Error;
+  Base.PressureFactor = std::nan("");
+  EXPECT_FALSE(makeTenancyGrid(Base, "8", "shared", &Error));
+  EXPECT_NE(Error.find("pressure factor"), std::string::npos) << Error;
 }

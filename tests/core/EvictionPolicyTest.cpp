@@ -63,6 +63,30 @@ TEST(GranularitySpecTest, StandardSweepShape) {
   }
 }
 
+TEST(GranularitySpecTest, ParsePolicySpecIsStrict) {
+  std::string Error;
+  EXPECT_EQ(parsePolicySpec("flush", &Error)->label(), "FLUSH");
+  EXPECT_EQ(parsePolicySpec("fifo", &Error)->label(), "FIFO");
+  EXPECT_EQ(parsePolicySpec("16", &Error)->label(), "16-unit");
+  // No unit count may wrap when narrowed to GranularitySpec::Units.
+  for (const char *Bad : {"0", "-1", "8x", "", "4294967296", "4294967297"}) {
+    EXPECT_FALSE(parsePolicySpec(Bad, &Error)) << Bad;
+    EXPECT_NE(Error.find("bad policy"), std::string::npos) << Bad;
+  }
+}
+
+TEST(GranularitySpecTest, ParsePolicyListRejectsTheWholeListOnOneTypo) {
+  std::string Error;
+  const auto Specs = parsePolicyList("flush,8,,fine", &Error);
+  ASSERT_TRUE(Specs);
+  ASSERT_EQ(Specs->size(), 3u);
+  EXPECT_EQ((*Specs)[1].label(), "8-unit");
+  // A bad entry late in the list fails the list; nothing is returned for
+  // the good entries before it.
+  EXPECT_FALSE(parsePolicyList("8,bogus", &Error));
+  EXPECT_NE(Error.find("'bogus'"), std::string::npos) << Error;
+}
+
 TEST(AdaptivePolicyTest, StartsMidLadder) {
   AdaptiveGranularityPolicy P;
   EXPECT_EQ(P.name(), "Adaptive");

@@ -151,9 +151,8 @@ TEST(TelemetryInvariantTest, PerTenantMetricsEqualSimulatorResults) {
   Config.Mode = PartitionMode::Shared;
   Config.Granularity = GranularitySpec::units(8);
   Config.PressureFactor = 2.0;
-  TenantRunHooks Hooks;
-  Hooks.Telemetry = &Sink;
-  MultiTenantSimulator Sim(Traces, Config, Hooks);
+  Config.Telemetry = &Sink;
+  MultiTenantSimulator Sim(Traces, Config);
   const MultiTenantResult R = Sim.run();
 
   EXPECT_EQ(Sink.Tracer.kindCount(telemetry::EventKind::TenantTag),

@@ -401,6 +401,26 @@ TEST(SimServiceTest, InvalidConfigIsRejectedWithoutPoisoningTheQueue) {
   EXPECT_EQ(Good.wait().Status, JobStatus::Done) << Good.wait().Error;
 }
 
+TEST(SimServiceTest, NanPressureTenantJobIsRejectedLikeAReplay) {
+  // A tenant run validates the same SimConfig a replay does, so a NaN
+  // pressure is a rejected submission, never a contract abort when the
+  // simulator derives its capacity.
+  SimServiceConfig SC;
+  SC.Threads = 1;
+  SimService Service(SC);
+
+  TenantJob Tenants;
+  Tenants.Traces.push_back(scaledTrace("gzip", 0.05));
+  Tenants.Traces.push_back(scaledTrace("vpr", 0.05));
+  Tenants.Policy.PressureFactor = std::nan("");
+  const JobOutcome O = Service.submit(Job(std::move(Tenants))).wait();
+  EXPECT_EQ(O.Status, JobStatus::Rejected);
+  EXPECT_NE(O.Error.find("pressure factor"), std::string::npos) << O.Error;
+
+  JobHandle Good = Service.submit(thrashingJob(1000));
+  EXPECT_EQ(Good.wait().Status, JobStatus::Done) << Good.wait().Error;
+}
+
 TEST(SimServiceTest, ExecuteJobFailsOnInvalidTraceWithoutAborting) {
   // An access naming an undefined superblock makes the trace structurally
   // invalid; executeJob must turn that into a Failed outcome, never an
@@ -628,10 +648,18 @@ TEST(SimServiceTest, FluentSettersAndValidateContracts) {
   Point.Spec.Units = 0;
   EXPECT_NE(Point.validate().find("at least one unit"), std::string::npos);
 
-  // TenancyPolicy: per-tenant weights must be positive.
-  TenancyPolicy Tenants =
-      TenancyPolicy().withPressure(2.0).withTenants({{1.0}, {-1.0}});
+  // TenancyPolicy: the base SimConfig contract, then per-tenant weights
+  // must be positive.
+  TenancyPolicy Tenants;
+  Tenants.Tenants = {{1.0}, {-1.0}};
   EXPECT_NE(Tenants.validate().find("weight"), std::string::npos);
   Tenants.Tenants[1].Weight = 2.0;
   EXPECT_TRUE(Tenants.validate().empty());
+  TenancyPolicy NanTenancy = Tenants;
+  NanTenancy.PressureFactor = std::nan("");
+  EXPECT_NE(NanTenancy.validate().find("pressure factor"), std::string::npos);
+  TenancyPolicy TenancyInterval = Tenants;
+  TenancyInterval.CancelCheckInterval = 0;
+  EXPECT_NE(TenancyInterval.validate().find("cancellation"),
+            std::string::npos);
 }

@@ -93,13 +93,11 @@ Property<ShareCase> conservationProperty() {
     Policy.Granularity = granOf(C);
     Policy.PressureFactor = C.Pressure;
     Policy.ShareCode = true;
-
     // Full audits re-run the share.* family over the whole fleet after
     // every access; the run aborts on the first inconsistent state.
-    TenantRunHooks Hooks;
-    Hooks.Audit = AuditLevel::Full;
+    Policy.Audit = AuditLevel::Full;
 
-    MultiTenantSimulator Sim(Traces, Policy, Hooks);
+    MultiTenantSimulator Sim(Traces, Policy);
     const MultiTenantResult R = Sim.run();
 
     char Buf[160];

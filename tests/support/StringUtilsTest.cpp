@@ -40,3 +40,12 @@ TEST(StringUtilsTest, Padding) {
   EXPECT_EQ(padRight("abcdef", 3), "abcdef");
   EXPECT_EQ(padLeft("abcdef", 3), "abcdef");
 }
+
+TEST(StringUtilsTest, SplitListDropsEmptyEntries) {
+  EXPECT_EQ(splitList("gzip,vpr,crafty"),
+            (std::vector<std::string>{"gzip", "vpr", "crafty"}));
+  EXPECT_EQ(splitList(",flush,,8,"),
+            (std::vector<std::string>{"flush", "8"}));
+  EXPECT_TRUE(splitList("").empty());
+  EXPECT_TRUE(splitList(",,").empty());
+}
