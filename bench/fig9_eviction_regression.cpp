@@ -40,6 +40,14 @@ int main(int Argc, char **Argv) {
   Flags.addInt("budget", 30000000, "Guest instruction budget.");
   if (!Flags.parse(Argc, Argv))
     return 1;
+  std::string Error;
+  const auto CacheKB = boundedIntFlag(Flags, "cache-kb", 1, 1 << 20, &Error);
+  const auto Budget =
+      boundedIntFlag(Flags, "budget", 1, int64_t(1) << 40, &Error);
+  if (!CacheKB || !Budget) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
+    return 1;
+  }
 
   benchutil::printHeader(
       "Figure 9: Overhead (instruction count) of code cache evictions",
@@ -48,10 +56,9 @@ int main(int Argc, char **Argv) {
 
   const Program P = generateProgram(fig9ProgramSpec());
   TranslatorConfig Config;
-  Config.CacheBytes = static_cast<uint64_t>(Flags.getInt("cache-kb")) * 1024;
+  Config.CacheBytes = static_cast<uint64_t>(*CacheKB) * 1024;
   Translator T(P, Config);
-  const TranslatorStats &Stats =
-      T.run(static_cast<uint64_t>(Flags.getInt("budget")));
+  const TranslatorStats &Stats = T.run(static_cast<uint64_t>(*Budget));
 
   std::printf("mini-DBT run: %s guest instructions, %s fragments built, "
               "%s evictions logged\n\n",

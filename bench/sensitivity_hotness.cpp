@@ -21,6 +21,14 @@ int main(int Argc, char **Argv) {
   Flags.addInt("cache-kb", 10, "Code cache size in KB.");
   if (!Flags.parse(Argc, Argv))
     return 1;
+  std::string Error;
+  const auto Budget =
+      boundedIntFlag(Flags, "budget", 1, int64_t(1) << 40, &Error);
+  const auto CacheKB = boundedIntFlag(Flags, "cache-kb", 1, 1 << 20, &Error);
+  if (!Budget || !CacheKB) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
+    return 1;
+  }
 
   benchutil::printHeader(
       "Sensitivity: the hotness threshold (DynamoRIO uses 50)",
@@ -51,12 +59,10 @@ int main(int Argc, char **Argv) {
   std::vector<std::pair<uint32_t, double>> Series;
   for (uint32_t Threshold : {2u, 5u, 10u, 25u, 50u, 100u, 250u, 1000u}) {
     TranslatorConfig Config;
-    Config.CacheBytes = static_cast<uint64_t>(Flags.getInt("cache-kb"))
-                        << 10;
+    Config.CacheBytes = static_cast<uint64_t>(*CacheKB) << 10;
     Config.HotThreshold = Threshold;
     Translator T(P, Config);
-    const TranslatorStats &S =
-        T.run(static_cast<uint64_t>(Flags.getInt("budget")));
+    const TranslatorStats &S = T.run(static_cast<uint64_t>(*Budget));
     if (Threshold == 50)
       Baseline = S.Ops.total();
     Series.emplace_back(Threshold, S.Ops.total());

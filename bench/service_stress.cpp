@@ -32,6 +32,8 @@
 
 #include "BenchCommon.h"
 #include "check/CacheAuditor.h"
+#include "concurrent/SharedEngineRunner.h"
+#include "concurrent/ThreadPool.h"
 #include "runtime/ConcurrentInstaller.h"
 #include "service/LoadDriver.h"
 #include "trace/TraceGenerator.h"
@@ -96,6 +98,31 @@ int main(int Argc, char **Argv) {
                   "Path for the machine-readable result record.");
   if (!Flags.parse(Argc, Argv))
     return 1;
+  // Every count and size is bounded before any thread starts.
+  std::string Error;
+  const auto OpsFlag =
+      boundedIntFlag(Flags, "ops", 1, int64_t(1) << 40, &Error);
+  const auto ThreadsFlag = boundedIntFlag(
+      Flags, "threads", 1, concurrent::MaxGuestThreads, &Error);
+  const auto WorkingSet =
+      boundedIntFlag(Flags, "working-set", 1, 1 << 24, &Error);
+  const auto FragmentBytes =
+      boundedIntFlag(Flags, "fragment-bytes", 1, 1 << 16, &Error);
+  const auto CapacityKB =
+      boundedIntFlag(Flags, "capacity-kb", 1, 1 << 20, &Error);
+  const auto LoadJobs =
+      boundedIntFlag(Flags, "load-jobs", 1, int64_t(1) << 32, &Error);
+  const auto LoadWorkers =
+      boundedIntFlag(Flags, "load-workers", 0, ThreadPool::MaxThreads, &Error);
+  const auto LoadQueue =
+      boundedIntFlag(Flags, "load-queue", 1, 1 << 20, &Error);
+  const auto LoadGuests = boundedIntFlag(
+      Flags, "load-guests", 1, concurrent::MaxGuestThreads, &Error);
+  if (!OpsFlag || !ThreadsFlag || !WorkingSet || !FragmentBytes || !CapacityKB ||
+      !LoadJobs || !LoadWorkers || !LoadQueue || !LoadGuests) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
+    return 1;
+  }
 
   benchutil::printHeader("service stress",
                          "thread-shared engine scaling + service "
@@ -105,25 +132,19 @@ int main(int Argc, char **Argv) {
   // Section 1: find/add/evict stress over 1..K threads.
   //===--------------------------------------------------------------------===//
 
-  const uint64_t Ops = static_cast<uint64_t>(Flags.getInt("ops"));
-  const unsigned MaxThreads =
-      Flags.getInt("threads") >= 1
-          ? static_cast<unsigned>(Flags.getInt("threads"))
-          : 1;
-
+  const uint64_t Ops = static_cast<uint64_t>(*OpsFlag);
+  const unsigned MaxThreads = static_cast<unsigned>(*ThreadsFlag);
   std::vector<EngineRow> Rows;
   bool ConservationOk = true;
   bool AuditClean = true;
   bool DispatchConsistent = true;
   for (unsigned T = 1; T <= MaxThreads; T *= 2) {
     InstallerConfig Config;
-    Config.CapacityBytes = static_cast<uint64_t>(Flags.getInt("capacity-kb"))
-                           << 10;
+    Config.CapacityBytes = static_cast<uint64_t>(*CapacityKB) << 10;
     Config.Threads = T;
     Config.Operations = Ops;
-    Config.WorkingSet = static_cast<uint32_t>(Flags.getInt("working-set"));
-    Config.MeanFragmentBytes =
-        static_cast<uint32_t>(Flags.getInt("fragment-bytes"));
+    Config.WorkingSet = static_cast<uint32_t>(*WorkingSet);
+    Config.MeanFragmentBytes = static_cast<uint32_t>(*FragmentBytes);
     Config.Seed = static_cast<uint64_t>(Flags.getInt("seed"));
 
     EngineRow Row;
@@ -204,14 +225,10 @@ int main(int Argc, char **Argv) {
   for (service::BackpressurePolicy Policy : Policies) {
     service::LoadDriverConfig Config;
     Config.TraceData = LoadTrace;
-    Config.GuestThreads =
-        Flags.getInt("load-guests") >= 1
-            ? static_cast<unsigned>(Flags.getInt("load-guests"))
-            : 1;
-    Config.TotalJobs = static_cast<uint64_t>(Flags.getInt("load-jobs"));
-    Config.Workers = static_cast<unsigned>(Flags.getInt("load-workers"));
-    Config.QueueCapacity =
-        static_cast<size_t>(Flags.getInt("load-queue"));
+    Config.GuestThreads = static_cast<unsigned>(*LoadGuests);
+    Config.TotalJobs = static_cast<uint64_t>(*LoadJobs);
+    Config.Workers = static_cast<unsigned>(*LoadWorkers);
+    Config.QueueCapacity = static_cast<size_t>(*LoadQueue);
     Config.Pressure = Policy;
 
     LoadRow Row;
@@ -276,9 +293,9 @@ int main(int Argc, char **Argv) {
                "  \"accounted_ok\": %s,\n"
                "  \"engine_rows\": [\n",
                static_cast<unsigned long long>(Ops), MaxThreads,
-               static_cast<long long>(Flags.getInt("working-set")),
+               static_cast<long long>(*WorkingSet),
                static_cast<unsigned long long>(
-                   static_cast<uint64_t>(Flags.getInt("capacity-kb")) << 10),
+                   static_cast<uint64_t>(*CapacityKB) << 10),
                static_cast<long long>(Flags.getInt("seed")),
                ConservationOk ? "true" : "false",
                AuditClean ? "true" : "false",

@@ -26,13 +26,20 @@ int main(int Argc, char **Argv) {
                 "paper's 'systems where this is not necessary').");
   if (!Flags.parse(Argc, Argv))
     return 1;
+  std::string Error;
+  const auto BudgetFlag =
+      boundedIntFlag(Flags, "budget", 1, int64_t(1) << 40, &Error);
+  if (!BudgetFlag) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
+    return 1;
+  }
 
   benchutil::printHeader(
       "Table 2: Slowdown resulting from disabling superblock chaining",
       "Table 2: slowdowns range 447% (mcf) to 3357% (gzip); 'the cost "
       "... is caused by the memory protection changes'");
 
-  const uint64_t Budget = static_cast<uint64_t>(Flags.getInt("budget"));
+  const uint64_t Budget = static_cast<uint64_t>(*BudgetFlag);
   Table Out({"Benchmark", "Guest instrs", "Linked (ops)", "Unlinked (ops)",
              "Slowdown", "Paper", "State eq"});
   double LogRatioSum = 0.0, PaperLogRatioSum = 0.0;

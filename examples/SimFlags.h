@@ -13,7 +13,7 @@
 /// equivalent serial command line byte-identical in meaning.
 ///
 /// Parsing here is strict: a malformed policy (core's parsePolicySpec),
-/// an out-of-range count (the one bounded reader, boundedIntFlag) or an
+/// an out-of-range count (support/Flags' boundedIntFlag) or an
 /// inconsistent config is an error returned to the caller (who reports it
 /// as a usage error), never a warning plus a silent default. Each error
 /// is spelled once, in its reader.
@@ -177,24 +177,6 @@ inline std::optional<SimConfig> simConfigFromFlags(const FlagSet &Flags,
     return std::nullopt;
   }
   return Config;
-}
-
-/// The one bounded integer flag reader: the value of --\p Name when it
-/// lies in [\p Lo, \p Hi], else nullopt with "bad <name> <value> (need
-/// <Lo>..<Hi>)" in \p Error. Every count and size flag a driver narrows
-/// to an unsigned field goes through it, so a negative or oversized value
-/// is a usage error instead of wrapping.
-inline std::optional<int64_t> boundedIntFlag(const FlagSet &Flags,
-                                             const std::string &Name,
-                                             int64_t Lo, int64_t Hi,
-                                             std::string *Error) {
-  const int64_t Value = Flags.getInt(Name);
-  if (Value >= Lo && Value <= Hi)
-    return Value;
-  if (Error)
-    *Error = "bad " + Name + " " + std::to_string(Value) + " (need " +
-             std::to_string(Lo) + ".." + std::to_string(Hi) + ")";
-  return std::nullopt;
 }
 
 /// Strict "--guest-threads" reader: 1..concurrent::MaxGuestThreads. Every

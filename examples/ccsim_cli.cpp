@@ -91,6 +91,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -866,15 +867,15 @@ int auditTranslatorRun(const FlagSet &Flags,
 /// The --guest-threads > 1 arm of runAudit: replays each policy through
 /// the shared engine with the full auditSharedEngine rule set firing at
 /// every quiesce point and once over the drained final state.
-int auditSharedRun(const FlagSet &Flags, const Trace &T,
+int auditSharedRun(const Trace &T,
                    const std::vector<GranularitySpec> &Policies,
-                   const SimConfig &Capacity, unsigned GuestThreads) {
+                   const SimConfig &Capacity, unsigned GuestThreads,
+                   uint64_t QuiesceInterval) {
   for (const GranularitySpec &Policy : Policies) {
     size_t Violations = 0;
     concurrent::SharedRunConfig SC(Capacity, GuestThreads);
     SC.Audit = AuditLevel::Full;
-    const int64_t Quiesce = Flags.getInt("quiesce-interval");
-    SC.QuiesceInterval = Quiesce > 0 ? static_cast<uint64_t>(Quiesce) : 0;
+    SC.QuiesceInterval = QuiesceInterval;
     SC.OnViolation = [&Violations, &Policy](const check::AuditReport &Report,
                                             const char *Where) {
       Violations += Report.size();
@@ -906,6 +907,11 @@ int runAudit(FlagSet &Flags) {
   const auto Policies = parsePolicyList(Flags.getString("policies"), &Error);
   if (!Policies)
     return usageError(Error);
+  const auto Quiesce = boundedIntFlag(Flags, "quiesce-interval", 0,
+                                      std::numeric_limits<int64_t>::max(),
+                                      &Error);
+  if (!Quiesce)
+    return usageError(Error);
   if (Flags.getBool("dbt"))
     return auditTranslatorRun(Flags, *Policies);
 
@@ -932,7 +938,8 @@ int runAudit(FlagSet &Flags) {
     T = std::move(*Generated);
   }
   if (*GuestThreads > 1)
-    return auditSharedRun(Flags, T, *Policies, *Capacity, *GuestThreads);
+    return auditSharedRun(T, *Policies, *Capacity, *GuestThreads,
+                          static_cast<uint64_t>(*Quiesce));
 
   for (const GranularitySpec &Policy : *Policies) {
     CacheEngineConfig MC;

@@ -32,6 +32,17 @@ int main(int Argc, char **Argv) {
   addTelemetryFlags(Flags);
   if (!Flags.parse(Argc, Argv))
     return 1;
+  // The generator needs at least one function, and a main-loop trip count
+  // must fit its 16-bit loop immediate.
+  std::string Error;
+  const auto Functions = boundedIntFlag(Flags, "functions", 1, 4096, &Error);
+  const auto Iterations =
+      boundedIntFlag(Flags, "iterations", 1, 32000, &Error);
+  const auto CacheKB = boundedIntFlag(Flags, "cache-kb", 1, 1 << 20, &Error);
+  if (!Functions || !Iterations || !CacheKB) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
+    return 1;
+  }
 
   // One sink spans both translated runs; the trace then shows the
   // chaining-on and chaining-off eviction behavior side by side.
@@ -39,8 +50,8 @@ int main(int Argc, char **Argv) {
       makeSinkIfRequested(Flags);
 
   ProgramSpec Spec;
-  Spec.NumFunctions = static_cast<uint32_t>(Flags.getInt("functions"));
-  Spec.OuterIterations = static_cast<uint32_t>(Flags.getInt("iterations"));
+  Spec.NumFunctions = static_cast<uint32_t>(*Functions);
+  Spec.OuterIterations = static_cast<uint32_t>(*Iterations);
   Spec.MeanCallsPerFunction = 0.5;
   Spec.RareBranchProb = 0.1;
   Spec.Seed = static_cast<uint64_t>(Flags.getInt("seed"));
@@ -59,7 +70,7 @@ int main(int Argc, char **Argv) {
   // Translated runs.
   for (bool Chaining : {true, false}) {
     TranslatorConfig Config;
-    Config.CacheBytes = static_cast<uint64_t>(Flags.getInt("cache-kb")) << 10;
+    Config.CacheBytes = static_cast<uint64_t>(*CacheKB) << 10;
     Config.EnableChaining = Chaining;
     Config.Telemetry = Sink.get();
     Translator T(P, Config);

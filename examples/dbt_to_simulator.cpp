@@ -38,11 +38,21 @@ int main(int Argc, char **Argv) {
   Flags.addString("save", "", "Optional path to save the recorded log.");
   if (!Flags.parse(Argc, Argv))
     return 1;
+  // Every flag is checked before the translator runs.
+  std::string Error;
+  const auto Iterations =
+      boundedIntFlag(Flags, "iterations", 1, 32000, &Error);
+  const auto Parsed = simConfigFromFlags(Flags, &Error);
+  if (!Iterations || !Parsed) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
+    return 1;
+  }
+  const SimConfig Sim = *Parsed;
 
   // 1. Run the translator with verbose logging.
   ProgramSpec Spec;
   Spec.NumFunctions = 72;
-  Spec.OuterIterations = static_cast<uint32_t>(Flags.getInt("iterations"));
+  Spec.OuterIterations = static_cast<uint32_t>(*Iterations);
   Spec.MainPhases = 8; // Shifting working sets, as in real programs.
   Spec.MeanCallsPerFunction = 0.6;
   Spec.TopLevelCalls = 10;
@@ -72,13 +82,6 @@ int main(int Argc, char **Argv) {
     std::printf("saved log to %s\n\n", SavePath.c_str());
 
   // 3. Drive the simulator from the log.
-  std::string Error;
-  const auto Parsed = simConfigFromFlags(Flags, &Error);
-  if (!Parsed) {
-    std::fprintf(stderr, "error: %s\n", Error.c_str());
-    return 1;
-  }
-  const SimConfig Sim = *Parsed;
   std::printf("replaying through the cache simulator at pressure %.0f "
               "(cache %s):\n",
               Sim.PressureFactor,

@@ -50,12 +50,13 @@ LinkGraphState check::captureLinkGraph(const LinkGraph &Links,
                                        const CodeCache &Cache) {
   LinkGraphState State;
   State.LiveLinkCount = Links.numLinks();
-  State.Nodes.resize(Links.idTableSize());
-  for (SuperblockId Id = 0; Id < Links.idTableSize(); ++Id) {
+  const LinkTopology &Learned = Links.topology();
+  State.Nodes.resize(Learned.size());
+  for (SuperblockId Id = 0; Id < Learned.size(); ++Id) {
     LinkGraphState::Node &N = State.Nodes[Id];
     N.Id = Id;
-    const std::span<const SuperblockId> Edges = Links.edgesOf(Id);
-    const std::span<const SuperblockId> Sources = Links.sourcesOf(Id);
+    const std::span<const SuperblockId> Edges = Learned.edgesOf(Id);
+    const std::span<const SuperblockId> Sources = Learned.sourcesOf(Id);
     N.LearnedEdges.assign(Edges.begin(), Edges.end());
     N.LearnedSources.assign(Sources.begin(), Sources.end());
     // The views a list-keeping back-pointer table would hold: out-links

@@ -55,10 +55,14 @@ MultiTenantSimulator::MultiTenantSimulator(const std::vector<Trace> &Traces,
     : Traces(Traces), Policy(Policy) {
   CCSIM_REQUIRE(!Traces.empty(),
                 "multi-tenant run needs at least one trace");
+  const std::string TenantCountError =
+      Policy.validateTenantCount(Traces.size());
+  CCSIM_REQUIRE(TenantCountError.empty(), "multi-tenant run has %s",
+                TenantCountError.c_str());
 
   const size_t K = Traces.size();
   Weights.resize(K, 1.0);
-  for (size_t I = 0; I < std::min(K, Policy.Tenants.size()); ++I) {
+  for (size_t I = 0; I < Policy.Tenants.size(); ++I) {
     CCSIM_REQUIRE(Policy.Tenants[I].Weight > 0.0,
                   "tenant %zu weight %g must be positive", I,
                   Policy.Tenants[I].Weight);

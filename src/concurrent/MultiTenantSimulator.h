@@ -149,7 +149,9 @@ struct MultiTenantResult {
 };
 
 /// Deterministic shared-code-cache simulator over K benchmark traces.
-/// The traces must outlive the simulator.
+/// The traces must outlive the simulator, and the policy's tenant list
+/// must be empty or hold one spec per trace
+/// (TenancyPolicy::validateTenantCount; a contract, not a clamp).
 class MultiTenantSimulator {
 public:
   MultiTenantSimulator(const std::vector<Trace> &Traces,

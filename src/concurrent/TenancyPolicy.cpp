@@ -66,6 +66,15 @@ std::string TenancyPolicy::validate() const {
   return {};
 }
 
+std::string TenancyPolicy::validateTenantCount(size_t NumTraces) const {
+  if (Tenants.empty() || Tenants.size() == NumTraces)
+    return {};
+  char Buf[96];
+  std::snprintf(Buf, sizeof(Buf), "%zu traces but %zu tenant specs",
+                NumTraces, Tenants.size());
+  return Buf;
+}
+
 std::optional<std::vector<TenancyPolicy>>
 ccsim::makeTenancyGrid(const TenancyPolicy &Base,
                        const std::string &Granularities,

@@ -94,12 +94,18 @@ struct TenancyPolicy : SimConfig {
   /// default — disabled runs are byte-identical to pre-sharing builds.
   bool ShareCode = false;
 
-  /// Optional per-tenant weights; defaults to 1.0 each.
+  /// Optional per-tenant weights: empty (every tenant weighs 1.0) or one
+  /// spec per trace (validateTenantCount).
   std::vector<TenantSpec> Tenants;
 
   /// SimConfig::validate(), then the granularity and weight checks. Empty
   /// when the policy is usable, else a descriptive error.
   std::string validate() const;
+
+  /// The one tenant-count rule, for a run over \p NumTraces traces: the
+  /// tenant list is empty or holds one spec per trace. Empty when it
+  /// holds, else a descriptive error.
+  std::string validateTenantCount(size_t NumTraces) const;
 };
 
 /// The tenancy counterpart of makeSweepGrid: one policy per (granularity,

@@ -10,7 +10,7 @@ using namespace ccsim;
 CacheEngine::CacheEngine(const CacheEngineConfig &Config,
                          std::unique_ptr<EvictionPolicy> Policy)
     : Config(Config), Policy(std::move(Policy)),
-      Cache(Config.CapacityBytes) {
+      Cache(Config.CapacityBytes), Links(Config.Topology) {
   CCSIM_REQUIRE(this->Policy, "cache engine requires a policy");
   Stats.SharingActive = this->Config.ContentIndex != nullptr;
   // An access-stateless policy's quantum depends on the capacity alone,
@@ -28,12 +28,8 @@ uint64_t CacheEngine::currentQuantum() const {
   return std::clamp<uint64_t>(Policy->quantumBytes(Capacity), 1, Capacity);
 }
 
-bool CacheEngine::seenBefore(SuperblockId Id) {
-  if (Id >= Seen.size())
-    Seen.resize(std::max<size_t>(Id + 1, Seen.size() * 2), 0);
-  const bool Before = Seen[Id];
-  Seen[Id] = 1;
-  return Before;
+void CacheEngine::growSeen(SuperblockId Id) {
+  Seen.resize(std::max<size_t>(Id + 1, Seen.size() * 2), 0);
 }
 
 void CacheEngine::sampleBackPointerMemory() {
@@ -52,15 +48,6 @@ AccessKind CacheEngine::deferredMiss(const SuperblockRecord &Rec) {
                "superblock %u is already resident", Rec.Id);
   CurrentTenant = Rec.Tenant;
   return missAndInsert(Rec);
-}
-
-void CacheEngine::addDeferredBackPointerSamples(uint64_t Count) {
-  if (Count == 0 || !KeepsBackPointers)
-    return;
-  const uint64_t Bytes = Links.backPointerBytes();
-  Stats.BackPointerBytesPeak = std::max(Stats.BackPointerBytesPeak, Bytes);
-  Stats.BackPointerBytesSum +=
-      static_cast<double>(Bytes) * static_cast<double>(Count);
 }
 
 void CacheEngine::settleDeferredAccesses(uint64_t TotalAccesses) {

@@ -49,6 +49,7 @@
 #include "core/Superblock.h"
 #include "telemetry/Telemetry.h"
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <span>
@@ -193,6 +194,13 @@ struct CacheEngineConfig {
   /// set.
   UnshareObserver OnUnshare;
 
+  /// Optional learned link topology shared with other engines replaying
+  /// the same trace on the same thread (the one-pass lattice; see
+  /// LinkTopology for the one-thread rule). Null — the default — gives
+  /// the engine a private one. Either way the engine's links and stats
+  /// are the same.
+  LinkTopology *Topology = nullptr;
+
   /// Optional telemetry endpoint. Null (the default) is the disabled
   /// fast path: hits emit nothing at all, and the miss/eviction paths pay
   /// one predictable null-pointer branch each. When set, the engine
@@ -322,7 +330,14 @@ public:
   /// (same gate as sampleBackPointerMemory). Batching is exact: all
   /// sampled values are integral and far below 2^53, so the sum of one
   /// bytes*Count product equals Count per-access additions bit for bit.
-  void addDeferredBackPointerSamples(uint64_t Count);
+  void addDeferredBackPointerSamples(uint64_t Count) {
+    if (Count == 0 || !KeepsBackPointers)
+      return;
+    const uint64_t Bytes = Links.backPointerBytes();
+    Stats.BackPointerBytesPeak = std::max(Stats.BackPointerBytesPeak, Bytes);
+    Stats.BackPointerBytesSum +=
+        static_cast<double>(Bytes) * static_cast<double>(Count);
+  }
 
   /// Settles the deferred counters after the pass: Accesses becomes
   /// \p TotalAccesses and every access that did not miss was a hit. The
@@ -376,7 +391,16 @@ private:
   void chargeEvictions(uint64_t UnitsFlushed);
   void drainShares();
   void notifyEvictions();
-  bool seenBefore(SuperblockId Id);
+  /// Marks \p Id seen; returns whether it was seen before (a cold miss
+  /// is the first sighting).
+  bool seenBefore(SuperblockId Id) {
+    if (Id >= Seen.size()) [[unlikely]]
+      growSeen(Id);
+    const bool Before = Seen[Id];
+    Seen[Id] = 1;
+    return Before;
+  }
+  void growSeen(SuperblockId Id);
   void traceMiss(const SuperblockRecord &Rec, bool Cold, uint64_t Quantum);
   void traceEvictionBatch(uint64_t BatchBytes, bool HaveDangling);
 };

@@ -10,9 +10,7 @@ CodeCache::CodeCache(uint64_t CapacityBytes) : Capacity(CapacityBytes) {
   CCSIM_REQUIRE(Capacity > 0, "cache capacity must be positive");
 }
 
-void CodeCache::growTables(SuperblockId Id) {
-  if (Id < ResidentFlag.size())
-    return;
+void CodeCache::growTablesTo(SuperblockId Id) {
   const size_t NewSize = std::max<size_t>(Id + 1, ResidentFlag.size() * 2);
   ResidentFlag.resize(NewSize, 0);
   StartById.resize(NewSize, 0);
@@ -32,15 +30,11 @@ uint64_t CodeCache::contiguousFreeAtTail() const {
   return Capacity - Tail;
 }
 
-void CodeCache::pushBack(const Resident &R) {
-  if (FifoSize == Ring.size()) {
-    // Full: unroll the ring oldest-first, then double it.
-    std::rotate(Ring.begin(), Ring.begin() + FifoHead, Ring.end());
-    FifoHead = 0;
-    Ring.resize(std::max<size_t>(16, Ring.size() * 2));
-  }
-  Ring[(FifoHead + FifoSize) & (Ring.size() - 1)] = R;
-  ++FifoSize;
+void CodeCache::growRing() {
+  // Full: unroll the ring oldest-first, then double it.
+  std::rotate(Ring.begin(), Ring.begin() + FifoHead, Ring.end());
+  FifoHead = 0;
+  Ring.resize(std::max<size_t>(16, Ring.size() * 2));
 }
 
 CodeCache::Resident CodeCache::evictFront() {

@@ -50,11 +50,17 @@ namespace ccsim {
 /// FIFO circular-buffer placement for variable-size code cache entries.
 class CodeCache {
 public:
-  /// A resident superblock: identifier plus its byte placement.
+  /// A resident superblock: identifier plus its byte placement. The
+  /// fields are laid out Id, Size, Start so a ring slot packs into 16
+  /// bytes; the constructor keeps the {Id, Start, Size} argument order.
   struct Resident {
     SuperblockId Id;
-    uint64_t Start;
     uint32_t Size;
+    uint64_t Start;
+
+    Resident() = default;
+    Resident(SuperblockId Id, uint64_t Start, uint32_t Size)
+        : Id(Id), Size(Size), Start(Start) {}
 
     uint64_t end() const { return Start + Size; }
   };
@@ -158,12 +164,23 @@ private:
   }
 
   /// Appends \p R as the newest resident, doubling the ring when full.
-  void pushBack(const Resident &R);
+  void pushBack(const Resident &R) {
+    if (FifoSize == Ring.size()) [[unlikely]]
+      growRing();
+    Ring[(FifoHead + FifoSize) & (Ring.size() - 1)] = R;
+    ++FifoSize;
+  }
+  void growRing();
 
   /// Pops and returns the oldest block.
   Resident evictFront();
 
-  void growTables(SuperblockId Id);
+  /// Makes \p Id a valid index into the per-id tables.
+  void growTables(SuperblockId Id) {
+    if (Id >= ResidentFlag.size()) [[unlikely]]
+      growTablesTo(Id);
+  }
+  void growTablesTo(SuperblockId Id);
 };
 
 } // namespace ccsim

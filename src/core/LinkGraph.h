@@ -16,17 +16,22 @@
 /// The graph rests on one invariant: a link S -> T exists exactly when S
 /// and T are both resident and T is among S's static edges (with
 /// multiplicity). So it stores no per-link state, only what residency
-/// cannot tell:
-///   - each block's learned out-edges (the list it was last inserted
-///     with; kept across evictions),
-///   - a reverse-edge index (target -> learned sources), filled on a
-///     block's first insert and re-learned only when a re-translated
-///     block arrives with a different edge list,
-///   - the live-link counter, and
-///   - the eviction epoch that marks one batch's victims.
+/// cannot tell, split in two:
+///   - a LinkTopology: each block's learned out-edges (the list it was
+///     last inserted with; kept across evictions), a reverse-edge index
+///     (target -> learned sources, filled on a block's first insert and
+///     re-learned only when a re-translated block arrives with a
+///     different edge list), and the eviction epoch that marks one
+///     batch's victims;
+///   - per cache, the live-link counter.
 /// Links created, their intra/inter-unit classification, per-victim
 /// dangling counts and links destroyed are all computed from
 /// CodeCache::contains/startOf; no list is edited on eviction.
+///
+/// Nothing in a topology depends on one cache's residency, so the graphs
+/// of several caches replaying the same trace can share one (the one-pass
+/// lattice gives all its engines one). A graph without a shared topology
+/// owns a private one; both run the same code.
 ///
 /// Links are classified intra-unit or inter-unit at materialization time
 /// using the eviction quantum in force (Figure 13). A whole-cache flush
@@ -43,10 +48,71 @@
 #include "core/Superblock.h"
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
 namespace ccsim {
+
+/// The learned chaining graph of one trace: per-id out-edges, the
+/// reverse-edge index, and eviction-batch marks. Block shapes are fixed
+/// within a trace, so every LinkGraph replaying it learns the same lists
+/// and may share one topology.
+///
+/// Not thread-safe: the tables are mutated by every sharing graph's
+/// inserts and evictions. Only graphs driven by one thread may share a
+/// topology; never share one across worker threads.
+class LinkTopology {
+public:
+  /// Size of the dense per-id tables (ids at or beyond this were never
+  /// inserted or named as an edge target).
+  size_t size() const { return Edges.size(); }
+
+  /// Learned out-edges of \p Id and the learned sources naming \p Id as a
+  /// target. Empty span for ids outside the tables. The spans alias
+  /// internal storage and are invalidated by any mutation.
+  std::span<const SuperblockId> edgesOf(SuperblockId Id) const {
+    return listOrEmpty(Edges, Id);
+  }
+  std::span<const SuperblockId> sourcesOf(SuperblockId Id) const {
+    return listOrEmpty(Sources, Id);
+  }
+
+  /// True when the reverse index mirrors the learned edges with matching
+  /// multiplicity (tests).
+  bool checkMirror() const;
+
+private:
+  friend class LinkGraph;
+
+  // Dense per-id state; index by SuperblockId.
+  std::vector<std::vector<SuperblockId>> Edges;   // Source -> targets.
+  std::vector<std::vector<SuperblockId>> Sources; // Target -> sources.
+  std::vector<uint32_t> EvictEpoch; // Batch-membership marks.
+  uint32_t CurrentEpoch = 0;
+
+  static std::span<const SuperblockId>
+  listOrEmpty(const std::vector<std::vector<SuperblockId>> &Table,
+              SuperblockId Id) {
+    if (Id >= Table.size())
+      return {};
+    return Table[Id];
+  }
+
+  /// Makes \p Id a valid index into every per-id table.
+  void grow(SuperblockId Id) {
+    if (Id >= Edges.size()) [[unlikely]]
+      growTo(Id);
+  }
+  void growTo(SuperblockId Id);
+
+  /// Records \p NewEdges as \p Id's out-edges, moving its reverse-index
+  /// entries when the shape changed.
+  void learn(SuperblockId Id, std::span<const SuperblockId> NewEdges);
+
+  /// Starts a new eviction batch: returns the epoch its victims carry.
+  uint32_t nextEpoch();
+};
 
 /// Chaining state for the blocks resident in one CodeCache.
 class LinkGraph {
@@ -54,6 +120,10 @@ public:
   /// Bytes of back-pointer table memory per materialized link: an 8-byte
   /// pointer plus an 8-byte list link (paper, Section 5.1 footnote).
   static constexpr uint64_t BytesPerBackPointer = 16;
+
+  /// A graph over \p Shared, or over a private topology when null. A
+  /// shared topology must outlive the graph and obey its one-thread rule.
+  explicit LinkGraph(LinkTopology *Shared = nullptr);
 
   /// Registers newly resident \p Id with its static \p Edges (re-learning
   /// the reverse index if they differ from the last insert's), counts the
@@ -67,7 +137,8 @@ public:
   /// \p Cache). For each victim, appends to \p DanglingCounts the number
   /// of incoming links from *surviving* blocks — the dangling pointers a
   /// back-pointer table must repair (Equation 4's numLinks). Links whose
-  /// endpoints both died are destroyed for free.
+  /// endpoints both died are destroyed for free. A batch that empties the
+  /// cache has no survivors: every count is zero and every live link dies.
   void onEvict(const CodeCache &Cache,
                std::span<const CodeCache::Resident> Victims,
                std::vector<uint32_t> &DanglingCounts);
@@ -89,20 +160,9 @@ public:
   bool hasLink(const CodeCache &Cache, SuperblockId From,
                SuperblockId To) const;
 
-  /// Auditor introspection: size of the dense per-id tables (ids at or
-  /// beyond this were never inserted or named as an edge target).
-  size_t idTableSize() const { return Edges.size(); }
-
-  /// Auditor introspection: learned out-edges of \p Id and the learned
-  /// sources naming \p Id as a target, resident or not. Empty span for
-  /// ids outside the tables. The spans alias internal storage and are
-  /// invalidated by any mutation.
-  std::span<const SuperblockId> edgesOf(SuperblockId Id) const {
-    return listOrEmpty(Edges, Id);
-  }
-  std::span<const SuperblockId> sourcesOf(SuperblockId Id) const {
-    return listOrEmpty(Sources, Id);
-  }
+  /// The learned graph this cache's links derive from (shared or
+  /// private); auditors read the learned edges and sources here.
+  const LinkTopology &topology() const { return *Topo; }
 
   /// Exhaustive consistency check against \p Cache for tests: the reverse
   /// index mirrors the learned edges with matching multiplicity, and the
@@ -110,23 +170,9 @@ public:
   bool checkInvariants(const CodeCache &Cache) const;
 
 private:
-  // Dense per-id state; index by SuperblockId.
-  std::vector<std::vector<SuperblockId>> Edges;   // Source -> targets.
-  std::vector<std::vector<SuperblockId>> Sources; // Target -> sources.
-  std::vector<uint32_t> EvictEpoch; // Batch-membership marks.
-  uint32_t CurrentEpoch = 0;
+  std::unique_ptr<LinkTopology> Owned; // Null when the topology is shared.
+  LinkTopology *Topo;
   uint64_t LinkCount = 0;
-
-  static std::span<const SuperblockId>
-  listOrEmpty(const std::vector<std::vector<SuperblockId>> &Table,
-              SuperblockId Id) {
-    if (Id >= Table.size())
-      return {};
-    return Table[Id];
-  }
-
-  void growTables(SuperblockId Id);
-  void learn(SuperblockId Id, std::span<const SuperblockId> NewEdges);
 };
 
 } // namespace ccsim

@@ -134,6 +134,7 @@ MultiConfigEngine::MultiConfigEngine(const Trace &T,
     // No OnEviction observer either — the miss path reads lastEvictions()
     // to keep the residency bitmask exact without per-batch copies.
     EC.Telemetry = nullptr;
+    EC.Topology = &Topology;
     SharedState S;
     S.Engine = std::make_unique<CacheEngine>(EC, makePolicy(Job.Spec));
     S.JobIndex = J;
@@ -185,13 +186,13 @@ void MultiConfigEngine::sharedPass() {
           SharedState &S =
               Shared[W * 64 + static_cast<size_t>(std::countr_zero(Bit))];
           CacheEngine &Engine = *S.Engine;
-          // Settle the back-pointer samples owed for the hit run since
-          // this engine's last miss (the table size was constant across
-          // it), then let the miss mutate the engine, then sample this
-          // access at the post-miss size — exactly the per-access
-          // sampling cadence. A too-big miss never becomes resident, so
-          // its bit stays clear and every access re-misses, as in dense
-          // replay.
+          // Settle the back-pointer samples owed since this engine's
+          // last miss (the table size was constant across them), then let
+          // the miss mutate the engine. This access's own sample, at the
+          // post-miss size, is owed to the next settlement — exactly the
+          // per-access sampling cadence. A too-big miss never becomes
+          // resident, so its bit stays clear and every access re-misses,
+          // as in dense replay.
           if (S.SamplesTable) {
             Engine.addDeferredBackPointerSamples(I - S.SampledThrough);
             S.SampledThrough = I;
@@ -202,10 +203,6 @@ void MultiConfigEngine::sharedPass() {
           // inserted block's own bit was set above.
           for (const CodeCache::Resident &V : Engine.lastEvictions())
             Resident[V.Id * NumWords + W] &= ~Bit;
-          if (S.SamplesTable) {
-            Engine.addDeferredBackPointerSamples(1);
-            S.SampledThrough = I + 1;
-          }
           ++Accounting.SharedMisses;
         }
       }

@@ -25,7 +25,10 @@
 ///    visits only the configurations that actually miss (bit scan), never
 ///    the ones that hit;
 ///  - hit counters and back-pointer-table samples are settled in batches
-///    at miss boundaries, bit-identically to per-access accounting.
+///    at miss boundaries, bit-identically to per-access accounting;
+///  - every engine's LinkGraph reads one shared LinkTopology (the
+///    trace's learned edges and reverse index), so the lattice keeps one
+///    copy of the graph per trace instead of one per configuration.
 ///
 /// Points the shortcuts cannot cover — per-access audit levels, foreign
 /// cancellation tokens, non-stateless policies — fall back to dense
@@ -124,6 +127,9 @@ class MultiConfigEngine {
 public:
   MultiConfigEngine(const Trace &T, const std::vector<SweepJob> &Jobs,
                     const LatticePlan &Plan);
+  // The engines point at Topology: the pass stays where it was built.
+  MultiConfigEngine(const MultiConfigEngine &) = delete;
+  MultiConfigEngine &operator=(const MultiConfigEngine &) = delete;
 
   /// Runs the shared pass, then the fallback replays, and settles every
   /// engine. Throws ReplayCancelled at trace-chunk granularity when the
@@ -151,7 +157,10 @@ private:
   struct SharedState {
     std::unique_ptr<CacheEngine> Engine;
     size_t JobIndex = 0;         ///< The point this engine simulates.
-    uint64_t SampledThrough = 0; ///< Accesses with a back-pointer sample.
+    /// Accesses before this one carry a back-pointer sample. After a miss
+    /// at access I it is I: I's sample is taken by the next settlement, at
+    /// the post-miss table size, which no other access can change.
+    uint64_t SampledThrough = 0;
     /// The engine's keepsBackPointerTable() gate, copied next to the
     /// sampling cursor so the miss path skips the sampling calls
     /// entirely when the engine keeps no table.
@@ -161,6 +170,9 @@ private:
   const Trace &T;
   const std::vector<SweepJob> &Jobs;
   const LatticePlan &Plan;
+  /// The trace's learned link graph, shared by every shared engine. The
+  /// pass drives them all on one thread, as LinkTopology requires.
+  LinkTopology Topology;
   std::vector<SharedState> Shared;
   /// Residency bitmask: bit E of word [Id * NumWords + W] is set when
   /// superblock Id is resident in shared engine W * 64 + E. Kept exact by

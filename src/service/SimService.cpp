@@ -73,14 +73,9 @@ std::string Job::validate() const {
   for (const Trace &Tr : T.Traces)
     if (!Tr.validate())
       return "tenant job trace '" + Tr.Name + "' is structurally invalid";
-  if (!T.Policy.Tenants.empty() &&
-      T.Policy.Tenants.size() != T.Traces.size()) {
-    char Buf[96];
-    std::snprintf(Buf, sizeof(Buf),
-                  "tenant job has %zu traces but %zu tenant specs",
-                  T.Traces.size(), T.Policy.Tenants.size());
-    return Buf;
-  }
+  std::string Err = T.Policy.validateTenantCount(T.Traces.size());
+  if (!Err.empty())
+    return "tenant job has " + Err;
   return T.Policy.validate();
 }
 

@@ -183,3 +183,16 @@ std::string FlagSet::usage() const {
   }
   return Out;
 }
+
+std::optional<int64_t> ccsim::boundedIntFlag(const FlagSet &Flags,
+                                             const std::string &Name,
+                                             int64_t Lo, int64_t Hi,
+                                             std::string *Error) {
+  const int64_t Value = Flags.getInt(Name);
+  if (Value >= Lo && Value <= Hi)
+    return Value;
+  if (Error)
+    *Error = "bad " + Name + " " + std::to_string(Value) + " (need " +
+             std::to_string(Lo) + ".." + std::to_string(Hi) + ")";
+  return std::nullopt;
+}

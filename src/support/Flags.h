@@ -15,6 +15,7 @@
 #define CCSIM_SUPPORT_FLAGS_H
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -73,6 +74,15 @@ private:
   const Flag *find(const std::string &Name) const;
   bool assign(Flag &F, const std::string &Value);
 };
+
+/// The one bounded integer flag reader: the value of --\p Name when it
+/// lies in [\p Lo, \p Hi], else nullopt with "bad <name> <value> (need
+/// <Lo>..<Hi>)" in \p Error. Every count and size flag a driver narrows
+/// to an unsigned field goes through it, so a negative or oversized value
+/// is a usage error instead of wrapping.
+std::optional<int64_t> boundedIntFlag(const FlagSet &Flags,
+                                      const std::string &Name, int64_t Lo,
+                                      int64_t Hi, std::string *Error);
 
 } // namespace ccsim
 

@@ -249,6 +249,17 @@ TEST(MultiTenantTest, PolicyIsBuiltOnAValidatedSimConfig) {
   EXPECT_EQ(Sim.totalCapacityBytes(), sim::capacityFor(SuiteMaxCache, Base));
 }
 
+TEST(MultiTenantTest, TenantListIsEmptyOrOneSpecPerTrace) {
+  TenancyPolicy Policy = baseConfig();
+  EXPECT_TRUE(Policy.validateTenantCount(3).empty()); // All weigh 1.0.
+  Policy.Tenants = {{1.0}, {2.0}, {3.0}};
+  EXPECT_TRUE(Policy.validateTenantCount(3).empty());
+  EXPECT_EQ(Policy.validateTenantCount(2), "2 traces but 3 tenant specs");
+  EXPECT_EQ(Policy.validateTenantCount(4), "4 traces but 3 tenant specs");
+  // The count is its own rule: validate() knows no trace list.
+  EXPECT_TRUE(Policy.validate().empty());
+}
+
 TEST(MultiTenantTest, TenancyGridIsStrictAndGranularityMajor) {
   TenancyPolicy Base = baseConfig();
   Base.PressureFactor = 3.0;

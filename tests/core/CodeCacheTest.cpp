@@ -30,6 +30,17 @@ std::vector<SuperblockId> residentIds(const CodeCache &C) {
 
 } // namespace
 
+// A ring slot packs into 16 bytes (Id, Size, Start).
+static_assert(sizeof(CodeCache::Resident) == 16);
+
+TEST(CodeCacheTest, ResidentKeepsIdStartSizeArgumentOrder) {
+  const CodeCache::Resident R{7, 4096, 64};
+  EXPECT_EQ(R.Id, 7u);
+  EXPECT_EQ(R.Start, 4096u);
+  EXPECT_EQ(R.Size, 64u);
+  EXPECT_EQ(R.end(), 4160u);
+}
+
 TEST(CodeCacheTest, EmptyCacheState) {
   CodeCache C(1000);
   EXPECT_EQ(C.capacity(), 1000u);

@@ -191,7 +191,7 @@ TEST_F(LinkGraphFixture, RetranslatedBlockLinksByItsNewShape) {
   EXPECT_TRUE(Links.hasLink(Cache, 2, 1));
   EXPECT_EQ(Links.inDegree(Cache, 0), 0u);
   EXPECT_EQ(Links.inDegree(Cache, 1), 2u);
-  EXPECT_TRUE(Links.sourcesOf(0).empty());
+  EXPECT_TRUE(Links.topology().sourcesOf(0).empty());
 
   // The old target no longer counts 2 as a source: evicting it leaves no
   // dangling link, while evicting the new target dangles both exits.
@@ -203,6 +203,90 @@ TEST_F(LinkGraphFixture, RetranslatedBlockLinksByItsNewShape) {
   ASSERT_EQ(DanglingAtNew.size(), 1u);
   EXPECT_EQ(DanglingAtNew[0], 2u);
   EXPECT_EQ(Links.numLinks(), 0u);
+}
+
+namespace {
+
+/// Two graphs over one topology and one cache, fed the same inserts. The
+/// first sees a batch that empties the cache (the short cut); the twin
+/// sees the same victims against a bystander cache that holds only an
+/// unlinked block, so it takes the per-victim path.
+struct EmptyingBatch {
+  CodeCache Cache{1000};
+  LinkTopology Topology;
+  LinkGraph Links{&Topology};
+  LinkGraph Twin{&Topology};
+  CacheStats Stats, TwinStats;
+
+  void insert(SuperblockId Id, uint32_t Size, uint64_t Quantum,
+              std::vector<SuperblockId> Edges) {
+    std::vector<CodeCache::Resident> Evicted;
+    ASSERT_TRUE(Cache.prepareInsert(Size, Quantum, Evicted).CanInsert);
+    ASSERT_TRUE(Evicted.empty());
+    Cache.commitInsert(Id, Size);
+    Links.onInsert(Cache, Quantum, Id, Edges, Stats);
+    Twin.onInsert(Cache, Quantum, Id, Edges, TwinStats);
+  }
+
+  /// Runs the batch on both graphs and checks the contract.
+  void expectEmptyingBatchMatchesPerVictimPath(
+      const std::vector<CodeCache::Resident> &Victims) {
+    ASSERT_TRUE(Cache.empty());
+    const uint64_t Live = Links.numLinks();
+    ASSERT_GT(Live, 0u);
+    ASSERT_EQ(Twin.numLinks(), Live);
+
+    std::vector<uint32_t> Dangling, TwinDangling;
+    Links.onEvict(Cache, Victims, Dangling);
+    CodeCache Bystander(1000);
+    std::vector<CodeCache::Resident> None;
+    ASSERT_TRUE(Bystander.prepareInsert(10, 1, None).CanInsert);
+    Bystander.commitInsert(99, 10);
+    Twin.onEvict(Bystander, Victims, TwinDangling);
+
+    EXPECT_EQ(Dangling, std::vector<uint32_t>(Victims.size(), 0u));
+    EXPECT_EQ(Dangling, TwinDangling);
+    EXPECT_EQ(Links.numLinks(), 0u); // Exactly the live links died.
+    EXPECT_EQ(Twin.numLinks(), 0u);
+    EXPECT_TRUE(Links.checkInvariants(Cache));
+  }
+};
+
+} // namespace
+
+TEST(LinkGraphEmptyingBatchTest, FlushBatchDestroysEveryLiveLink) {
+  EmptyingBatch B;
+  B.insert(0, 300, 1000, {1, 2});
+  B.insert(1, 300, 1000, {0, 1});
+  B.insert(2, 300, 1000, {0, 7}); // 7 never arrives: no link.
+  std::vector<CodeCache::Resident> Victims;
+  B.Cache.flushAll(Victims);
+  ASSERT_EQ(Victims.size(), 3u);
+  B.expectEmptyingBatchMatchesPerVictimPath(Victims);
+}
+
+TEST(LinkGraphEmptyingBatchTest, UnitBatchForAWholeCacheBlock) {
+  EmptyingBatch B;
+  constexpr uint64_t Quantum = 250; // Four units.
+  B.insert(0, 300, Quantum, {1});
+  B.insert(1, 300, Quantum, {0, 2});
+  B.insert(2, 300, Quantum, {2});
+  // A block as large as the cache flushes every unit.
+  std::vector<CodeCache::Resident> Victims;
+  const CodeCache::PrepareOutcome Prep =
+      B.Cache.prepareInsert(1000, Quantum, Victims);
+  ASSERT_TRUE(Prep.CanInsert);
+  ASSERT_EQ(Victims.size(), 3u);
+  B.expectEmptyingBatchMatchesPerVictimPath(Victims);
+}
+
+TEST(LinkGraphTopologyTest, GraphsOwnPrivateTopologiesUnlessShared) {
+  LinkGraph A, B;
+  EXPECT_NE(&A.topology(), &B.topology());
+  LinkTopology Shared;
+  LinkGraph C(&Shared), D(&Shared);
+  EXPECT_EQ(&C.topology(), &Shared);
+  EXPECT_EQ(&D.topology(), &Shared);
 }
 
 TEST(LinkGraphRandomTest, InvariantsUnderRandomChurn) {

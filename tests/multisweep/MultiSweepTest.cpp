@@ -298,7 +298,8 @@ TEST(MultiSweepEquivalenceTest, MetricsRegistryExportsAreByteIdentical) {
 
 TEST(MultiSweepDeferredTest, DeferredProtocolMatchesDenseReplay) {
   // Drive one engine through access() and a twin through the deferred
-  // front door over the same thrashing stream; every counter must land
+  // front door over the same thrashing stream, settling samples once per
+  // miss as the shared pass does; every counter must land
   // bit-identically.
   const Trace T = scaledTrace("crafty", 0.02);
   CacheEngineConfig EC;
@@ -316,13 +317,55 @@ TEST(MultiSweepDeferredTest, DeferredProtocolMatchesDenseReplay) {
       continue;
     Deferred.addDeferredBackPointerSamples(I - SampledThrough);
     Deferred.deferredMiss(T.recordFor(Id));
-    Deferred.addDeferredBackPointerSamples(1);
-    SampledThrough = I + 1;
+    SampledThrough = I; // Access I is sampled at the post-miss size.
   }
   Deferred.addDeferredBackPointerSamples(T.Accesses.size() - SampledThrough);
   Deferred.settleDeferredAccesses(T.Accesses.size());
 
   expectStatsEqual(Dense.stats(), Deferred.stats(), "deferred vs dense");
+}
+
+namespace {
+
+/// Four 100-byte blocks over a 200-byte cache (pressure 2). Under fine
+/// FIFO the stream misses on accesses 0-1 and 3-5; the last miss brings
+/// the back-pointer table to its peak (3 links), so a settlement that
+/// dropped the final access would change both sampled fields.
+Trace backPointerCadenceTrace() {
+  Trace T;
+  T.Name = "cadence";
+  T.Blocks.resize(4);
+  for (SuperblockDef &B : T.Blocks)
+    B.SizeBytes = 100;
+  T.Blocks[0].OutEdges = {1};
+  T.Blocks[1].OutEdges = {0};
+  T.Blocks[3].OutEdges = {0, 0, 3};
+  T.Accesses = {0, 1, 1, 2, 3, 0};
+  return T;
+}
+
+} // namespace
+
+TEST(MultiSweepDeferredTest, ConsecutiveAndFinalMissesSettleLikeDense) {
+  const Trace T = backPointerCadenceTrace();
+  ASSERT_TRUE(T.validate());
+  const auto Grid = gridOf({GranularitySpec::fine(), GranularitySpec::units(2)},
+                           {2.0});
+  const LatticePlan Plan = planLattice(Grid);
+  ASSERT_EQ(Plan.numShared(), Grid.size());
+  MultiConfigEngine Pass(T, Grid, Plan);
+  const std::vector<SimResult> OnePass = Pass.run();
+  for (size_t J = 0; J < Grid.size(); ++J) {
+    const SimResult Dense =
+        sim::run(T, makePolicy(Grid[J].Spec), Grid[J].Config);
+    expectStatsEqual(OnePass[J].Stats, Dense.Stats, Grid[J].Spec.label());
+  }
+  // Fine FIFO: samples 0, 2, 2, 0, 1, 3 links of 16 bytes each.
+  const CacheStats &Fine = OnePass[0].Stats;
+  EXPECT_EQ(Fine.Misses, 5u);
+  EXPECT_EQ(Fine.BackPointerBytesPeak, 3 * LinkGraph::BytesPerBackPointer);
+  EXPECT_EQ(Fine.BackPointerBytesSum,
+            static_cast<double>(8 * LinkGraph::BytesPerBackPointer));
 }
 
 //===----------------------------------------------------------------------===//
@@ -389,6 +432,33 @@ TEST(MultiSweepAuditTest, SharedEnginesAuditCleanMidPassAndSettled) {
   EXPECT_TRUE(Pass.auditSharedStructures().clean())
       << Pass.auditSharedStructures().render();
   EXPECT_TRUE(Pass.auditSettled().clean()) << Pass.auditSettled().render();
+}
+
+TEST(MultiSweepAuditTest, SharedEnginesShareOneTopologyAndAuditMidPass) {
+  const Trace T = scaledTrace("crafty", 0.02);
+  // The state at the middle of a pass is the state after its first half.
+  Trace Half = T;
+  Half.Accesses.resize(T.Accesses.size() / 2);
+  const auto Grid = gridOf({GranularitySpec::flush(),
+                            GranularitySpec::units(8),
+                            GranularitySpec::fine()},
+                           {2.0, 6.0});
+  const LatticePlan Plan = planLattice(Grid);
+  MultiConfigEngine Pass(Half, Grid, Plan);
+  Pass.run();
+  ASSERT_EQ(Pass.numSharedEngines(), Grid.size());
+  const LinkTopology &Topology = Pass.sharedEngine(0).links().topology();
+  EXPECT_GT(Topology.size(), 0u);
+  for (size_t I = 1; I < Pass.numSharedEngines(); ++I)
+    EXPECT_EQ(&Pass.sharedEngine(I).links().topology(), &Topology)
+        << "engine " << I;
+  EXPECT_TRUE(Pass.auditSharedStructures().clean())
+      << Pass.auditSharedStructures().render();
+
+  // A standalone engine keeps a private topology.
+  CacheEngineConfig EC;
+  const CacheEngine Standalone(EC, makePolicy(GranularitySpec::fine()));
+  EXPECT_NE(&Standalone.links().topology(), &Topology);
 }
 
 TEST(MultiSweepAuditTest, SeededCorruptionOfCompactStateIsCaught) {

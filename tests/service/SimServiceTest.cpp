@@ -421,6 +421,24 @@ TEST(SimServiceTest, NanPressureTenantJobIsRejectedLikeAReplay) {
   EXPECT_EQ(Good.wait().Status, JobStatus::Done) << Good.wait().Error;
 }
 
+TEST(SimServiceTest, TenantJobWithTheWrongTenantCountIsRejected) {
+  // The simulator requires the same rule, so a mismatched list must stop
+  // at submission, never abort a worker.
+  SimServiceConfig SC;
+  SC.Threads = 1;
+  SimService Service(SC);
+
+  TenantJob Tenants;
+  Tenants.Traces.push_back(scaledTrace("gzip", 0.05));
+  Tenants.Traces.push_back(scaledTrace("vpr", 0.05));
+  Tenants.Policy.Tenants = {{1.0}};
+  const JobOutcome O = Service.submit(Job(std::move(Tenants))).wait();
+  EXPECT_EQ(O.Status, JobStatus::Rejected);
+  EXPECT_NE(O.Error.find("tenant job has 2 traces but 1 tenant specs"),
+            std::string::npos)
+      << O.Error;
+}
+
 TEST(SimServiceTest, ExecuteJobFailsOnInvalidTraceWithoutAborting) {
   // An access naming an undefined superblock makes the trace structurally
   // invalid; executeJob must turn that into a Failed outcome, never an

@@ -111,3 +111,16 @@ TEST(FlagsTest, UsageListsFlagsAndDefaults) {
   EXPECT_NE(Usage.find("default: 10"), std::string::npos);
   EXPECT_NE(Usage.find("A ratio."), std::string::npos);
 }
+
+TEST(FlagsTest, BoundedIntFlagAcceptsTheRangeAndNamesItOtherwise) {
+  FlagSet Flags = makeSet();
+  std::string Error;
+  EXPECT_TRUE(parse(Flags, {"--count=3"}));
+  EXPECT_EQ(boundedIntFlag(Flags, "count", 1, 3, &Error), 3);
+  EXPECT_TRUE(Error.empty());
+
+  EXPECT_TRUE(parse(Flags, {"--count=-1"}));
+  EXPECT_EQ(boundedIntFlag(Flags, "count", 0, 9, &Error), std::nullopt);
+  EXPECT_EQ(Error, "bad count -1 (need 0..9)");
+  EXPECT_EQ(boundedIntFlag(Flags, "count", 0, 9, nullptr), std::nullopt);
+}
