@@ -6,14 +6,16 @@
 ///
 /// \file
 /// Helpers shared by the per-figure bench binaries: a common flag set
-/// (--scale, --seed, pressure controls), engine construction, and uniform
-/// headers so EXPERIMENTS.md can be assembled from bench output directly.
+/// (--scale, --seed, pressure controls), engine construction, the one way
+/// a figure bench runs its grid, and uniform headers so EXPERIMENTS.md
+/// can be assembled from bench output directly.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CCSIM_BENCH_BENCHCOMMON_H
 #define CCSIM_BENCH_BENCHCOMMON_H
 
+#include "multisweep/MultiConfigEngine.h"
 #include "sim/Sweep.h"
 #include "support/Csv.h"
 #include "support/Flags.h"
@@ -21,6 +23,7 @@
 #include "support/Table.h"
 
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -81,6 +84,50 @@ inline void printHeader(const std::string &Title,
 
 /// The pressure axis of Figures 7, 11 and 15.
 inline std::vector<double> pressureAxis() { return {2, 4, 6, 8, 10}; }
+
+/// The standard granularity sweep at each of \p Pressures on \p Base,
+/// pressure-major (makeSweepGrid): the grid behind the figure benches.
+inline std::vector<SweepJob>
+granularityGrid(const std::vector<double> &Pressures,
+                const SimConfig &Base = SimConfig()) {
+  return makeSweepGrid(standardGranularitySweep(), Pressures, Base);
+}
+
+/// Reports \p Error, a validate() result, on stderr: a flag such as
+/// --pressure=0.5 made the run invalid. True when there is one, so a
+/// bench exits before printing or simulating anything.
+inline bool invalid(const std::string &Error) {
+  if (!Error.empty())
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
+  return !Error.empty();
+}
+
+/// The one way a figure bench runs its grid: checks \p Grid before
+/// anything is printed or simulated, then prints the header, builds the
+/// suite and runs the whole grid through the sweep front door
+/// (multisweep::runSweepGrid, one-pass). nullopt, with the error on
+/// stderr and nothing on stdout, when the grid is invalid.
+inline std::optional<std::vector<SuiteResult>>
+runFigureGrid(const FlagSet &Flags, const std::vector<SweepJob> &Grid,
+              const std::string &Title, const std::string &PaperReference) {
+  if (invalid(validateSweepGrid(Grid)))
+    return std::nullopt;
+  printHeader(Title, PaperReference);
+  return multisweep::runSweepGrid(makeEngine(Flags), Grid);
+}
+
+/// Splits the results of a grid built from whole, consecutive
+/// standardGranularitySweep() runs (one per pressure of a makeSweepGrid
+/// lattice, or one per base config) into those runs, in grid order.
+inline std::vector<std::vector<SuiteResult>>
+granularitySweeps(const std::vector<SuiteResult> &Results) {
+  const size_t Width = standardGranularitySweep().size();
+  std::vector<std::vector<SuiteResult>> Sweeps;
+  for (size_t Begin = 0; Begin < Results.size(); Begin += Width)
+    Sweeps.emplace_back(Results.begin() + Begin,
+                        Results.begin() + Begin + Width);
+  return Sweeps;
+}
 
 } // namespace benchutil
 } // namespace ccsim

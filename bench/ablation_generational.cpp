@@ -44,14 +44,16 @@ int main(int Argc, char **Argv) {
   Flags.addDouble("pressure", 6.0, "Cache pressure factor.");
   if (!Flags.parse(Argc, Argv))
     return 1;
+  SimConfig Config;
+  Config.PressureFactor = Flags.getDouble("pressure");
+  if (benchutil::invalid(Config.validate()))
+    return 1;
 
   benchutil::printHeader(
       "Ablation: generational cache management (Section 2.2, ref [15])",
       "Generational caches protect long-lived superblocks from phase "
       "churn; compare against a single 8-unit FIFO at equal capacity");
   const SweepEngine Engine = benchutil::makeEngine(Flags);
-  SimConfig Config;
-  Config.PressureFactor = Flags.getDouble("pressure");
 
   const SuiteResult Single =
       Engine.runSuite(GranularitySpec::units(8), Config);

@@ -85,14 +85,16 @@ int main(int Argc, char **Argv) {
   Flags.addDouble("pressure", 10.0, "Cache pressure factor.");
   if (!Flags.parse(Argc, Argv))
     return 1;
+  SimConfig Config;
+  Config.PressureFactor = Flags.getDouble("pressure");
+  if (benchutil::invalid(Config.validate()))
+    return 1;
 
   benchutil::printHeader(
       "Ablation: why FIFO circular buffers instead of LRU (Section 3.3)",
       "Section 3.3: LRU fragments a variable-entry cache; compaction "
       "requires adjusting all the link pointers");
   const SweepEngine Engine = benchutil::makeEngine(Flags);
-  SimConfig Config;
-  Config.PressureFactor = Flags.getDouble("pressure");
 
   // Aggregate across the suite.
   const SuiteResult Fifo =

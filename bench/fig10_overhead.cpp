@@ -19,17 +19,16 @@ int main(int Argc, char **Argv) {
   if (!Flags.parse(Argc, Argv))
     return 1;
 
-  benchutil::printHeader(
+  const auto Grid = benchutil::runFigureGrid(
+      Flags, benchutil::granularityGrid({Flags.getDouble("pressure")}),
       "Figure 10: Relative overhead (miss + eviction), cache = maxCache/" +
           formatDouble(Flags.getDouble("pressure"), 0),
       "Figure 10: coarse policies on the far left perform worst; the "
       "minimum is at medium granularity; the finest grains rise again "
       "due to frequent eviction invocations");
-  const SweepEngine Engine = benchutil::makeEngine(Flags);
-
-  SimConfig Config;
-  Config.PressureFactor = Flags.getDouble("pressure");
-  const auto Results = Engine.sweepGranularities(Config);
+  if (!Grid)
+    return 1;
+  const std::vector<SuiteResult> &Results = *Grid;
   const auto Weighted = relativeOverheadWeighted(Results, false);
   const auto Mean = relativeOverheadPerBenchmarkMean(Results, false);
 

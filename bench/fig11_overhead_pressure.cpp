@@ -17,20 +17,19 @@ int main(int Argc, char **Argv) {
   if (!Flags.parse(Argc, Argv))
     return 1;
 
-  benchutil::printHeader(
+  const auto Pressures = benchutil::pressureAxis();
+  const auto Grid = benchutil::runFigureGrid(
+      Flags, benchutil::granularityGrid(Pressures),
       "Figure 11: Relative overhead (miss + eviction) vs cache pressure",
       "Figure 11: the finest-grained policy starts out better than FLUSH "
       "and loses ground as pressure increases, eventually crossing it; "
       "medium grains stay best");
-  const SweepEngine Engine = benchutil::makeEngine(Flags);
+  if (!Grid)
+    return 1;
 
-  const auto Pressures = benchutil::pressureAxis();
   std::vector<std::string> Labels;
   std::vector<std::vector<double>> MeanSeries, WeightedSeries;
-  for (double P : Pressures) {
-    SimConfig Config;
-    Config.PressureFactor = P;
-    const auto Results = Engine.sweepGranularities(Config);
+  for (const auto &Results : benchutil::granularitySweeps(*Grid)) {
     if (Labels.empty())
       for (const SuiteResult &R : Results)
         Labels.push_back(R.PolicyLabel);

@@ -18,15 +18,14 @@ int main(int Argc, char **Argv) {
   if (!Flags.parse(Argc, Argv))
     return 1;
 
-  benchutil::printHeader(
+  const auto Grid = benchutil::runFigureGrid(
+      Flags, benchutil::granularityGrid({Flags.getDouble("pressure")}),
       "Figure 13: Links that target superblocks in different cache units",
       "Figure 13: 0% under FLUSH; 24.3% with two units; grows with the "
       "unit count; self-links keep fine FIFO below 100%");
-  const SweepEngine Engine = benchutil::makeEngine(Flags);
-
-  SimConfig Config;
-  Config.PressureFactor = Flags.getDouble("pressure");
-  const auto Results = Engine.sweepGranularities(Config);
+  if (!Grid)
+    return 1;
+  const std::vector<SuiteResult> &Results = *Grid;
 
   Table Out({"Granularity", "Inter-unit links (Eq.1)",
              "Inter-unit links (mean/benchmark)", "Links created"});

@@ -18,18 +18,17 @@ int main(int Argc, char **Argv) {
   if (!Flags.parse(Argc, Argv))
     return 1;
 
-  benchutil::printHeader(
+  const auto Grid = benchutil::runFigureGrid(
+      Flags, benchutil::granularityGrid({Flags.getDouble("pressure")}),
       "Figure 14: Relative overhead incl. link maintenance, cache = "
       "maxCache/" +
           formatDouble(Flags.getDouble("pressure"), 0),
       "Figure 14: adding link maintenance moves every finer-grained "
       "policy closer to FLUSH (which needs no back-pointer table); the "
       "finest grains shift the most");
-  const SweepEngine Engine = benchutil::makeEngine(Flags);
-
-  SimConfig Config;
-  Config.PressureFactor = Flags.getDouble("pressure");
-  const auto Results = Engine.sweepGranularities(Config);
+  if (!Grid)
+    return 1;
+  const std::vector<SuiteResult> &Results = *Grid;
   const auto WithLinks = relativeOverheadPerBenchmarkMean(Results, true);
   const auto WithoutLinks =
       relativeOverheadPerBenchmarkMean(Results, false);

@@ -16,19 +16,18 @@ int main(int Argc, char **Argv) {
   if (!Flags.parse(Argc, Argv))
     return 1;
 
-  benchutil::printHeader(
+  const auto Pressures = benchutil::pressureAxis();
+  const auto Grid = benchutil::runFigureGrid(
+      Flags, benchutil::granularityGrid(Pressures),
       "Figure 15: Relative overhead incl. link maintenance vs pressure",
       "Figure 15: same crossover trend as Figure 11, with link removal "
       "raising every policy except FLUSH");
-  const SweepEngine Engine = benchutil::makeEngine(Flags);
+  if (!Grid)
+    return 1;
 
-  const auto Pressures = benchutil::pressureAxis();
   std::vector<std::string> Labels;
   std::vector<std::vector<double>> MeanSeries;
-  for (double P : Pressures) {
-    SimConfig Config;
-    Config.PressureFactor = P;
-    const auto Results = Engine.sweepGranularities(Config);
+  for (const auto &Results : benchutil::granularitySweeps(*Grid)) {
     if (Labels.empty())
       for (const SuiteResult &R : Results)
         Labels.push_back(R.PolicyLabel);

@@ -18,16 +18,15 @@ int main(int Argc, char **Argv) {
   if (!Flags.parse(Argc, Argv))
     return 1;
 
-  benchutil::printHeader(
+  const auto Grid = benchutil::runFigureGrid(
+      Flags, benchutil::granularityGrid({Flags.getDouble("pressure")}),
       "Figure 6: Miss rates at varying granularities (pressure " +
           formatDouble(Flags.getDouble("pressure"), 0) + ")",
       "Figure 6: miss rate declines monotonically from FLUSH to the "
       "finest-grained FIFO");
-  const SweepEngine Engine = benchutil::makeEngine(Flags);
-
-  SimConfig Config;
-  Config.PressureFactor = Flags.getDouble("pressure");
-  const auto Results = Engine.sweepGranularities(Config);
+  if (!Grid)
+    return 1;
+  const std::vector<SuiteResult> &Results = *Grid;
   const auto Rates = unifiedMissRates(Results);
 
   Table Out({"Granularity", "Unified miss rate", "Misses", "Accesses"});

@@ -16,19 +16,18 @@ int main(int Argc, char **Argv) {
   if (!Flags.parse(Argc, Argv))
     return 1;
 
-  benchutil::printHeader(
+  const auto Pressures = benchutil::pressureAxis();
+  const auto Grid = benchutil::runFigureGrid(
+      Flags, benchutil::granularityGrid(Pressures),
       "Figure 7: Miss rates at varying granularities vs cache pressure",
       "Figure 7: miss-rate differences between granularities become much "
       "more pronounced as pressure increases");
-  const SweepEngine Engine = benchutil::makeEngine(Flags);
+  if (!Grid)
+    return 1;
 
-  const auto Pressures = benchutil::pressureAxis();
   std::vector<std::vector<double>> Series; // [pressure][granularity].
   std::vector<std::string> Labels;
-  for (double P : Pressures) {
-    SimConfig Config;
-    Config.PressureFactor = P;
-    const auto Results = Engine.sweepGranularities(Config);
+  for (const auto &Results : benchutil::granularitySweeps(*Grid)) {
     if (Labels.empty())
       for (const SuiteResult &R : Results)
         Labels.push_back(R.PolicyLabel);

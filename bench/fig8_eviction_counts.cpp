@@ -18,15 +18,14 @@ int main(int Argc, char **Argv) {
   if (!Flags.parse(Argc, Argv))
     return 1;
 
-  benchutil::printHeader(
+  const auto Grid = benchutil::runFigureGrid(
+      Flags, benchutil::granularityGrid({Flags.getDouble("pressure")}),
       "Figure 8: Relative number of evictions vs finest-grained FIFO",
       "Figure 8: invocations fall steeply with coarser units; the paper "
       "reports ~3x fewer at 64 units than fine-grained FIFO");
-  const SweepEngine Engine = benchutil::makeEngine(Flags);
-
-  SimConfig Config;
-  Config.PressureFactor = Flags.getDouble("pressure");
-  const auto Results = Engine.sweepGranularities(Config);
+  if (!Grid)
+    return 1;
+  const std::vector<SuiteResult> &Results = *Grid;
   const size_t Baseline = Results.size() - 1; // Fine FIFO.
   const auto Weighted = relativeEvictionsWeighted(Results, Baseline);
   const auto Mean = relativeEvictionsPerBenchmarkMean(Results, Baseline);

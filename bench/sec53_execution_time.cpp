@@ -21,15 +21,16 @@ int main(int Argc, char **Argv) {
                   "Application instructions retired per dispatch event.");
   if (!Flags.parse(Argc, Argv))
     return 1;
+  SimConfig Config;
+  Config.PressureFactor = Flags.getDouble("pressure");
+  if (benchutil::invalid(Config.validate()))
+    return 1;
 
   benchutil::printHeader(
       "Section 5.3: Execution-time reduction from FLUSH to 8-unit FIFO",
       "Section 5.3: at pressure 10, crafty improves 19.33% and twolf "
       "19.79%; stressed applications improve most");
   const SweepEngine Engine = benchutil::makeEngine(Flags);
-
-  SimConfig Config;
-  Config.PressureFactor = Flags.getDouble("pressure");
   const SuiteResult Flush =
       Engine.runSuite(GranularitySpec::flush(), Config);
   const SuiteResult Units8 =

@@ -22,28 +22,38 @@ int main(int Argc, char **Argv) {
   if (!Flags.parse(Argc, Argv))
     return 1;
 
-  benchutil::printHeader(
-      "Sensitivity: where does the medium-grain optimum live?",
-      "Section 4.3-4.4: the eviction fixed cost (3055) drives the "
-      "fine-end penalty; the miss cost (75.4x+1922) drives the coarse-end "
-      "penalty");
-  const SweepEngine Engine = benchutil::makeEngine(Flags);
-
+  // One grid for the whole study: the granularity sweep once per cost
+  // model, in (miss scale, eviction scale) order.
   const std::vector<double> EvictScales = {0.1, 1.0, 10.0, 100.0};
   const std::vector<double> MissScales = {0.1, 1.0, 10.0};
-
-  Table Out({"Eq.2 fixed x", "Eq.3 x", "Best granularity", "Best rel",
-             "FIFO rel", "FLUSH penalty"});
+  std::vector<SweepJob> Jobs;
   for (double MissScale : MissScales) {
     for (double EvictScale : EvictScales) {
       SimConfig Config;
-      Config.PressureFactor = Flags.getDouble("pressure");
       Config.Costs = CostModel::paperDefaults();
       Config.Costs.EvictionBase *= EvictScale;
       Config.Costs.MissBase *= MissScale;
       Config.Costs.MissPerByte *= MissScale;
+      for (const SweepJob &Job :
+           benchutil::granularityGrid({Flags.getDouble("pressure")}, Config))
+        Jobs.push_back(Job);
+    }
+  }
+  const auto Grid = benchutil::runFigureGrid(
+      Flags, Jobs, "Sensitivity: where does the medium-grain optimum live?",
+      "Section 4.3-4.4: the eviction fixed cost (3055) drives the "
+      "fine-end penalty; the miss cost (75.4x+1922) drives the coarse-end "
+      "penalty");
+  if (!Grid)
+    return 1;
+  const auto Sweeps = benchutil::granularitySweeps(*Grid);
 
-      const auto Results = Engine.sweepGranularities(Config);
+  Table Out({"Eq.2 fixed x", "Eq.3 x", "Best granularity", "Best rel",
+             "FIFO rel", "FLUSH penalty"});
+  size_t Next = 0;
+  for (double MissScale : MissScales) {
+    for (double EvictScale : EvictScales) {
+      const std::vector<SuiteResult> &Results = Sweeps[Next++];
       const auto Rel = relativeOverheadPerBenchmarkMean(Results, true);
       size_t Best = 0;
       for (size_t I = 1; I < Rel.size(); ++I)

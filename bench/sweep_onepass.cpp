@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 //
 // Times the Figure 6/7/8 granularity x pressure lattice (the
-// standardGranularitySweep() at the five paper pressures) under both sweep
-// backends: dense per-config replay (SweepEngine::runParallel) and the
-// one-pass multi-configuration engine (multisweep::runSweepGrid). The two
+// standardGranularitySweep() at the five paper pressures) through the
+// sweep front door (multisweep::runSweepGrid) in both modes: dense
+// per-config replay and the one-pass multi-configuration engine. The two
 // must produce bit-identical suite results — the binary exits 2 if they
 // ever diverge, so the recorded speedup is always a speedup of *equal*
 // work.
@@ -26,6 +26,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -33,33 +34,8 @@ using namespace ccsim;
 
 namespace {
 
-/// Bitwise equality over every CacheStats counter. The one-pass contract
-/// is bit-identity, not tolerance — double fields compare with ==.
-bool statsEqual(const CacheStats &A, const CacheStats &B) {
-  return A.Accesses == B.Accesses && A.Hits == B.Hits &&
-         A.Misses == B.Misses && A.ColdMisses == B.ColdMisses &&
-         A.CapacityMisses == B.CapacityMisses &&
-         A.TooBigMisses == B.TooBigMisses && A.Inserts == B.Inserts &&
-         A.InsertedBytes == B.InsertedBytes &&
-         A.EvictionInvocations == B.EvictionInvocations &&
-         A.EvictedBlocks == B.EvictedBlocks &&
-         A.EvictedBytes == B.EvictedBytes &&
-         A.UnitsFlushed == B.UnitsFlushed &&
-         A.PreemptiveFlushes == B.PreemptiveFlushes &&
-         A.WastedBytes == B.WastedBytes &&
-         A.LinksCreated == B.LinksCreated &&
-         A.InterUnitLinksCreated == B.InterUnitLinksCreated &&
-         A.SelfLinksCreated == B.SelfLinksCreated &&
-         A.UnlinkedLinks == B.UnlinkedLinks &&
-         A.UnlinkOperations == B.UnlinkOperations &&
-         A.LinksDestroyed == B.LinksDestroyed &&
-         A.MissOverhead == B.MissOverhead &&
-         A.EvictionOverhead == B.EvictionOverhead &&
-         A.UnlinkOverhead == B.UnlinkOverhead &&
-         A.BackPointerBytesPeak == B.BackPointerBytesPeak &&
-         A.BackPointerBytesSum == B.BackPointerBytesSum;
-}
-
+/// Bitwise equality of two grids' results: the one-pass contract is
+/// bit-identity, not tolerance.
 bool suitesEqual(const std::vector<SuiteResult> &A,
                  const std::vector<SuiteResult> &B) {
   if (A.size() != B.size())
@@ -67,7 +43,7 @@ bool suitesEqual(const std::vector<SuiteResult> &A,
   for (size_t I = 0; I < A.size(); ++I) {
     if (A[I].PolicyLabel != B[I].PolicyLabel ||
         A[I].PressureFactor != B[I].PressureFactor ||
-        !statsEqual(A[I].Combined, B[I].Combined) ||
+        A[I].Combined != B[I].Combined ||
         A[I].PerBenchmark.size() != B[I].PerBenchmark.size())
       return false;
     for (size_t P = 0; P < A[I].PerBenchmark.size(); ++P) {
@@ -75,7 +51,7 @@ bool suitesEqual(const std::vector<SuiteResult> &A,
       const SimResult &Y = B[I].PerBenchmark[P];
       if (X.BenchmarkName != Y.BenchmarkName ||
           X.PolicyName != Y.PolicyName ||
-          X.CapacityBytes != Y.CapacityBytes || !statsEqual(X.Stats, Y.Stats))
+          X.CapacityBytes != Y.CapacityBytes || X.Stats != Y.Stats)
         return false;
     }
   }
@@ -104,31 +80,32 @@ int main(int Argc, char **Argv) {
   std::vector<double> Pressures = benchutil::pressureAxis();
   if (!Flags.getString("pressures").empty()) {
     Pressures.clear();
-    const std::string &Text = Flags.getString("pressures");
-    size_t Pos = 0;
-    while (Pos < Text.size()) {
-      size_t End = Text.find(',', Pos);
-      if (End == std::string::npos)
-        End = Text.size();
-      Pressures.push_back(std::atof(Text.substr(Pos, End - Pos).c_str()));
-      Pos = End + 1;
+    for (const std::string &Text : splitList(Flags.getString("pressures"))) {
+      char *End = nullptr;
+      Pressures.push_back(std::strtod(Text.c_str(), &End));
+      if (*End) {
+        std::fprintf(stderr, "error: bad pressure '%s'\n", Text.c_str());
+        return 1;
+      }
     }
   }
+  // Paper-default costs; pressure comes from the grid.
+  const std::vector<SweepJob> Grid = benchutil::granularityGrid(Pressures);
+  if (benchutil::invalid(validateSweepGrid(Grid)))
+    return 1;
 
   benchutil::printHeader("one-pass multi-configuration sweep",
                          "Figures 6-8 lattice (granularity x pressure)");
 
   const SweepEngine Engine = benchutil::makeEngine(Flags);
-  SimConfig Base; // Paper-default costs; pressure comes from the grid.
-  const std::vector<SweepJob> Grid =
-      makeSweepGrid(standardGranularitySweep(), Pressures, Base);
   std::printf("lattice: %zu configs x %zu benchmarks (scale %.3f, "
               "%u threads)\n\n",
               Grid.size(), Engine.traces().size(), Flags.getDouble("scale"),
               Engine.numThreads());
 
   const auto PerConfigStart = std::chrono::steady_clock::now();
-  const std::vector<SuiteResult> Dense = Engine.runParallel(Grid);
+  const std::vector<SuiteResult> Dense = multisweep::runSweepGrid(
+      Engine, Grid, {multisweep::SweepMode::PerConfig, /*Log=*/nullptr});
   const auto PerConfigEnd = std::chrono::steady_clock::now();
   const double PerConfigMs = elapsedMs(PerConfigStart, PerConfigEnd);
   std::printf("per-config: %.1f ms\n", PerConfigMs);

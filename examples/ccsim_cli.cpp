@@ -24,7 +24,7 @@
 //       Re-derive the paper's overhead equations from a mini-DBT run.
 //   ccsim_cli suite --pressure=2 [--scale=0.2] [--jobs=N]
 //       Granularity sweep over the whole Table 1 suite, parallelized over
-//       N worker threads (0..256; default 0 = hardware concurrency). The
+//       N worker threads (0..256; default 0 = one per usable CPU). The
 //       grid runs through the one-pass multi-configuration engine by
 //       default; --sweep-mode=per-config selects dense per-point replay
 //       (results are byte-identical either way).
@@ -506,8 +506,8 @@ FlagSet makeSuiteFlags() {
   Flags.addInt("seed", static_cast<int64_t>(DefaultSuiteSeed),
                "Suite seed.");
   Flags.addInt("jobs", 0,
-               "Worker threads, 0..256 (0 = hardware concurrency, 1 = "
-               "serial).");
+               "Worker threads, 0..256 (0 = one per CPU this process may "
+               "run on, 1 = serial).");
   addSweepModeFlag(Flags);
   addTelemetryFlags(Flags);
   return Flags;
@@ -583,7 +583,8 @@ FlagSet makeBatchFlags() {
       "print in manifest order and are byte-identical to --serial "
       "execution (except replay --guest-threads > 1 lines, whose "
       "interleaving is schedule-dependent by design).");
-  Flags.addInt("jobs", 0, "Service worker threads, 0..256 (0 = hardware).");
+  Flags.addInt("jobs", 0,
+               "Service worker threads, 0..256 (0 = one per usable CPU).");
   Flags.addInt("queue", 64, "Admission queue capacity.");
   Flags.addString("backpressure", "block",
                   "Full-queue policy: block | reject | shed-oldest.");

@@ -32,8 +32,8 @@ int main(int Argc, char **Argv) {
   addWorkloadFlags(Flags);
   addSimConfigFlags(Flags, 10.0);
   Flags.addInt("jobs", 0,
-               "Worker threads, 0..256 (0 = hardware concurrency, 1 = "
-               "serial).");
+               "Worker threads, 0..256 (0 = one per CPU this process may "
+               "run on, 1 = serial).");
   addSweepModeFlag(Flags);
   addTelemetryFlags(Flags);
   if (!Flags.parse(Argc, Argv))
@@ -56,8 +56,12 @@ int main(int Argc, char **Argv) {
     return 1;
   }
   const WorkloadModel &Chosen = *Model;
-  const Trace T = TraceGenerator::generateBenchmark(
-      Chosen, static_cast<uint64_t>(Flags.getInt("seed")));
+  std::vector<Trace> One;
+  One.push_back(TraceGenerator::generateBenchmark(
+      Chosen, static_cast<uint64_t>(Flags.getInt("seed"))));
+  SweepEngine Engine(std::move(One));
+  Engine.setNumThreads(*Jobs ? *Jobs : ThreadPool::hardwareThreads());
+  const Trace &T = Engine.traces().front();
 
   auto Parsed = simConfigFromFlags(Flags, &Error);
   if (!Parsed) {
@@ -74,33 +78,19 @@ int main(int Argc, char **Argv) {
               formatBytes(sim::capacityFor(T, Config)).c_str(),
               Config.PressureFactor);
 
-  // Every sweep point replays the same trace, so the one-pass engine can
-  // evaluate the whole spectrum in a single decode; per-config keeps the
-  // dense fan-out. Both render byte-identical tables.
+  // The spectrum is a one-trace grid; both sweep modes render
+  // byte-identical tables.
   const std::vector<GranularitySpec> Specs = standardGranularitySweep();
-  std::vector<SimResult> Results(Specs.size());
-  if (*Mode == multisweep::SweepMode::OnePass) {
-    std::vector<SweepJob> Points;
-    Points.reserve(Specs.size());
-    for (const GranularitySpec &Spec : Specs)
-      Points.push_back({Spec, Config});
-    const multisweep::LatticePlan Plan = multisweep::planLattice(Points);
-    multisweep::MultiConfigEngine Engine(T, Points, Plan);
-    Results = Engine.run();
-  } else {
-    ThreadPool Pool(*Jobs); // 0 = hardware threads.
-    Pool.parallelFor(
-        Specs.size(),
-        [&](size_t I) { Results[I] = sim::run(T, Specs[I], Config); },
-        /*ChunkSize=*/1);
-  }
+  const std::vector<SuiteResult> Suites = multisweep::runSweepGrid(
+      Engine, makeSweepGrid(Specs, {Config.PressureFactor}, Config),
+      {*Mode, /*Log=*/nullptr});
 
   Table Out({"Granularity", "Miss rate", "Evictions", "Backptr peak",
              "Overhead (instr)", "Relative"});
   double Best = 0.0, FlushOverhead = 0.0;
   std::string BestLabel;
   for (size_t I = 0; I < Specs.size(); ++I) {
-    const SimResult &R = Results[I];
+    const SimResult &R = Suites[I].PerBenchmark.front();
     const double Overhead = R.Stats.totalOverhead(true);
     if (Specs[I].Kind == GranularitySpec::KindType::Flush)
       FlushOverhead = Overhead;

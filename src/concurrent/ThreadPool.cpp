@@ -8,11 +8,26 @@
 #include <exception>
 #include <limits>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 using namespace ccsim;
 
 unsigned ThreadPool::hardwareThreads() {
-  const unsigned HW = std::thread::hardware_concurrency();
-  return HW ? std::min(HW, MaxThreads) : 4;
+  unsigned Usable = 0;
+#ifdef __linux__
+  // hardware_concurrency() counts every CPU of the machine, including
+  // ones a taskset or cpuset forbids; more workers than usable CPUs only
+  // time-slice. The calling thread's mask is what its pools inherit.
+  cpu_set_t Mask;
+  CPU_ZERO(&Mask);
+  if (sched_getaffinity(0, sizeof(Mask), &Mask) == 0)
+    Usable = static_cast<unsigned>(CPU_COUNT(&Mask));
+#endif
+  if (Usable == 0)
+    Usable = std::thread::hardware_concurrency();
+  return Usable ? std::min(Usable, MaxThreads) : 4;
 }
 
 ThreadPool::ThreadPool(unsigned NumThreads, bool AlwaysSpawnWorkers)

@@ -84,7 +84,9 @@ public:
   void parallelFor(size_t N, const std::function<void(size_t)> &Body,
                    size_t ChunkSize = 0) CCSIM_EXCLUDES(Mu);
 
-  /// Hardware concurrency with a sane fallback, capped at MaxThreads.
+  /// The CPUs the calling thread may run on (its affinity mask, e.g.
+  /// under taskset), else hardware concurrency, else 4; capped at
+  /// MaxThreads. What "0 threads" means everywhere.
   static unsigned hardwareThreads();
 
 private:
@@ -103,8 +105,8 @@ private:
 };
 
 /// One-shot convenience: runs \p Body over [0, N) on a transient pool of
-/// \p NumThreads workers (0 = hardware). Use a long-lived ThreadPool when
-/// issuing many parallel regions.
+/// \p NumThreads workers (0 = hardwareThreads()). Use a long-lived
+/// ThreadPool when issuing many parallel regions.
 void parallelFor(unsigned NumThreads, size_t N,
                  const std::function<void(size_t)> &Body);
 

@@ -123,6 +123,10 @@ struct CacheStats {
   /// aggregation, Equation 1).
   void merge(const CacheStats &Other);
 
+  /// Field-by-field equality, doubles compared exactly: the replay
+  /// backends' contract is bit-identity, not tolerance.
+  bool operator==(const CacheStats &Other) const = default;
+
   /// Publishes every counter into \p Metrics under \p Labels. This is the
   /// one place that exposes the full counter set — including the fields no
   /// report printed before telemetry existed (WastedBytes, UnitsFlushed,

@@ -44,17 +44,38 @@ size_t LatticePlan::numFallbacks() const {
   return Count;
 }
 
-LatticePlan ccsim::multisweep::planLattice(const std::vector<SweepJob> &Jobs) {
+LatticePlan ccsim::multisweep::planLattice(const std::vector<SweepJob> &Jobs,
+                                           SweepMode Mode) {
   LatticePlan Plan;
   Plan.Points.resize(Jobs.size());
   bool HaveSharedCancel = false;
-  // Representative shared point per job index, for duplicate detection.
-  std::vector<size_t> SharedJobs;
 
   for (size_t J = 0; J < Jobs.size(); ++J) {
     const SweepJob &Job = Jobs[J];
     LatticePlan::Point &P = Plan.Points[J];
 
+    // Identical telemetry-free points simulate once: a telemetry-carrying
+    // point records observable events and metrics, so it always runs
+    // itself (and sameSimulation never matches it to a telemetry-free
+    // one).
+    if (!Job.Config.Telemetry) {
+      size_t Rep = 0;
+      while (Rep < J &&
+             (Plan.Points[Rep].Kind == LatticePlan::Route::Duplicate ||
+              !Job.sameSimulation(Jobs[Rep])))
+        ++Rep;
+      if (Rep < J) {
+        P.Kind = LatticePlan::Route::Duplicate;
+        P.Representative = Rep;
+        continue;
+      }
+    }
+
+    if (Mode == SweepMode::PerConfig) {
+      P.Kind = LatticePlan::Route::Fallback;
+      P.FallbackReason = "per-config mode replays every point densely";
+      continue;
+    }
     // The shortcuts assume hits are pure reads: no per-access policy
     // state, no per-access audit hook, and one shared cancellation token
     // polled for everyone.
@@ -76,27 +97,8 @@ LatticePlan ccsim::multisweep::planLattice(const std::vector<SweepJob> &Jobs) {
       continue;
     }
 
-    // Identical telemetry-free points simulate once (same rule as
-    // SweepEngine::runParallel): a telemetry-carrying point records
-    // observable marks and metrics, so it keeps its own engine.
-    if (!Job.Config.Telemetry) {
-      bool Duplicated = false;
-      for (size_t Earlier : SharedJobs) {
-        if (Jobs[Earlier].Config.Telemetry ||
-            !Job.sameSimulation(Jobs[Earlier]))
-          continue;
-        P.Kind = LatticePlan::Route::Duplicate;
-        P.EngineIndex = Plan.Points[Earlier].EngineIndex;
-        Duplicated = true;
-        break;
-      }
-      if (Duplicated)
-        continue;
-    }
-
     P.Kind = LatticePlan::Route::Shared;
-    P.EngineIndex = Plan.NumSharedEngines++;
-    SharedJobs.push_back(J);
+    ++Plan.NumSharedEngines;
     if (!HaveSharedCancel) {
       HaveSharedCancel = true;
       Plan.SharedCancel = Job.Config.Cancel;
@@ -251,13 +253,6 @@ std::vector<SimResult> MultiConfigEngine::run() {
   sharedPass();
   for (SharedState &S : Shared)
     settle(S, Results[S.JobIndex]);
-  for (size_t J = 0; J < Jobs.size(); ++J) {
-    const LatticePlan::Point &P = Plan.Points[J];
-    if (P.Kind == LatticePlan::Route::Duplicate)
-      Results[J] = Results[Shared[P.EngineIndex].JobIndex];
-    else if (P.Kind == LatticePlan::Route::Fallback)
-      Results[J] = sim::run(T, makePolicy(Jobs[J].Spec), Jobs[J].Config);
-  }
   return Results;
 }
 
@@ -303,9 +298,10 @@ void logPlan(const LatticePlan &Plan, const std::vector<SweepJob> &Jobs,
       Log(Buf);
     } else if (P.Kind == LatticePlan::Route::Duplicate) {
       std::snprintf(Buf, sizeof(Buf),
-                    "point %zu (%s @ pressure %g) duplicates an earlier "
-                    "point; simulating once",
-                    J, Label.c_str(), Jobs[J].Config.PressureFactor);
+                    "point %zu (%s @ pressure %g) duplicates point %zu; "
+                    "simulating once",
+                    J, Label.c_str(), Jobs[J].Config.PressureFactor,
+                    P.Representative);
       Log(Buf);
     }
   }
@@ -326,48 +322,64 @@ ccsim::multisweep::runSweepGrid(const SweepEngine &Engine,
                                 OnePassAccounting *Accounting) {
   if (Accounting)
     *Accounting = {};
-  if (Options.Mode == SweepMode::PerConfig)
-    return Engine.runParallel(Jobs);
-
   CCSIM_REQUIRE(validateSweepGrid(Jobs).empty(),
-                "one-pass sweep needs a validated non-empty grid");
-  const LatticePlan Plan = planLattice(Jobs);
-  logPlan(Plan, Jobs, Options.Log);
+                "sweep grid front door needs a validated non-empty grid");
+  const LatticePlan Plan = planLattice(Jobs, Options.Mode);
+  if (Options.Mode == SweepMode::OnePass)
+    logPlan(Plan, Jobs, Options.Log);
 
-  // One MultiConfigEngine per benchmark, fanned out over the worker pool;
-  // each walks its trace once for the entire lattice.
   const std::vector<Trace> &Traces = Engine.traces();
-  std::vector<std::vector<SimResult>> PerTrace(Traces.size());
-  std::vector<OnePassAccounting> PerTraceAccounting(Traces.size());
-  if (!Traces.empty()) {
-    ThreadPool Pool(std::max(
-        1u, std::min<unsigned>(Engine.numThreads(), Traces.size())));
-    Pool.parallelFor(
-        Traces.size(),
-        [&](size_t B) {
-          MultiConfigEngine Pass(Traces[B], Jobs, Plan);
-          PerTrace[B] = Pass.run();
-          PerTraceAccounting[B] = Pass.accounting();
-        },
-        /*ChunkSize=*/1);
-  }
-
-  // Assemble in canonical (job, benchmark) order, exactly like
-  // runParallel, so reports and registries stay byte-identical.
+  const size_t NumBenchmarks = Traces.size();
   std::vector<SuiteResult> Results(Jobs.size());
+  for (SuiteResult &R : Results)
+    R.PerBenchmark.resize(NumBenchmarks);
+
+  // One cell list over both axes: each trace's shared pass first (the
+  // longest cells), then one dense replay per (fallback point, trace) in
+  // (job, benchmark) order. Every cell writes only its own result slots.
+  std::vector<size_t> Dense;
+  for (size_t J = 0; J < Jobs.size(); ++J)
+    if (Plan.Points[J].Kind == LatticePlan::Route::Fallback)
+      Dense.push_back(J);
+  const size_t Passes = Plan.numShared() ? NumBenchmarks : 0;
+  const size_t Cells = Passes + Dense.size() * NumBenchmarks;
+  std::vector<OnePassAccounting> PassAccounting(Passes);
+  ThreadPool Pool(static_cast<unsigned>(
+      std::clamp<size_t>(Cells, 1, Engine.numThreads())));
+  Pool.parallelFor(
+      Cells,
+      [&](size_t Cell) {
+        if (Cell < Passes) {
+          MultiConfigEngine Pass(Traces[Cell], Jobs, Plan);
+          std::vector<SimResult> Shared = Pass.run();
+          for (size_t J = 0; J < Jobs.size(); ++J)
+            if (Plan.Points[J].Kind == LatticePlan::Route::Shared)
+              Results[J].PerBenchmark[Cell] = std::move(Shared[J]);
+          PassAccounting[Cell] = Pass.accounting();
+          return;
+        }
+        const size_t J = Dense[(Cell - Passes) / NumBenchmarks];
+        const size_t B = (Cell - Passes) % NumBenchmarks;
+        Results[J].PerBenchmark[B] =
+            sim::run(Traces[B], makePolicy(Jobs[J].Spec), Jobs[J].Config);
+      },
+      /*ChunkSize=*/1);
+
+  // Merge in canonical (job, benchmark) order: bit-identical to running
+  // runSuite() per job serially.
   for (size_t J = 0; J < Jobs.size(); ++J) {
     SuiteResult &R = Results[J];
+    const LatticePlan::Point &P = Plan.Points[J];
+    if (P.Kind == LatticePlan::Route::Duplicate)
+      R.PerBenchmark = Results[P.Representative].PerBenchmark;
     R.PolicyLabel = Jobs[J].Spec.label();
     R.PressureFactor = Jobs[J].Config.PressureFactor;
-    R.PerBenchmark.reserve(Traces.size());
-    for (size_t B = 0; B < Traces.size(); ++B)
-      R.PerBenchmark.push_back(std::move(PerTrace[B][J]));
     for (const SimResult &Bench : R.PerBenchmark)
       R.Combined.merge(Bench.Stats);
     recordSuiteMetrics(Jobs[J].Config.Telemetry, R);
   }
   if (Accounting)
-    for (const OnePassAccounting &A : PerTraceAccounting)
+    for (const OnePassAccounting &A : PassAccounting)
       Accounting->merge(A);
   return Results;
 }

@@ -6,13 +6,12 @@
 ///
 /// \file
 /// Single-pass evaluation of a whole sweep lattice. Every figure sweep
-/// replays the same trace once per (granularity, pressure) point;
-/// SweepEngine::runParallel spreads the grid over threads but still
-/// decodes and walks the identical access stream once per point. For the
-/// stateless FIFO family (EvictionPolicy::isAccessStateless) a hit is a
-/// pure read — cache state changes only on misses — so one pass over the
-/// trace can drive every configuration at once (the DEW single-pass FIFO
-/// simulation idea):
+/// replays the same trace once per (granularity, pressure) point; dense
+/// replay (one sim::run per point) decodes and walks the identical access
+/// stream once per point. For the stateless FIFO family
+/// (EvictionPolicy::isAccessStateless) a hit is a pure read — cache state
+/// changes only on misses — so one pass over the trace can drive every
+/// configuration at once (the DEW single-pass FIFO simulation idea):
 ///
 ///  - the access stream is decoded once per trace chunk and shared by all
 ///    configurations;
@@ -34,9 +33,10 @@
 /// cancellation tokens, non-stateless policies — fall back to dense
 /// per-config replay (sim::run), with a log-visible accounting of which
 /// points fell back and why. Identical telemetry-free points are
-/// deduplicated. The correctness contract, pinned by tests/multisweep:
-/// every report and metrics export from one-pass mode is byte-identical
-/// to per-config replay.
+/// deduplicated. runSweepGrid is the one code that runs a grid, in either
+/// mode. The correctness contract, pinned by tests/multisweep: every
+/// report and metrics export from one-pass mode is byte-identical to
+/// per-config replay.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,9 +55,9 @@
 
 namespace ccsim::multisweep {
 
-/// Sweep-grid execution backend. OnePass is the default wherever a grid
-/// is driven end to end (CLI, service); PerConfig is the dense reference
-/// path (SweepEngine::runParallel).
+/// Sweep-grid execution mode. OnePass is the default wherever a grid is
+/// driven end to end (CLI, service, figure benches); PerConfig replays
+/// every point densely, the reference one-pass results must match.
 enum class SweepMode : uint8_t { PerConfig, OnePass };
 
 /// Stable flag spelling of \p Mode ("per-config" | "one-pass").
@@ -67,18 +67,18 @@ const char *sweepModeName(SweepMode Mode);
 std::optional<SweepMode> parseSweepMode(const std::string &Text);
 
 /// How each lattice point executes, decided once per grid (the plan does
-/// not depend on the trace). Points route three ways: Shared points ride
-/// the single pass on their own engine, Duplicate points copy a shared
-/// representative's results, Fallback points replay densely.
+/// not depend on the trace). Points route three ways: Duplicate points
+/// copy an earlier identical point's results, Shared points ride the
+/// single pass on their own engine, Fallback points replay densely.
 struct LatticePlan {
   enum class Route : uint8_t { Shared, Duplicate, Fallback };
 
   struct Point {
     Route Kind = Route::Shared;
-    /// Shared/Duplicate: index of the point's engine among the shared
-    /// engines (a Duplicate names its representative's engine).
-    size_t EngineIndex = 0;
-    /// Fallback only: why the shortcuts cannot cover this point.
+    /// Duplicate only: the earlier point whose results this one copies
+    /// (itself never a Duplicate).
+    size_t Representative = 0;
+    /// Fallback only: why the point replays densely.
     std::string FallbackReason;
   };
 
@@ -96,9 +96,15 @@ struct LatticePlan {
   size_t numFallbacks() const;
 };
 
-/// Classifies every grid point. \p Jobs may be any validateSweepGrid-clean
-/// lattice; the plan is deterministic and trace-independent.
-LatticePlan planLattice(const std::vector<SweepJob> &Jobs);
+/// Classifies every grid point; the one place that decides how a point
+/// runs. A telemetry-free point that SweepJob::sameSimulation()s an
+/// earlier representative is a Duplicate of it, whatever the mode. In
+/// PerConfig mode every other point is a Fallback; in OnePass mode it is
+/// Shared unless the shortcuts cannot cover it. \p Jobs may be any
+/// validateSweepGrid-clean lattice; the plan is deterministic and
+/// trace-independent.
+LatticePlan planLattice(const std::vector<SweepJob> &Jobs,
+                        SweepMode Mode = SweepMode::OnePass);
 
 /// Work accounting for one-pass runs (summed over traces when aggregated
 /// by runSweepGrid).
@@ -117,12 +123,12 @@ struct OnePassAccounting {
 };
 
 /// Evaluates one trace against a whole sweep lattice in a single pass.
-/// Construction builds the per-configuration engines; run() walks the
-/// trace once and returns one SimResult per lattice point, bit-identical
-/// to sim::run on each point. Telemetry-carrying shared points record
-/// their Mark pair and full CacheStats into the sink at settle time
-/// (metrics fidelity); per-access tracer events exist only in per-config
-/// mode.
+/// Construction builds one engine per Shared point; run() walks the trace
+/// once and settles them, bit-identically to sim::run on each point.
+/// Duplicate and Fallback points are runSweepGrid's job. Telemetry-carrying
+/// shared points record their Mark pair and full CacheStats into the sink
+/// at settle time (metrics fidelity); per-access tracer events exist only
+/// in dense replay.
 class MultiConfigEngine {
 public:
   MultiConfigEngine(const Trace &T, const std::vector<SweepJob> &Jobs,
@@ -131,10 +137,10 @@ public:
   MultiConfigEngine(const MultiConfigEngine &) = delete;
   MultiConfigEngine &operator=(const MultiConfigEngine &) = delete;
 
-  /// Runs the shared pass, then the fallback replays, and settles every
-  /// engine. Throws ReplayCancelled at trace-chunk granularity when the
-  /// plan's shared token (or a fallback point's own token) fires. Call
-  /// at most once.
+  /// Runs the shared pass and settles every engine. Returns one SimResult
+  /// per lattice point, filled for the Shared points only. Throws
+  /// ReplayCancelled at trace-chunk granularity when the plan's shared
+  /// token fires. Call at most once.
   std::vector<SimResult> run();
 
   const OnePassAccounting &accounting() const { return Accounting; }
@@ -193,20 +199,24 @@ private:
 /// Options for runSweepGrid.
 struct MultiSweepOptions {
   SweepMode Mode = SweepMode::OnePass;
-  /// Accounting sink: called with human-readable lines describing
-  /// deduplicated points and every fallback (reason included). Unset
-  /// means silent.
+  /// One-pass accounting sink: called with human-readable lines
+  /// describing deduplicated points and every fallback (reason included).
+  /// Unset, or PerConfig mode, means silent.
   std::function<void(const std::string &)> Log;
 };
 
-/// Grid front door: evaluates \p Jobs over every benchmark of \p Engine
-/// and returns one SuiteResult per job in canonical order, recording
-/// suite-level metrics exactly like SweepEngine::runParallel. PerConfig
-/// mode delegates to runParallel; OnePass plans the lattice once and runs
-/// a MultiConfigEngine per benchmark across the worker pool. Reports and
-/// metrics registries are byte-identical between the two modes.
-/// \p Accounting, when non-null, receives the merged one-pass accounting
-/// (zeroes in PerConfig mode).
+/// The grid front door, the one code that runs a sweep grid: evaluates
+/// \p Jobs over every benchmark of \p Engine and returns one SuiteResult
+/// per job in canonical order. It plans the lattice once (planLattice in
+/// Options.Mode), then runs one cell list on a pool of at most
+/// Engine.numThreads() workers: per trace the shared pass (when the plan
+/// has Shared points), and one dense sim::run per (Fallback point,
+/// trace). Duplicates copy their representative; the Eq. 1 merge and
+/// suite metrics follow in canonical (job, benchmark) order, so reports
+/// and metrics registries are byte-identical to a serial runSuite per
+/// job, in either mode and at any thread count. \p Jobs must be
+/// validateSweepGrid-clean. \p Accounting, when non-null, receives the
+/// merged one-pass accounting (zeroes in PerConfig mode).
 std::vector<SuiteResult>
 runSweepGrid(const SweepEngine &Engine, const std::vector<SweepJob> &Jobs,
              const MultiSweepOptions &Options = {},

@@ -63,8 +63,9 @@ parseBackpressurePolicy(const std::string &Text);
 
 /// Construction-time service configuration.
 struct SimServiceConfig {
-  /// Worker threads (0 = hardware concurrency). Workers are always real
-  /// threads: submit() never executes a job on the submitting thread.
+  /// Worker threads (0 = ThreadPool::hardwareThreads()). Workers are
+  /// always real threads: submit() never executes a job on the submitting
+  /// thread.
   unsigned Threads = 0;
 
   /// Admission queue capacity (jobs queued but not yet running).

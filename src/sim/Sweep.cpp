@@ -124,75 +124,3 @@ SuiteResult SweepEngine::runSuite(const GranularitySpec &Spec,
   return runSuite([&Spec]() { return makePolicy(Spec); }, Spec.label(),
                   Config);
 }
-
-std::vector<SuiteResult>
-SweepEngine::sweepGranularities(const SimConfig &Config) const {
-  std::vector<SuiteResult> Results;
-  for (const GranularitySpec &Spec : standardGranularitySweep())
-    Results.push_back(runSuite(Spec, Config));
-  return Results;
-}
-
-std::vector<SuiteResult>
-SweepEngine::runParallel(const std::vector<SweepJob> &Jobs) const {
-  const size_t NumBenchmarks = Traces.size();
-
-  // Identical grid points without a telemetry endpoint are simulated once
-  // and copied; Rep[J] is the index of the point J's cells come from. A
-  // point that records into a sink is its own representative: deduping it
-  // would drop observable tracer events and registry recordings.
-  std::vector<size_t> Rep(Jobs.size());
-  for (size_t J = 0; J < Jobs.size(); ++J) {
-    Rep[J] = J;
-    if (Jobs[J].Config.Telemetry)
-      continue;
-    for (size_t Earlier = 0; Earlier < J; ++Earlier)
-      if (Rep[Earlier] == Earlier && !Jobs[Earlier].Config.Telemetry &&
-          Jobs[J].sameSimulation(Jobs[Earlier])) {
-        Rep[J] = Earlier;
-        break;
-      }
-  }
-
-  // Every unique (job, benchmark) cell is an independent simulation on
-  // its own CacheEngine; flatten the grid so the pool load-balances
-  // across both axes at once (a single heavy benchmark no longer
-  // serializes a job).
-  std::vector<size_t> Unique;
-  for (size_t J = 0; J < Jobs.size(); ++J)
-    if (Rep[J] == J)
-      Unique.push_back(J);
-  const size_t Cells = Unique.size() * NumBenchmarks;
-  std::vector<SimResult> Flat(Cells);
-  ThreadPool Pool(std::max(1u, std::min<unsigned>(NumThreads, Cells)));
-  Pool.parallelFor(
-      Cells,
-      [&](size_t Cell) {
-        const size_t Job = Unique[Cell / NumBenchmarks];
-        const size_t Bench = Cell % NumBenchmarks;
-        Flat[Cell] = sim::run(Traces[Bench], makePolicy(Jobs[Job].Spec),
-                              Jobs[Job].Config);
-      },
-      /*ChunkSize=*/1);
-
-  // Index of each representative's first cell in Flat.
-  std::vector<size_t> FlatBase(Jobs.size(), 0);
-  for (size_t U = 0; U < Unique.size(); ++U)
-    FlatBase[Unique[U]] = U * NumBenchmarks;
-
-  // Merge in canonical (job, benchmark) order: bit-identical to running
-  // runSuite() per job serially.
-  std::vector<SuiteResult> Results(Jobs.size());
-  for (size_t J = 0; J < Jobs.size(); ++J) {
-    SuiteResult &R = Results[J];
-    R.PolicyLabel = Jobs[J].Spec.label();
-    R.PressureFactor = Jobs[J].Config.PressureFactor;
-    const size_t Base = FlatBase[Rep[J]];
-    R.PerBenchmark.assign(Flat.begin() + Base,
-                          Flat.begin() + Base + NumBenchmarks);
-    for (const SimResult &B : R.PerBenchmark)
-      R.Combined.merge(B.Stats);
-    recordSuiteMetrics(Jobs[J].Config.Telemetry, R);
-  }
-  return Results;
-}

@@ -13,7 +13,8 @@
 ///   unifiedMissRate = sum(cacheMisses_i) / sum(cacheAccesses_i)
 ///
 /// which is exactly what merging the per-benchmark counters produces.
-/// Benchmarks run in parallel across hardware threads; results are
+/// Whole grids run through multisweep::runSweepGrid; SweepEngine::runSuite
+/// is the serial per-point reference it must match. Results are
 /// deterministic regardless of thread count.
 ///
 //===----------------------------------------------------------------------===//
@@ -69,7 +70,7 @@ struct SweepJob {
   /// the same simulation-affecting config fields (pressure, capacity,
   /// cost model, chaining, audit level, cancellation wiring, telemetry
   /// endpoint). Two such points produce bit-identical results, which is
-  /// what lets the sweep engines simulate one and copy the other.
+  /// what lets multisweep::planLattice simulate one and copy the other.
   bool sameSimulation(const SweepJob &Other) const;
 };
 
@@ -91,8 +92,9 @@ std::string validateSweepGrid(const std::vector<SweepJob> &Jobs);
 void recordSuiteMetrics(telemetry::TelemetrySink *Tel,
                         const SuiteResult &Result);
 
-/// Generates and owns the traces for a benchmark suite and replays them
-/// under arbitrary policies.
+/// Generates and owns the traces for a benchmark suite. Grids run over
+/// it through multisweep::runSweepGrid; runSuite replays the suite under
+/// one policy, including policies a GranularitySpec cannot name.
 class SweepEngine {
 public:
   /// Generates traces for \p Models with per-benchmark seeds derived from
@@ -101,7 +103,7 @@ public:
 
   /// Engine over explicit, pre-generated traces (adversarial suites,
   /// saved logs). Takes ownership; traces must be validate()-clean and
-  /// nonempty. Every runner below treats these exactly like generated
+  /// nonempty. Every runner treats these exactly like generated
   /// benchmarks.
   explicit SweepEngine(std::vector<Trace> TraceList);
 
@@ -125,21 +127,9 @@ public:
   runSuite(const std::function<std::unique_ptr<EvictionPolicy>()> &MakePolicy,
            const std::string &Label, const SimConfig &Config) const;
 
-  /// Full granularity sweep (standardGranularitySweep()) at one pressure.
-  std::vector<SuiteResult> sweepGranularities(const SimConfig &Config) const;
-
-  /// Runs every grid cell of \p Jobs (|Jobs| x |benchmarks| independent
-  /// simulations) across the worker pool and merges results in canonical
-  /// (job, benchmark) order. The output is bit-identical to calling
-  /// runSuite() on each job serially: every cell simulates on its own
-  /// CacheEngine, and aggregation order never depends on scheduling.
-  /// Duplicate grid points (sameSimulation) without a telemetry endpoint
-  /// simulate once and share the result; telemetry-carrying points are
-  /// never deduplicated, since each replay records observable events.
-  std::vector<SuiteResult> runParallel(const std::vector<SweepJob> &Jobs) const;
-
-  /// Number of worker threads (defaults to hardware concurrency; set to 1
-  /// for strictly serial runs).
+  /// Number of worker threads (defaults to ThreadPool::hardwareThreads(),
+  /// the CPUs this process may run on; set to 1 for strictly serial
+  /// runs).
   void setNumThreads(unsigned Threads) { NumThreads = Threads ? Threads : 1; }
   unsigned numThreads() const { return NumThreads; }
 

@@ -2,9 +2,11 @@
 
 #include "sim/Sweep.h"
 
+#include "multisweep/MultiConfigEngine.h"
 #include "gtest/gtest.h"
 
 using namespace ccsim;
+using multisweep::SweepMode;
 
 namespace {
 
@@ -70,10 +72,15 @@ TEST(ParallelSweepTest, RunParallelMatchesSerialOnFig7StyleGrid) {
     for (const SweepJob &Job : Jobs)
       Expected.push_back(Serial.runSuite(Job.Spec, Job.Config));
 
-    const std::vector<SuiteResult> Actual = Parallel.runParallel(Jobs);
-    ASSERT_EQ(Actual.size(), Expected.size());
-    for (size_t I = 0; I < Expected.size(); ++I)
-      expectIdentical(Expected[I], Actual[I]);
+    // The grid front door on eight workers, in both sweep modes.
+    for (SweepMode Mode : {SweepMode::PerConfig, SweepMode::OnePass}) {
+      SCOPED_TRACE(multisweep::sweepModeName(Mode));
+      const std::vector<SuiteResult> Actual =
+          multisweep::runSweepGrid(Parallel, Jobs, {Mode, nullptr});
+      ASSERT_EQ(Actual.size(), Expected.size());
+      for (size_t I = 0; I < Expected.size(); ++I)
+        expectIdentical(Expected[I], Actual[I]);
+    }
   }
 }
 
@@ -82,11 +89,14 @@ TEST(ParallelSweepTest, RunParallelIsRepeatable) {
   Engine.setNumThreads(8);
   const std::vector<SweepJob> Jobs = makeSweepGrid(
       {GranularitySpec::units(4)}, {4.0}, SimConfig());
-  const auto A = Engine.runParallel(Jobs);
-  const auto B = Engine.runParallel(Jobs);
-  ASSERT_EQ(A.size(), 1u);
-  ASSERT_EQ(B.size(), 1u);
-  expectIdentical(A[0], B[0]);
+  for (SweepMode Mode : {SweepMode::PerConfig, SweepMode::OnePass}) {
+    SCOPED_TRACE(multisweep::sweepModeName(Mode));
+    const auto A = multisweep::runSweepGrid(Engine, Jobs, {Mode, nullptr});
+    const auto B = multisweep::runSweepGrid(Engine, Jobs, {Mode, nullptr});
+    ASSERT_EQ(A.size(), 1u);
+    ASSERT_EQ(B.size(), 1u);
+    expectIdentical(A[0], B[0]);
+  }
 }
 
 TEST(ParallelSweepTest, MakeSweepGridShape) {

@@ -4,9 +4,14 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
 #include <vector>
+
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 using namespace ccsim;
 
@@ -93,6 +98,27 @@ TEST(ThreadPoolTest, DefaultThreadCountIsHardware) {
   EXPECT_EQ(Pool.threadCount(), ThreadPool::hardwareThreads());
   EXPECT_GE(ThreadPool::hardwareThreads(), 1u);
 }
+
+#ifdef __linux__
+TEST(ThreadPoolTest, DefaultThreadCountFollowsCpuAffinity) {
+  // A thread pinned to one CPU (taskset -c N) gets one default worker,
+  // not one per CPU of the machine.
+  cpu_set_t Saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(Saved), &Saved), 0);
+  int First = 0;
+  while (!CPU_ISSET(First, &Saved))
+    ++First;
+  cpu_set_t One;
+  CPU_ZERO(&One);
+  CPU_SET(First, &One);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(One), &One), 0);
+  const unsigned Pinned = ThreadPool::hardwareThreads();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(Saved), &Saved), 0);
+  EXPECT_EQ(Pinned, 1u);
+  EXPECT_EQ(ThreadPool::hardwareThreads(),
+            std::min<unsigned>(CPU_COUNT(&Saved), ThreadPool::MaxThreads));
+}
+#endif
 
 TEST(ThreadPoolTest, TransientParallelForHelper) {
   std::vector<int> Out(50, 0);

@@ -86,6 +86,12 @@ std::vector<SweepJob> gridOf(const std::vector<GranularitySpec> &Specs,
   return makeSweepGrid(Specs, Pressures, Base);
 }
 
+/// The dense reference: the grid front door in per-config mode.
+std::vector<SuiteResult> perConfig(const SweepEngine &Engine,
+                                   const std::vector<SweepJob> &Grid) {
+  return runSweepGrid(Engine, Grid, {SweepMode::PerConfig, nullptr});
+}
+
 Trace scaledTrace(const char *Name, double Factor, uint64_t Seed = 42) {
   const WorkloadModel *M = findWorkload(Name);
   return TraceGenerator::generateBenchmark(scaledWorkload(*M, Factor), Seed);
@@ -150,7 +156,25 @@ TEST(MultiSweepPlanTest, DuplicatePointSharesItsRepresentativeEngine) {
   const LatticePlan Plan = planLattice(Grid);
   EXPECT_EQ(Plan.numShared(), 1u);
   ASSERT_EQ(Plan.Points[1].Kind, LatticePlan::Route::Duplicate);
-  EXPECT_EQ(Plan.Points[1].EngineIndex, Plan.Points[0].EngineIndex);
+  EXPECT_EQ(Plan.Points[1].Representative, 0u);
+}
+
+TEST(MultiSweepPlanTest, DuplicatesAreFoundWhateverTheRoute) {
+  // An audited point replays densely in both modes; its twin copies it
+  // instead of replaying again. Per-config mode routes every other point
+  // to dense replay.
+  auto Grid = gridOf({GranularitySpec::flush(), GranularitySpec::fine()},
+                     {2.0});
+  Grid[1].Config.Audit = AuditLevel::Evictions;
+  Grid.push_back(Grid[1]);
+  for (SweepMode Mode : {SweepMode::OnePass, SweepMode::PerConfig}) {
+    SCOPED_TRACE(sweepModeName(Mode));
+    const LatticePlan Plan = planLattice(Grid, Mode);
+    EXPECT_EQ(Plan.numShared(), Mode == SweepMode::OnePass ? 1u : 0u);
+    EXPECT_EQ(Plan.numFallbacks(), Mode == SweepMode::OnePass ? 1u : 2u);
+    ASSERT_EQ(Plan.Points[2].Kind, LatticePlan::Route::Duplicate);
+    EXPECT_EQ(Plan.Points[2].Representative, 1u);
+  }
 }
 
 TEST(MultiSweepPlanTest, TelemetryPointsAreNeverDeduplicated) {
@@ -201,7 +225,7 @@ TEST(MultiSweepEquivalenceTest, OnePassMatchesPerConfigOnGoldenLattice) {
   const SweepEngine Engine = SweepEngine::forScaledTable1(0.05);
   const auto Grid = gridOf(standardGranularitySweep(), {2.0, 8.0});
 
-  const std::vector<SuiteResult> Dense = Engine.runParallel(Grid);
+  const std::vector<SuiteResult> Dense = perConfig(Engine, Grid);
   MultiSweepOptions Options;
   Options.Mode = SweepMode::OnePass;
   OnePassAccounting Accounting;
@@ -224,7 +248,7 @@ TEST(MultiSweepEquivalenceTest, OnePassMatchesPerConfigSmall) {
                            {2.0, 8.0});
   MultiSweepOptions Options;
   Options.Mode = SweepMode::OnePass;
-  expectSuitesEqual(Engine.runParallel(Grid),
+  expectSuitesEqual(perConfig(Engine, Grid),
                     runSweepGrid(Engine, Grid, Options));
 }
 
@@ -244,7 +268,7 @@ TEST(MultiSweepEquivalenceTest, MixedFallbackGridStaysByteIdentical) {
   MultiSweepOptions Options;
   Options.Mode = SweepMode::OnePass;
   Options.Log = [&Lines](const std::string &L) { Lines.push_back(L); };
-  expectSuitesEqual(Engine.runParallel(Grid),
+  expectSuitesEqual(perConfig(Engine, Grid),
                     runSweepGrid(Engine, Grid, Options));
   ASSERT_FALSE(Lines.empty());
   EXPECT_NE(Lines.front().find("falls back"), std::string::npos)
@@ -258,7 +282,7 @@ TEST(MultiSweepEquivalenceTest, DuplicateGridPointsSimulateOnce) {
 
   MultiSweepOptions Options;
   Options.Mode = SweepMode::OnePass;
-  const std::vector<SuiteResult> Dense = Engine.runParallel(Grid);
+  const std::vector<SuiteResult> Dense = perConfig(Engine, Grid);
   const std::vector<SuiteResult> OnePass = runSweepGrid(Engine, Grid, Options);
   expectSuitesEqual(Dense, OnePass);
   // The duplicate's results are the representative's, in both backends.

@@ -11,9 +11,9 @@
 // this repository and are not the paper's absolute numbers; they pin the
 // implementation so any behavioral drift in the cache manager, policies,
 // trace generator, or sweep plumbing fails loudly here. The same table is
-// checked through the serial path (runSuite, one thread) and the parallel
-// path (runParallel, several workers), so determinism across --jobs is
-// part of the pin.
+// checked through the serial path (runSuite, one thread) and the grid
+// front door (runSweepGrid, several workers, both sweep modes), so
+// determinism across --jobs and --sweep-mode is part of the pin.
 //
 // If a change legitimately alters these numbers, rerun the suite and
 // update the table in the same commit as the behavioral change.
@@ -22,6 +22,7 @@
 
 #include "sim/Sweep.h"
 
+#include "multisweep/MultiConfigEngine.h"
 #include "gtest/gtest.h"
 
 #include <vector>
@@ -97,7 +98,8 @@ TEST(GoldenFigureTest, ParallelSweepMatchesPinnedNumbers) {
   Engine.setNumThreads(4);
 
   // One flat grid covering the whole table, executed as a single parallel
-  // batch — the result must be bit-identical to the serial runs above.
+  // batch in each sweep mode — the result must be bit-identical to the
+  // serial runs above.
   std::vector<SweepJob> Jobs;
   for (const GoldenRow &Row : kGolden) {
     SimConfig Config;
@@ -106,10 +108,15 @@ TEST(GoldenFigureTest, ParallelSweepMatchesPinnedNumbers) {
          makeSweepGrid({specFor(Row.PolicyLabel)}, {Row.Pressure}, Config))
       Jobs.push_back(Job);
   }
-  const std::vector<SuiteResult> Results = Engine.runParallel(Jobs);
-  ASSERT_EQ(Results.size(), std::size(kGolden));
-  for (size_t I = 0; I < Results.size(); ++I)
-    expectMatchesGolden(kGolden[I], Results[I]);
+  for (multisweep::SweepMode Mode :
+       {multisweep::SweepMode::PerConfig, multisweep::SweepMode::OnePass}) {
+    SCOPED_TRACE(multisweep::sweepModeName(Mode));
+    const std::vector<SuiteResult> Results =
+        multisweep::runSweepGrid(Engine, Jobs, {Mode, nullptr});
+    ASSERT_EQ(Results.size(), std::size(kGolden));
+    for (size_t I = 0; I < Results.size(); ++I)
+      expectMatchesGolden(kGolden[I], Results[I]);
+  }
 }
 
 TEST(GoldenFigureTest, GranularityOrderingMatchesPaperShape) {

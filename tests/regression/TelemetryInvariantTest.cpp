@@ -8,11 +8,13 @@
 //   * eviction-batch records reconcile exactly with their victim records,
 //   * trace ordering is monotone (seq strictly, tick weakly),
 //   * per-tenant metric totals equal the MultiTenantSimulator results,
-//   * metrics exports are byte-identical under serial and parallel sweeps.
+//   * metrics exports are byte-identical under serial and parallel sweeps,
+//     in both sweep modes.
 //
 //===----------------------------------------------------------------------===//
 
 #include "concurrent/MultiTenantSimulator.h"
+#include "multisweep/MultiConfigEngine.h"
 #include "sim/Sweep.h"
 #include "telemetry/Exporters.h"
 #include "telemetry/Telemetry.h"
@@ -188,31 +190,28 @@ TEST(TelemetryInvariantTest, PerTenantMetricsEqualSimulatorResults) {
 }
 
 TEST(TelemetryInvariantTest, SerialAndParallelSweepsExportIdenticalMetrics) {
-  SweepEngine Serial = SweepEngine::forScaledTable1(0.04);
-  SweepEngine Parallel = SweepEngine::forScaledTable1(0.04);
-  Serial.setNumThreads(1);
-  Parallel.setNumThreads(4);
-
-  telemetry::TelemetrySink SerialSink(1 << 16);
-  telemetry::TelemetrySink ParallelSink(1 << 16);
-
+  SweepEngine Engine = SweepEngine::forScaledTable1(0.04);
   const std::vector<GranularitySpec> Specs = {
       GranularitySpec::flush(), GranularitySpec::units(8),
       GranularitySpec::fine()};
-  SimConfig SerialConfig, ParallelConfig;
-  SerialConfig.Telemetry = &SerialSink;
-  ParallelConfig.Telemetry = &ParallelSink;
 
-  const auto SerialResults =
-      Serial.runParallel(makeSweepGrid(Specs, {2.0, 8.0}, SerialConfig));
-  const auto ParallelResults =
-      Parallel.runParallel(makeSweepGrid(Specs, {2.0, 8.0}, ParallelConfig));
-  ASSERT_EQ(SerialResults.size(), ParallelResults.size());
-
-  const std::string A = telemetry::renderMetricsCsv(SerialSink.Metrics);
-  const std::string B = telemetry::renderMetricsCsv(ParallelSink.Metrics);
-  EXPECT_FALSE(A.empty());
-  EXPECT_EQ(A, B);
-  EXPECT_EQ(telemetry::renderMetricsJsonLines(SerialSink.Metrics),
-            telemetry::renderMetricsJsonLines(ParallelSink.Metrics));
+  // The serial per-config grid is the reference; every (mode, workers)
+  // run of the front door must export the same CSV and JSON-lines bytes.
+  auto Export = [&](multisweep::SweepMode Mode, unsigned Threads) {
+    telemetry::TelemetrySink Sink(1 << 16);
+    SimConfig Config;
+    Config.Telemetry = &Sink;
+    Engine.setNumThreads(Threads);
+    multisweep::runSweepGrid(Engine, makeSweepGrid(Specs, {2.0, 8.0}, Config),
+                             {Mode, nullptr});
+    return std::make_pair(telemetry::renderMetricsCsv(Sink.Metrics),
+                          telemetry::renderMetricsJsonLines(Sink.Metrics));
+  };
+  const auto Serial = Export(multisweep::SweepMode::PerConfig, 1);
+  EXPECT_FALSE(Serial.first.empty());
+  for (multisweep::SweepMode Mode :
+       {multisweep::SweepMode::PerConfig, multisweep::SweepMode::OnePass}) {
+    SCOPED_TRACE(multisweep::sweepModeName(Mode));
+    EXPECT_EQ(Export(Mode, 4), Serial);
+  }
 }

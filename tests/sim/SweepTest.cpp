@@ -2,6 +2,7 @@
 
 #include "sim/Sweep.h"
 
+#include "multisweep/MultiConfigEngine.h"
 #include "gtest/gtest.h"
 
 using namespace ccsim;
@@ -59,9 +60,8 @@ TEST(SweepTest, ThreadCountDoesNotChangeResults) {
 TEST(SweepTest, GranularitySweepMissRatesDecline) {
   // Figure 6's shape: FLUSH misses the most, fine FIFO the least, and
   // the curve is (weakly) monotone along the granularity axis.
-  SimConfig C;
-  C.PressureFactor = 4.0;
-  const auto Results = engine().sweepGranularities(C);
+  const auto Results = multisweep::runSweepGrid(
+      engine(), makeSweepGrid(standardGranularitySweep(), {4.0}, SimConfig()));
   ASSERT_EQ(Results.size(), 10u);
   const double First = Results.front().Combined.missRate();
   const double Last = Results.back().Combined.missRate();
@@ -74,9 +74,8 @@ TEST(SweepTest, GranularitySweepMissRatesDecline) {
 
 TEST(SweepTest, EvictionInvocationsGrowWithGranularity) {
   // Figure 8's shape: finer grains invoke the eviction mechanism more.
-  SimConfig C;
-  C.PressureFactor = 4.0;
-  const auto Results = engine().sweepGranularities(C);
+  const auto Results = multisweep::runSweepGrid(
+      engine(), makeSweepGrid(standardGranularitySweep(), {4.0}, SimConfig()));
   EXPECT_LT(Results.front().Combined.EvictionInvocations,
             Results.back().Combined.EvictionInvocations);
 }

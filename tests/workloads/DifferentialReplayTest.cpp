@@ -2,8 +2,8 @@
 //
 // The differential property harness of the adversarial suite: for dozens
 // of sampled (adversary, geometry, grid) configurations, the four replay
-// backends — serial per-job runSuite, multi-threaded runParallel, the
-// one-pass multisweep lattice, and the asynchronous SimService — must
+// backends — serial per-job runSuite, the per-config grid on four
+// workers, the one-pass grid, and the asynchronous SimService — must
 // produce byte-identical full-precision reports AND byte-identical
 // metrics exports. Any scheduling-, sharing-, or dedup-dependent result
 // shows up here as a one-seed repro, shrunk to a minimal config.
@@ -126,12 +126,13 @@ BackendRun runSerial(const SweepEngine &Engine, const DiffConfig &Case) {
   return {renderSuites(Suites), telemetry::renderMetricsCsv(Tel.Metrics)};
 }
 
-BackendRun runParallelBackend(const SweepEngine &Engine,
-                              const DiffConfig &Case) {
+BackendRun runPerConfig(const SweepEngine &Engine, const DiffConfig &Case) {
   telemetry::TelemetrySink Tel;
   SweepEngine Parallel(std::vector<Trace>(Engine.traces()));
   Parallel.setNumThreads(4);
-  const auto Suites = Parallel.runParallel(gridFor(Case, &Tel));
+  const auto Suites = multisweep::runSweepGrid(
+      Parallel, gridFor(Case, &Tel),
+      {multisweep::SweepMode::PerConfig, /*Log=*/nullptr});
   return {renderSuites(Suites), telemetry::renderMetricsCsv(Tel.Metrics)};
 }
 
@@ -195,22 +196,22 @@ std::string checkDiffConfig(const DiffConfig &Case) {
   const auto Engine = std::make_shared<SweepEngine>(std::vector<Trace>{
       generateAdversarial(Case.Spec, Case.TraceSeed)});
   const BackendRun Serial = runSerial(*Engine, Case);
-  const BackendRun Parallel = runParallelBackend(*Engine, Case);
+  const BackendRun PerConfig = runPerConfig(*Engine, Case);
   const BackendRun OnePass = runOnePass(*Engine, Case);
   const BackendRun Service =
       runService(std::shared_ptr<const SweepEngine>(Engine), Case);
   if (Serial.Report.empty())
     return "serial backend produced an empty report";
-  if (Parallel.Report != Serial.Report)
-    return "runParallel report diverges from serial";
+  if (PerConfig.Report != Serial.Report)
+    return "per-config report diverges from serial";
   if (OnePass.Report != Serial.Report)
     return "one-pass report diverges from serial";
   if (Service.Report != Serial.Report)
     return "service report diverges from serial: " + Service.Report;
   if (Serial.Metrics.empty())
     return "serial backend recorded no metrics";
-  if (Parallel.Metrics != Serial.Metrics)
-    return "runParallel metrics diverge from serial";
+  if (PerConfig.Metrics != Serial.Metrics)
+    return "per-config metrics diverge from serial";
   if (OnePass.Metrics != Serial.Metrics)
     return "one-pass metrics diverge from serial";
   if (Service.Metrics != Serial.Metrics)
