@@ -70,7 +70,6 @@
 #include "check/Paranoia.h"
 #include "concurrent/MultiTenantSimulator.h"
 #include "concurrent/SharedEngineRunner.h"
-#include "concurrent/ThreadPool.h"
 #include "isa/ProgramGenerator.h"
 #include "runtime/SystemProfiles.h"
 #include "runtime/Translator.h"
@@ -347,7 +346,7 @@ std::optional<service::Job> buildSuiteJob(const FlagSet &Flags,
         return std::nullopt;
       Engine.emplace(std::move(*Traces));
     }
-    Engine->setNumThreads(*Jobs ? *Jobs : ThreadPool::hardwareThreads());
+    Engine->setNumThreads(*Jobs);
     Slot = std::make_shared<const SweepEngine>(std::move(*Engine));
   }
   service::SweepBatchJob Job;
@@ -870,11 +869,11 @@ int auditTranslatorRun(const FlagSet &Flags,
 /// every quiesce point and once over the drained final state.
 int auditSharedRun(const Trace &T,
                    const std::vector<GranularitySpec> &Policies,
-                   const SimConfig &Capacity, unsigned GuestThreads,
+                   const SimConfig &Config, unsigned GuestThreads,
                    uint64_t QuiesceInterval) {
   for (const GranularitySpec &Policy : Policies) {
     size_t Violations = 0;
-    concurrent::SharedRunConfig SC(Capacity, GuestThreads);
+    concurrent::SharedRunConfig SC(Config, GuestThreads);
     SC.Audit = AuditLevel::Full;
     SC.QuiesceInterval = QuiesceInterval;
     SC.OnViolation = [&Violations, &Policy](const check::AuditReport &Report,
@@ -916,8 +915,8 @@ int runAudit(FlagSet &Flags) {
   if (Flags.getBool("dbt"))
     return auditTranslatorRun(Flags, *Policies);
 
-  const auto Capacity = simConfigFromFlags(Flags, &Error);
-  if (!Capacity)
+  const auto Config = simConfigFromFlags(Flags, &Error);
+  if (!Config)
     return usageError(Error);
   const auto GuestThreads = guestThreadsFromFlags(Flags, &Error);
   if (!GuestThreads)
@@ -939,12 +938,13 @@ int runAudit(FlagSet &Flags) {
     T = std::move(*Generated);
   }
   if (*GuestThreads > 1)
-    return auditSharedRun(T, *Policies, *Capacity, *GuestThreads,
+    return auditSharedRun(T, *Policies, *Config, *GuestThreads,
                           static_cast<uint64_t>(*Quiesce));
 
   for (const GranularitySpec &Policy : *Policies) {
-    CacheEngineConfig MC;
-    MC.CapacityBytes = sim::capacityFor(T, *Capacity);
+    // The engine sim::run would build: capacity, costs and chaining.
+    CacheEngineConfig MC(sim::capacityFor(T, *Config), Config->EnableChaining);
+    MC.Costs = Config->Costs;
     CacheEngine Manager(MC, makePolicy(Policy));
 
     size_t Violations = 0;

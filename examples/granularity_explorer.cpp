@@ -9,7 +9,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "concurrent/ThreadPool.h"
 #include "multisweep/MultiConfigEngine.h"
 #include "sim/Simulator.h"
 #include "sim/Sweep.h"
@@ -60,7 +59,7 @@ int main(int Argc, char **Argv) {
   One.push_back(TraceGenerator::generateBenchmark(
       Chosen, static_cast<uint64_t>(Flags.getInt("seed"))));
   SweepEngine Engine(std::move(One));
-  Engine.setNumThreads(*Jobs ? *Jobs : ThreadPool::hardwareThreads());
+  Engine.setNumThreads(*Jobs);
   const Trace &T = Engine.traces().front();
 
   auto Parsed = simConfigFromFlags(Flags, &Error);

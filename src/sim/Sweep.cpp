@@ -42,11 +42,8 @@ std::string ccsim::validateSweepGrid(const std::vector<SweepJob> &Jobs) {
     return "sweep grid has no points (empty lattice)";
   for (size_t I = 0; I < Jobs.size(); ++I) {
     std::string Err = Jobs[I].validate();
-    if (!Err.empty()) {
-      char Buf[32];
-      std::snprintf(Buf, sizeof(Buf), "sweep point %zu: ", I);
-      return Buf + Err;
-    }
+    if (!Err.empty())
+      return "sweep point " + std::to_string(I) + ": " + Err;
   }
   return {};
 }
@@ -56,12 +53,16 @@ SweepEngine::SweepEngine(const std::vector<WorkloadModel> &Models,
   Traces.reserve(Models.size());
   for (const WorkloadModel &M : Models)
     Traces.push_back(TraceGenerator::generateBenchmark(M, SuiteSeed));
-  NumThreads = ThreadPool::hardwareThreads();
+  setNumThreads(0);
 }
 
 SweepEngine::SweepEngine(std::vector<Trace> TraceList)
     : Traces(std::move(TraceList)) {
-  NumThreads = ThreadPool::hardwareThreads();
+  setNumThreads(0);
+}
+
+void SweepEngine::setNumThreads(unsigned Threads) {
+  NumThreads = Threads ? Threads : ThreadPool::hardwareThreads();
 }
 
 SweepEngine SweepEngine::forTable1(uint64_t SuiteSeed) {

@@ -127,10 +127,10 @@ public:
   runSuite(const std::function<std::unique_ptr<EvictionPolicy>()> &MakePolicy,
            const std::string &Label, const SimConfig &Config) const;
 
-  /// Number of worker threads (defaults to ThreadPool::hardwareThreads(),
-  /// the CPUs this process may run on; set to 1 for strictly serial
-  /// runs).
-  void setNumThreads(unsigned Threads) { NumThreads = Threads ? Threads : 1; }
+  /// Number of worker threads: 0 (and the default) means
+  /// ThreadPool::hardwareThreads(), one per CPU this process may run on,
+  /// as for ThreadPool(0) and every --jobs=0; 1 runs strictly serially.
+  void setNumThreads(unsigned Threads);
   unsigned numThreads() const { return NumThreads; }
 
 private:

@@ -2,8 +2,6 @@
 
 #include "support/BinaryIO.h"
 
-#include <cstring>
-
 using namespace ccsim;
 
 BinaryWriter::BinaryWriter(const std::string &Path) {
@@ -33,13 +31,6 @@ void BinaryWriter::writeBytes(const void *Data, size_t Size) {
     Failed = true;
 }
 
-void BinaryWriter::writeU8(uint8_t V) { writeBytes(&V, 1); }
-
-void BinaryWriter::writeU16(uint16_t V) {
-  uint8_t Buf[2] = {static_cast<uint8_t>(V), static_cast<uint8_t>(V >> 8)};
-  writeBytes(Buf, sizeof(Buf));
-}
-
 void BinaryWriter::writeU32(uint32_t V) {
   uint8_t Buf[4];
   for (int I = 0; I < 4; ++I)
@@ -52,13 +43,6 @@ void BinaryWriter::writeU64(uint64_t V) {
   for (int I = 0; I < 8; ++I)
     Buf[I] = static_cast<uint8_t>(V >> (8 * I));
   writeBytes(Buf, sizeof(Buf));
-}
-
-void BinaryWriter::writeF64(double V) {
-  uint64_t Bits;
-  static_assert(sizeof(Bits) == sizeof(V), "double must be 64-bit");
-  std::memcpy(&Bits, &V, sizeof(Bits));
-  writeU64(Bits);
 }
 
 void BinaryWriter::writeString(const std::string &S) {
@@ -75,88 +59,48 @@ bool BinaryWriter::finish() {
   return ok();
 }
 
-BinaryReader::BinaryReader(const std::string &Path) {
-  FILE *Stream = std::fopen(Path.c_str(), "rb");
-  if (!Stream) {
+std::span<const uint8_t> BinaryReader::readSpan(size_t Size) {
+  if (Failed || Size > remaining()) {
     Failed = true;
-    return;
+    return {};
   }
-  std::fseek(Stream, 0, SEEK_END);
-  const long Size = std::ftell(Stream);
-  std::fseek(Stream, 0, SEEK_SET);
-  if (Size < 0) {
-    Failed = true;
-    std::fclose(Stream);
-    return;
-  }
-  Bytes.resize(static_cast<size_t>(Size));
-  if (Size > 0 &&
-      std::fread(Bytes.data(), 1, Bytes.size(), Stream) != Bytes.size())
-    Failed = true;
-  std::fclose(Stream);
-}
-
-BinaryReader::BinaryReader(std::vector<uint8_t> InBytes)
-    : Bytes(std::move(InBytes)) {}
-
-bool BinaryReader::take(void *Out, size_t Size) {
-  if (Failed || Cursor + Size > Bytes.size()) {
-    Failed = true;
-    return false;
-  }
-  std::memcpy(Out, Bytes.data() + Cursor, Size);
+  const std::span<const uint8_t> Out = Bytes.subspan(Cursor, Size);
   Cursor += Size;
-  return true;
-}
-
-uint8_t BinaryReader::readU8() {
-  uint8_t V = 0;
-  take(&V, 1);
-  return V;
-}
-
-uint16_t BinaryReader::readU16() {
-  uint8_t Buf[2] = {0, 0};
-  take(Buf, sizeof(Buf));
-  return static_cast<uint16_t>(Buf[0] | (Buf[1] << 8));
+  return Out;
 }
 
 uint32_t BinaryReader::readU32() {
-  uint8_t Buf[4] = {0, 0, 0, 0};
-  take(Buf, sizeof(Buf));
-  uint32_t V = 0;
-  for (int I = 3; I >= 0; --I)
-    V = (V << 8) | Buf[I];
-  return V;
+  const std::span<const uint8_t> P = readSpan(4);
+  return P.empty() ? 0 : loadU32LE(P.data());
 }
 
 uint64_t BinaryReader::readU64() {
-  uint8_t Buf[8] = {0};
-  take(Buf, sizeof(Buf));
-  uint64_t V = 0;
-  for (int I = 7; I >= 0; --I)
-    V = (V << 8) | Buf[I];
-  return V;
-}
-
-double BinaryReader::readF64() {
-  const uint64_t Bits = readU64();
-  double V;
-  std::memcpy(&V, &Bits, sizeof(V));
-  return V;
+  const uint64_t Lo = readU32();
+  const uint64_t Hi = readU32();
+  return Lo | (Hi << 32);
 }
 
 std::string BinaryReader::readString() {
-  const uint32_t Size = readU32();
-  if (Failed || Cursor + Size > Bytes.size()) {
-    Failed = true;
-    return std::string();
-  }
-  std::string S(reinterpret_cast<const char *>(Bytes.data() + Cursor), Size);
-  Cursor += Size;
-  return S;
+  const std::span<const uint8_t> S = readSpan(readU32());
+  return std::string(S.begin(), S.end());
 }
 
-bool BinaryReader::readBytes(void *Data, size_t Size) {
-  return take(Data, Size);
+std::optional<std::vector<uint8_t>>
+ccsim::readFileBytes(const std::string &Path) {
+  FILE *Stream = std::fopen(Path.c_str(), "rb");
+  if (!Stream)
+    return std::nullopt;
+  std::vector<uint8_t> Bytes;
+  bool Ok = std::fseek(Stream, 0, SEEK_END) == 0;
+  const long End = Ok ? std::ftell(Stream) : -1;
+  Ok = Ok && End >= 0 && std::fseek(Stream, 0, SEEK_SET) == 0;
+  if (Ok) {
+    Bytes.resize(static_cast<size_t>(End));
+    Ok = Bytes.empty() ||
+         std::fread(Bytes.data(), 1, Bytes.size(), Stream) == Bytes.size();
+  }
+  std::fclose(Stream);
+  if (!Ok)
+    return std::nullopt;
+  return Bytes;
 }

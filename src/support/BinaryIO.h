@@ -5,11 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Little-endian binary writers/readers over files and memory buffers.
-/// The trace library serializes DynamoRIO-style logs through these classes
-/// so experiments can be replayed exactly (the paper's repeatability
-/// requirement, Section 4.1). No exceptions: errors latch a failure flag
-/// that callers must check.
+/// The little-endian codec under the `.cct` trace format: a writer over a
+/// file or a memory buffer, one reader cursor over bytes it does not own
+/// (a file buffer, an in-memory image or a read-only mapping), and the
+/// one helper that reads a whole file. The paper saves its DynamoRIO logs
+/// so experiments replay exactly (Section 4.1); trace/TraceIO encodes and
+/// decodes them through these. No exceptions: errors latch a failure
+/// flag that callers must check.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,10 +20,19 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 namespace ccsim {
+
+/// The little-endian u32 at \p P (no alignment needed).
+inline uint32_t loadU32LE(const uint8_t *P) {
+  return static_cast<uint32_t>(P[0]) | (static_cast<uint32_t>(P[1]) << 8) |
+         (static_cast<uint32_t>(P[2]) << 16) |
+         (static_cast<uint32_t>(P[3]) << 24);
+}
 
 /// Buffered little-endian binary writer.
 class BinaryWriter {
@@ -39,13 +50,10 @@ public:
 
   bool ok() const { return !Failed; }
 
-  void writeU8(uint8_t V);
-  void writeU16(uint16_t V);
   void writeU32(uint32_t V);
   void writeU64(uint64_t V);
-  void writeF64(double V);
+  /// A u32 length, then the bytes.
   void writeString(const std::string &S);
-  void writeBytes(const void *Data, size_t Size);
 
   /// Flushes and closes the file (no-op for memory writers). Returns ok().
   bool finish();
@@ -58,36 +66,34 @@ private:
   std::vector<uint8_t> Memory;
   bool ToMemory = false;
   bool Failed = false;
+
+  void writeBytes(const void *Data, size_t Size);
 };
 
-/// Little-endian binary reader over a file or memory buffer.
+/// Little-endian cursor over bytes it does not own; they must outlive it.
+/// A read past the end latches the failure flag and returns zeros.
 class BinaryReader {
 public:
-  /// Reads the whole of \p Path into memory. Check ok() before use.
-  explicit BinaryReader(const std::string &Path);
-
-  /// Reads from an existing byte buffer (copied).
-  explicit BinaryReader(std::vector<uint8_t> Bytes);
+  explicit BinaryReader(std::span<const uint8_t> Bytes) : Bytes(Bytes) {}
 
   bool ok() const { return !Failed; }
-  bool atEnd() const { return Cursor >= Bytes.size(); }
   size_t remaining() const { return Bytes.size() - Cursor; }
 
-  uint8_t readU8();
-  uint16_t readU16();
   uint32_t readU32();
   uint64_t readU64();
-  double readF64();
   std::string readString();
-  bool readBytes(void *Data, size_t Size);
+
+  /// The next \p Size bytes, in place (empty when fewer remain).
+  std::span<const uint8_t> readSpan(size_t Size);
 
 private:
-  std::vector<uint8_t> Bytes;
+  std::span<const uint8_t> Bytes;
   size_t Cursor = 0;
   bool Failed = false;
-
-  bool take(void *Out, size_t Size);
 };
+
+/// The whole of \p Path, or std::nullopt when it cannot be read.
+std::optional<std::vector<uint8_t>> readFileBytes(const std::string &Path);
 
 } // namespace ccsim
 

@@ -4,8 +4,6 @@
 
 #include "support/Contracts.h"
 
-#include <cstdio>
-#include <cstring>
 #include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -21,124 +19,25 @@
 using namespace ccsim;
 using namespace ccsim::trace;
 
-namespace {
-
-constexpr uint32_t TraceMagic = 0x43435452; // "CCTR" (TraceIO.cpp)
-constexpr uint32_t TraceVersion = 1;
-
-/// Bounds-checked little-endian cursor over the raw mapping. Mirrors
-/// BinaryReader's latching-failure contract without copying the bytes.
-class RawCursor {
-public:
-  RawCursor(const uint8_t *Data, size_t Size) : Data(Data), Size(Size) {}
-
-  bool ok() const { return !Failed; }
-  size_t remaining() const { return Size - Cursor; }
-  size_t position() const { return Cursor; }
-
-  uint32_t readU32() {
-    uint32_t V = 0;
-    if (!take(4))
-      return 0;
-    const uint8_t *P = Data + Cursor - 4;
-    V = static_cast<uint32_t>(P[0]) | (static_cast<uint32_t>(P[1]) << 8) |
-        (static_cast<uint32_t>(P[2]) << 16) |
-        (static_cast<uint32_t>(P[3]) << 24);
-    return V;
-  }
-
-  uint64_t readU64() {
-    const uint64_t Lo = readU32();
-    const uint64_t Hi = readU32();
-    return Lo | (Hi << 32);
-  }
-
-  std::string readString() {
-    const uint32_t Len = readU32();
-    if (Failed || Len > remaining()) {
-      Failed = true;
-      return std::string();
-    }
-    std::string S(reinterpret_cast<const char *>(Data + Cursor), Len);
-    Cursor += Len;
-    return S;
-  }
-
-private:
-  bool take(size_t N) {
-    if (Failed || N > remaining()) {
-      Failed = true;
-      return false;
-    }
-    Cursor += N;
-    return true;
-  }
-
-  const uint8_t *Data;
-  size_t Size;
-  size_t Cursor = 0;
-  bool Failed = false;
-};
-
-/// Reads the whole of \p Path into \p Out (the non-mmap path).
-bool readWholeFile(const std::string &Path, std::vector<uint8_t> &Out) {
-  FILE *Stream = std::fopen(Path.c_str(), "rb");
-  if (!Stream)
-    return false;
-  bool Ok = std::fseek(Stream, 0, SEEK_END) == 0;
-  const long End = Ok ? std::ftell(Stream) : -1;
-  Ok = Ok && End >= 0 && std::fseek(Stream, 0, SEEK_SET) == 0;
-  if (Ok) {
-    Out.resize(static_cast<size_t>(End));
-    Ok = Out.empty() ||
-         std::fread(Out.data(), 1, Out.size(), Stream) == Out.size();
-  }
-  std::fclose(Stream);
-  return Ok;
-}
-
-} // namespace
-
-void MappedTrace::reset() noexcept {
+void MappedTrace::Unmapper::operator()(void *Base) const {
 #if CCSIM_HAVE_MMAP
-  if (MapBase)
-    ::munmap(MapBase, MapLength);
+  ::munmap(Base, Length);
+#else
+  (void)Base;
 #endif
-  MapBase = nullptr;
-  MapLength = 0;
-  AccessBase = nullptr;
-  NumAccesses = 0;
-  Fallback.clear();
 }
 
-MappedTrace::~MappedTrace() { reset(); }
-
-MappedTrace::MappedTrace(MappedTrace &&Other) noexcept
-    : Name(std::move(Other.Name)), Blocks(std::move(Other.Blocks)),
-      MaxCacheBytes(Other.MaxCacheBytes), NumAccesses(Other.NumAccesses),
-      AccessBase(Other.AccessBase), MapBase(Other.MapBase),
-      MapLength(Other.MapLength), Fallback(std::move(Other.Fallback)) {
-  Other.MapBase = nullptr;
-  Other.MapLength = 0;
-  Other.AccessBase = nullptr;
-  Other.NumAccesses = 0;
+MappedTrace::MappedTrace(MappedTrace &&Other) noexcept {
+  *this = std::move(Other);
 }
 
 MappedTrace &MappedTrace::operator=(MappedTrace &&Other) noexcept {
   if (this != &Other) {
-    reset();
-    Name = std::move(Other.Name);
-    Blocks = std::move(Other.Blocks);
+    // The moved-from object keeps no span into the bytes it gave away.
+    Image = std::exchange(Other.Image, {});
     MaxCacheBytes = Other.MaxCacheBytes;
-    NumAccesses = Other.NumAccesses;
-    AccessBase = Other.AccessBase;
-    MapBase = Other.MapBase;
-    MapLength = Other.MapLength;
+    Map = std::move(Other.Map);
     Fallback = std::move(Other.Fallback);
-    Other.MapBase = nullptr;
-    Other.MapLength = 0;
-    Other.AccessBase = nullptr;
-    Other.NumAccesses = 0;
   }
   return *this;
 }
@@ -146,111 +45,52 @@ MappedTrace &MappedTrace::operator=(MappedTrace &&Other) noexcept {
 std::optional<MappedTrace> MappedTrace::open(const std::string &Path,
                                              bool ForceFallback) {
   MappedTrace T;
-  const uint8_t *Data = nullptr;
-  size_t Size = 0;
-
+  std::span<const uint8_t> Bytes;
 #if CCSIM_HAVE_MMAP
   if (!ForceFallback) {
     const int Fd = ::open(Path.c_str(), O_RDONLY);
     if (Fd >= 0) {
       struct stat St;
       if (::fstat(Fd, &St) == 0 && St.st_size > 0) {
-        void *Base = ::mmap(nullptr, static_cast<size_t>(St.st_size),
-                            PROT_READ, MAP_PRIVATE, Fd, 0);
+        const auto Length = static_cast<size_t>(St.st_size);
+        void *Base = ::mmap(nullptr, Length, PROT_READ, MAP_PRIVATE, Fd, 0);
         if (Base != MAP_FAILED) {
-          T.MapBase = Base;
-          T.MapLength = static_cast<size_t>(St.st_size);
+          T.Map = std::unique_ptr<void, Unmapper>(Base, Unmapper{Length});
+          Bytes = {static_cast<const uint8_t *>(Base), Length};
         }
       }
       ::close(Fd);
-    }
-    if (T.MapBase) {
-      Data = static_cast<const uint8_t *>(T.MapBase);
-      Size = T.MapLength;
     }
   }
 #else
   (void)ForceFallback;
 #endif
-
-  if (!Data) {
-    if (!readWholeFile(Path, T.Fallback))
+  if (!T.Map) {
+    std::optional<std::vector<uint8_t>> Read = readFileBytes(Path);
+    if (!Read)
       return std::nullopt;
-    Data = T.Fallback.data();
-    Size = T.Fallback.size();
+    T.Fallback = std::move(*Read);
+    Bytes = T.Fallback;
   }
 
-  // Header + block table, decoded eagerly (mirrors readTracePayload).
-  RawCursor R(Data, Size);
-  if (R.readU32() != TraceMagic || R.readU32() != TraceVersion)
+  std::optional<DecodedTrace> Decoded = decodeTrace(Bytes);
+  if (!Decoded)
     return std::nullopt;
-  T.Name = R.readString();
-  const uint32_t NumBlocks = R.readU32();
-  if (!R.ok())
-    return std::nullopt;
-  T.Blocks.resize(NumBlocks);
-  for (SuperblockDef &B : T.Blocks) {
-    B.SizeBytes = R.readU32();
-    const uint32_t NumEdges = R.readU32();
-    if (!R.ok() || NumEdges > R.remaining() / 4 + 1)
-      return std::nullopt;
-    B.OutEdges.resize(NumEdges);
-    for (SuperblockId &Edge : B.OutEdges)
-      Edge = R.readU32();
-  }
-  const uint64_t NumAccesses = R.readU64();
-  if (!R.ok() || NumAccesses > R.remaining() / 4)
-    return std::nullopt;
-  // The access stream must run exactly to the end of the file; trailing
-  // bytes are corruption, not padding (same contract as readTrace).
-  if (R.remaining() != NumAccesses * 4)
-    return std::nullopt;
-  T.AccessBase = Data + R.position();
-  T.NumAccesses = static_cast<size_t>(NumAccesses);
-
-  // Full Trace::validate() semantics over the mapped stream: positive
-  // block sizes, in-range edges, every access names a defined block,
-  // every block accessed at least once. One sequential pass; afterwards
-  // idAt()/recordFor() need no per-access checks.
-  std::vector<uint8_t> Touched(NumBlocks, 0);
-  uint64_t Total = 0;
-  for (const SuperblockDef &B : T.Blocks) {
-    if (B.SizeBytes == 0)
-      return std::nullopt;
-    Total += B.SizeBytes;
-    for (SuperblockId Edge : B.OutEdges)
-      if (Edge >= NumBlocks)
-        return std::nullopt;
-  }
-  for (size_t I = 0; I < T.NumAccesses; ++I) {
-    const SuperblockId Id = T.idAt(I);
-    if (Id >= NumBlocks)
-      return std::nullopt;
-    Touched[Id] = 1;
-  }
-  for (uint8_t Seen : Touched)
-    if (!Seen)
-      return std::nullopt;
-  T.MaxCacheBytes = Total;
-
+  T.Image = std::move(*Decoded);
+  for (const SuperblockDef &B : T.Image.Blocks)
+    T.MaxCacheBytes += B.SizeBytes;
   return T;
 }
 
 SuperblockRecord MappedTrace::recordFor(SuperblockId Id) const {
-  CCSIM_ASSERT(Id < Blocks.size(), "superblock id out of range");
+  CCSIM_ASSERT(Id < Image.Blocks.size(), "superblock id out of range");
   SuperblockRecord Rec;
   Rec.Id = Id;
-  Rec.SizeBytes = Blocks[Id].SizeBytes;
-  Rec.OutEdges = std::span<const SuperblockId>(Blocks[Id].OutEdges);
+  Rec.SizeBytes = Image.Blocks[Id].SizeBytes;
+  Rec.OutEdges = std::span<const SuperblockId>(Image.Blocks[Id].OutEdges);
   return Rec;
 }
 
 Trace MappedTrace::toTrace() const {
-  Trace T;
-  T.Name = Name;
-  T.Blocks = Blocks;
-  T.Accesses.resize(NumAccesses);
-  for (size_t I = 0; I < NumAccesses; ++I)
-    T.Accesses[I] = idAt(I);
-  return T;
+  return Trace{Image.Name, Image.Blocks, Image.accesses()};
 }

@@ -19,20 +19,19 @@
 /// into an owned buffer -- same interface, one copy, still no second
 /// materialization of the access vector.
 ///
-/// Validation at open() is exactly as strict as readTrace(): magic,
-/// version, bounds, Trace::validate() semantics (every access and edge
-/// names a defined block, positive sizes, every block accessed), and a
-/// trailing-byte check. A MappedTrace that opened successfully can be
-/// streamed without per-access checks.
+/// open() decodes through the one decoder, decodeTrace() (TraceIO.h), so
+/// it accepts exactly the files readTrace() accepts. A MappedTrace that
+/// opened successfully can be streamed without per-access checks.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CCSIM_TRACE_MAPPEDTRACE_H
 #define CCSIM_TRACE_MAPPEDTRACE_H
 
-#include "trace/Trace.h"
+#include "trace/TraceIO.h"
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -49,7 +48,6 @@ public:
   MappedTrace &operator=(MappedTrace &&Other) noexcept;
   MappedTrace(const MappedTrace &) = delete;
   MappedTrace &operator=(const MappedTrace &) = delete;
-  ~MappedTrace();
 
   /// Maps and validates \p Path. Returns nullopt for unreadable,
   /// corrupt, or truncated files. \p ForceFallback skips mmap and reads
@@ -57,30 +55,24 @@ public:
   static std::optional<MappedTrace> open(const std::string &Path,
                                          bool ForceFallback = false);
 
-  const std::string &name() const { return Name; }
-  size_t numSuperblocks() const { return Blocks.size(); }
-  size_t numAccesses() const { return NumAccesses; }
+  const std::string &name() const { return Image.Name; }
+  size_t numSuperblocks() const { return Image.Blocks.size(); }
+  size_t numAccesses() const { return Image.numAccesses(); }
 
   /// The paper's maxCache term: total translated bytes (Section 4.2).
   uint64_t maxCacheBytes() const { return MaxCacheBytes; }
 
   /// Decodes access \p I from the mapped stream. \p I < numAccesses().
-  SuperblockId idAt(size_t I) const {
-    const uint8_t *P = AccessBase + I * 4;
-    return static_cast<SuperblockId>(P[0]) |
-           (static_cast<SuperblockId>(P[1]) << 8) |
-           (static_cast<SuperblockId>(P[2]) << 16) |
-           (static_cast<SuperblockId>(P[3]) << 24);
-  }
+  SuperblockId idAt(size_t I) const { return Image.idAt(I); }
 
   /// Per-access record for \p Id; the edge span aliases this object.
   SuperblockRecord recordFor(SuperblockId Id) const;
 
-  const std::vector<SuperblockDef> &blocks() const { return Blocks; }
+  const std::vector<SuperblockDef> &blocks() const { return Image.Blocks; }
 
   /// True when the access stream is served by an actual file mapping
   /// (false on the owned-buffer fallback).
-  bool isMapped() const { return MapBase != nullptr; }
+  bool isMapped() const { return Map != nullptr; }
 
   /// Materializes a plain Trace (copies the access stream). For callers
   /// that need the owning form, e.g. to forward into job payloads.
@@ -89,20 +81,17 @@ public:
 private:
   MappedTrace() = default;
 
-  std::string Name;
-  std::vector<SuperblockDef> Blocks;
+  /// munmap()s a mapping of Length bytes.
+  struct Unmapper {
+    size_t Length;
+    void operator()(void *Base) const;
+  };
+
+  /// The decoded image; its access stream points into Map or Fallback.
+  DecodedTrace Image;
   uint64_t MaxCacheBytes = 0;
-  size_t NumAccesses = 0;
-
-  /// Start of the little-endian u32 access stream, into MapBase or
-  /// Fallback.
-  const uint8_t *AccessBase = nullptr;
-
-  void *MapBase = nullptr; ///< mmap base (null on fallback).
-  size_t MapLength = 0;
-  std::vector<uint8_t> Fallback; ///< Owned bytes when not mapped.
-
-  void reset() noexcept;
+  std::unique_ptr<void, Unmapper> Map; ///< Null on the fallback path.
+  std::vector<uint8_t> Fallback;       ///< Owned bytes when not mapped.
 };
 
 } // namespace ccsim::trace

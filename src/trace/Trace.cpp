@@ -3,7 +3,6 @@
 #include "trace/Trace.h"
 #include "support/Contracts.h"
 
-
 using namespace ccsim;
 
 uint64_t Trace::maxCacheBytes() const {
@@ -39,22 +38,4 @@ double Trace::meanOutDegree() const {
   return static_cast<double>(Total) / static_cast<double>(Blocks.size());
 }
 
-bool Trace::validate() const {
-  std::vector<uint8_t> Touched(Blocks.size(), 0);
-  for (const SuperblockDef &B : Blocks) {
-    if (B.SizeBytes == 0)
-      return false;
-    for (SuperblockId Edge : B.OutEdges)
-      if (Edge >= Blocks.size())
-        return false;
-  }
-  for (SuperblockId Id : Accesses) {
-    if (Id >= Blocks.size())
-      return false;
-    Touched[Id] = 1;
-  }
-  for (uint8_t T : Touched)
-    if (!T)
-      return false; // Table 1 counts *hot* superblocks: all are executed.
-  return true;
-}
+bool Trace::validate() const { return validTrace(Blocks, *this); }

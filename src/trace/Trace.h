@@ -72,9 +72,36 @@ struct Trace {
 
   /// Structural validity: every access and edge names a defined
   /// superblock, every block has a positive size, and every block is
-  /// accessed at least once.
+  /// accessed at least once (validTrace below).
   bool validate() const;
 };
+
+/// The rules Trace::validate() names, over any block table and any
+/// access source with numAccesses() and idAt() (a Trace, or a `.cct`
+/// image's access stream checked in place by decodeTrace()).
+template <typename AccessSource>
+bool validTrace(const std::vector<SuperblockDef> &Blocks,
+                const AccessSource &Accesses) {
+  for (const SuperblockDef &B : Blocks) {
+    if (B.SizeBytes == 0)
+      return false;
+    for (SuperblockId Edge : B.OutEdges)
+      if (Edge >= Blocks.size())
+        return false;
+  }
+  std::vector<uint8_t> Touched(Blocks.size(), 0);
+  const size_t N = Accesses.numAccesses();
+  for (size_t I = 0; I < N; ++I) {
+    const SuperblockId Id = Accesses.idAt(I);
+    if (Id >= Blocks.size())
+      return false;
+    Touched[Id] = 1;
+  }
+  for (uint8_t T : Touched)
+    if (!T)
+      return false; // Table 1 counts *hot* superblocks: all are executed.
+  return true;
+}
 
 } // namespace ccsim
 

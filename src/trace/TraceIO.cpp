@@ -2,8 +2,6 @@
 
 #include "trace/TraceIO.h"
 
-#include "support/BinaryIO.h"
-
 using namespace ccsim;
 
 namespace {
@@ -27,37 +25,45 @@ static void writeTracePayload(BinaryWriter &W, const Trace &T) {
     W.writeU32(Id);
 }
 
-static std::optional<Trace> readTracePayload(BinaryReader &R) {
-  if (R.readU32() != TraceMagic)
+std::vector<SuperblockId> DecodedTrace::accesses() const {
+  std::vector<SuperblockId> Ids(numAccesses());
+  for (size_t I = 0; I < Ids.size(); ++I)
+    Ids[I] = idAt(I);
+  return Ids;
+}
+
+std::optional<DecodedTrace>
+ccsim::decodeTrace(std::span<const uint8_t> Image) {
+  BinaryReader R(Image);
+  if (R.readU32() != TraceMagic || R.readU32() != TraceVersion)
     return std::nullopt;
-  if (R.readU32() != TraceVersion)
-    return std::nullopt;
-  Trace T;
+  DecodedTrace T;
   T.Name = R.readString();
+  // A block record takes at least 8 bytes (size and edge count), so a
+  // count the rest of the image cannot hold is refused before the table
+  // is allocated.
   const uint32_t NumBlocks = R.readU32();
-  if (!R.ok())
+  if (!R.ok() || NumBlocks > R.remaining() / 8)
     return std::nullopt;
   T.Blocks.resize(NumBlocks);
   for (SuperblockDef &B : T.Blocks) {
     B.SizeBytes = R.readU32();
     const uint32_t NumEdges = R.readU32();
-    if (!R.ok() || NumEdges > R.remaining() / 4 + 1)
+    if (!R.ok() || NumEdges > R.remaining() / 4)
       return std::nullopt;
     B.OutEdges.resize(NumEdges);
     for (SuperblockId &Edge : B.OutEdges)
       Edge = R.readU32();
   }
+  // The access stream runs exactly to the end of the image: trailing
+  // bytes mean the payload and the container disagree about where the
+  // trace ends, which is corruption, not padding.
   const uint64_t NumAccesses = R.readU64();
-  if (!R.ok() || NumAccesses > R.remaining() / 4 + 1)
+  if (!R.ok() || NumAccesses > R.remaining() / 4 ||
+      NumAccesses * 4 != R.remaining())
     return std::nullopt;
-  T.Accesses.resize(NumAccesses);
-  for (SuperblockId &Id : T.Accesses)
-    Id = R.readU32();
-  if (!R.ok() || !T.validate())
-    return std::nullopt;
-  // Trailing bytes mean the payload and the container disagree about
-  // where the trace ends — treat that as corruption, not padding.
-  if (R.remaining() != 0)
+  T.AccessBytes = R.readSpan(R.remaining());
+  if (!validTrace(T.Blocks, T))
     return std::nullopt;
   return T;
 }
@@ -71,10 +77,10 @@ bool ccsim::writeTrace(const Trace &T, const std::string &Path) {
 }
 
 std::optional<Trace> ccsim::readTrace(const std::string &Path) {
-  BinaryReader R(Path);
-  if (!R.ok())
+  std::optional<std::vector<uint8_t>> Bytes = readFileBytes(Path);
+  if (!Bytes)
     return std::nullopt;
-  return readTracePayload(R);
+  return deserializeTrace(std::move(*Bytes));
 }
 
 std::vector<uint8_t> ccsim::serializeTrace(const Trace &T) {
@@ -84,6 +90,9 @@ std::vector<uint8_t> ccsim::serializeTrace(const Trace &T) {
 }
 
 std::optional<Trace> ccsim::deserializeTrace(std::vector<uint8_t> Bytes) {
-  BinaryReader R(std::move(Bytes));
-  return readTracePayload(R);
+  std::optional<DecodedTrace> Image = decodeTrace(Bytes);
+  if (!Image)
+    return std::nullopt;
+  return Trace{std::move(Image->Name), std::move(Image->Blocks),
+               Image->accesses()};
 }

@@ -2,6 +2,7 @@
 
 #include "sim/Sweep.h"
 
+#include "concurrent/ThreadPool.h"
 #include "multisweep/MultiConfigEngine.h"
 #include "gtest/gtest.h"
 
@@ -55,6 +56,16 @@ TEST(SweepTest, ThreadCountDoesNotChangeResults) {
   EXPECT_EQ(A.Combined.Misses, B.Combined.Misses);
   EXPECT_EQ(A.Combined.EvictionInvocations, B.Combined.EvictionInvocations);
   EXPECT_DOUBLE_EQ(A.Combined.MissOverhead, B.Combined.MissOverhead);
+}
+
+TEST(SweepTest, ZeroThreadsMeansOnePerUsableCpu) {
+  // The same rule as ThreadPool(0) and every --jobs=0.
+  SweepEngine Engine(std::vector<Trace>{});
+  EXPECT_EQ(Engine.numThreads(), ThreadPool::hardwareThreads());
+  Engine.setNumThreads(1);
+  EXPECT_EQ(Engine.numThreads(), 1u);
+  Engine.setNumThreads(0);
+  EXPECT_EQ(Engine.numThreads(), ThreadPool::hardwareThreads());
 }
 
 TEST(SweepTest, GranularitySweepMissRatesDecline) {

@@ -144,3 +144,12 @@ TEST(MappedTraceTest, TrailingGarbageIsRejected) {
   EXPECT_FALSE(trace::MappedTrace::open(Path, true));
   std::remove(Path.c_str());
 }
+
+TEST(MappedTraceTest, HugeBlockCountIsRejected) {
+  // 2^32 - 1 blocks claimed by a 16-byte file: refused on both paths
+  // before the block table is allocated.
+  const std::string Path =
+      std::string(CCSIM_TRACE_FIXTURE_DIR) + "/huge_block_count.cct";
+  EXPECT_FALSE(trace::MappedTrace::open(Path));
+  EXPECT_FALSE(trace::MappedTrace::open(Path, /*ForceFallback=*/true));
+}

@@ -3,11 +3,13 @@
 #include "trace/TraceIO.h"
 
 #include "support/Random.h"
+#include "trace/MappedTrace.h"
 #include "trace/TraceGenerator.h"
 #include "trace/WorkloadModel.h"
 #include "gtest/gtest.h"
 
 #include <cstdio>
+#include <fstream>
 
 using namespace ccsim;
 
@@ -102,6 +104,22 @@ TEST(TraceIOTest, GeneratedBenchmarkRoundTrips) {
   EXPECT_TRUE(tracesEqual(T, *Restored));
 }
 
+TEST(TraceIOTest, HugeBlockCountIsRejected) {
+  // Magic, version 1, an empty name and 2^32 - 1 blocks: 16 bytes that
+  // claim a 160 GiB block table. The count is refused before any of it
+  // is allocated.
+  const std::string Path =
+      std::string(CCSIM_TRACE_FIXTURE_DIR) + "/huge_block_count.cct";
+  const auto Bytes = readFileBytes(Path);
+  ASSERT_TRUE(Bytes.has_value());
+  std::vector<uint8_t> Header = serializeTrace(Trace());
+  Header.resize(12);
+  Header.insert(Header.end(), 4, 0xff);
+  ASSERT_EQ(*Bytes, Header);
+  EXPECT_FALSE(deserializeTrace(*Bytes).has_value());
+  EXPECT_FALSE(readTrace(Path).has_value());
+}
+
 // --- Seeded fuzz: a hostile input file must fail cleanly, never crash --
 
 namespace {
@@ -112,6 +130,35 @@ const std::vector<uint8_t> &fuzzBaseline() {
       TraceGenerator::generateBenchmark(
           scaledWorkload(*findWorkload("vpr"), 0.05), 1234));
   return Bytes;
+}
+
+/// The file readers must give \p Bytes the verdict deserializeTrace()
+/// gave it (\p InMemory): readTrace() and MappedTrace::open() on the
+/// mapped and on the fallback path read it back from a file, and when
+/// they accept, all of them return the same trace.
+void expectFileReadersAgree(const std::vector<uint8_t> &Bytes,
+                            const std::optional<Trace> &InMemory) {
+  const std::string Test =
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  const std::string Path = ::testing::TempDir() + "/ccsim_" + Test + ".cct";
+  {
+    std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
+    Out.write(reinterpret_cast<const char *>(Bytes.data()),
+              static_cast<std::streamsize>(Bytes.size()));
+    ASSERT_TRUE(Out.good());
+  }
+  const std::optional<Trace> Read = readTrace(Path);
+  const auto Mapped = trace::MappedTrace::open(Path);
+  const auto Fallback = trace::MappedTrace::open(Path, /*ForceFallback=*/true);
+  std::remove(Path.c_str());
+  ASSERT_EQ(Read.has_value(), InMemory.has_value());
+  ASSERT_EQ(Mapped.has_value(), InMemory.has_value());
+  ASSERT_EQ(Fallback.has_value(), InMemory.has_value());
+  if (!InMemory)
+    return;
+  EXPECT_TRUE(tracesEqual(*InMemory, *Read));
+  EXPECT_TRUE(tracesEqual(*InMemory, Mapped->toTrace()));
+  EXPECT_TRUE(tracesEqual(*InMemory, Fallback->toTrace()));
 }
 
 } // namespace
@@ -132,6 +179,8 @@ TEST(TraceIOFuzzTest, RandomByteFlipsNeverCrash) {
     if (Restored.has_value()) {
       EXPECT_TRUE(Restored->validate()) << "round " << Round;
     }
+    SCOPED_TRACE("round " + std::to_string(Round));
+    expectFileReadersAgree(Mutated, Restored);
   }
 }
 
@@ -143,6 +192,8 @@ TEST(TraceIOFuzzTest, RandomTruncationNeverCrashes) {
     std::vector<uint8_t> Short(Base.begin(),
                                Base.begin() + static_cast<long>(Cut));
     EXPECT_FALSE(deserializeTrace(Short).has_value()) << "cut " << Cut;
+    SCOPED_TRACE("cut " + std::to_string(Cut));
+    expectFileReadersAgree(Short, std::nullopt);
   }
 }
 
@@ -158,6 +209,8 @@ TEST(TraceIOFuzzTest, RandomGarbageRejected) {
     if (Restored.has_value()) {
       EXPECT_TRUE(Restored->validate()) << "round " << Round;
     }
+    SCOPED_TRACE("round " + std::to_string(Round));
+    expectFileReadersAgree(Garbage, Restored);
   }
 }
 
@@ -166,4 +219,5 @@ TEST(TraceIOFuzzTest, AppendedTrailingBytesRejected) {
   Padded.push_back(0);
   // A trace file with trailing junk is corrupt, not "close enough".
   EXPECT_FALSE(deserializeTrace(Padded).has_value());
+  expectFileReadersAgree(Padded, std::nullopt);
 }
