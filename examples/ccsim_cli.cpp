@@ -715,6 +715,12 @@ int runReplay(FlagSet &Flags) {
                  Flags.positional().front().c_str());
     return ExitRuntime;
   }
+  // The buffered arm's Job::validate() check, before any engine exists.
+  Error = Settings->Config.validateFor(Mapped->maxCacheBytes());
+  if (!Error.empty()) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
+    return ExitRuntime;
+  }
   return runAndReport(Flags, [&](telemetry::TelemetrySink *Sink) {
     concurrent::SharedRunConfig Config(Settings->Config,
                                        Settings->GuestThreads);
@@ -936,6 +942,11 @@ int runAudit(FlagSet &Flags) {
     if (!Generated)
       return usageError(Error);
     T = std::move(*Generated);
+  }
+  Error = Config->validateFor(T.maxCacheBytes());
+  if (!Error.empty()) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
+    return ExitRuntime;
   }
   if (*GuestThreads > 1)
     return auditSharedRun(T, *Policies, *Config, *GuestThreads,

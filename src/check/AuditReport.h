@@ -32,10 +32,10 @@ namespace ccsim::check {
 /// FIFO-of-units contract behind Figures 6-8).
 enum class AuditRule : uint8_t {
   // CodeCache: circular-buffer placement.
-  CacheResidencyFlagMismatch, ///< Flag table and FIFO disagree on who is
+  CacheResidencyFlagMismatch, ///< Slot table and FIFO disagree on who is
                               ///< resident (or the FIFO holds duplicates).
-  CacheLookupStale,           ///< StartById/SizeById disagree with the
-                              ///< FIFO entry for a resident block.
+  CacheLookupStale,           ///< A resident block's slot start (or size)
+                              ///< disagrees with its FIFO entry.
   CacheBlockOutOfBounds,      ///< Zero-size block or placement past the
                               ///< end of the buffer (blocks never wrap).
   CacheBlockOverlap,          ///< Two resident placements overlap.

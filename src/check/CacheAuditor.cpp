@@ -37,12 +37,20 @@ CodeCacheState check::captureCodeCache(const CodeCache &Cache) {
   State.Capacity = Cache.capacity();
   State.OccupiedBytes = Cache.occupiedBytes();
   State.Fifo.reserve(Cache.residentCount());
-  Cache.forEachResident(
-      [&](const CodeCache::Resident &R) { State.Fifo.push_back(R); });
+  // The lookup view: every id whose slot says resident, at the slot's
+  // start. A block's size lives only in its ring entry; an id the ring
+  // lacks reads size 0 (the FIFO rules report it).
+  std::unordered_map<SuperblockId, uint32_t> RingSize;
+  Cache.forEachResident([&](const CodeCache::Resident &R) {
+    State.Fifo.push_back(R);
+    RingSize.emplace(R.Id, R.Size);
+  });
   for (SuperblockId Id = 0; Id < Cache.idTableSize(); ++Id)
-    if (Cache.contains(Id))
-      State.Lookup.push_back(
-          CodeCache::Resident{Id, Cache.startOf(Id), Cache.sizeOf(Id)});
+    if (Cache.contains(Id)) {
+      const auto It = RingSize.find(Id);
+      State.Lookup.push_back(CodeCache::Resident{
+          Id, Cache.startOf(Id), It == RingSize.end() ? 0 : It->second});
+    }
   return State;
 }
 

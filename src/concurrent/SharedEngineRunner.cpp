@@ -55,11 +55,13 @@ SharedRunResult runThreaded(const TraceT &T,
   Result.Mode = ShareMode::Concurrent;
   Result.GuestThreads = Config.GuestThreads;
 
+  const LinkTopology Topology = LinkTopology::fromBlocks(T.blocks());
   SharedEngineConfig SC;
   SC.Engine.CapacityBytes = Result.CapacityBytes;
   SC.Engine.Costs = Config.Costs;
   SC.Engine.EnableChaining = Config.EnableChaining;
   SC.Engine.Telemetry = Config.Telemetry;
+  SC.Engine.Topology = &Topology;
 
   telemetry::TelemetrySink *Tel = Config.Telemetry;
   uint32_t MarkId = 0;

@@ -9,9 +9,11 @@ using namespace ccsim;
 
 CacheEngine::CacheEngine(const CacheEngineConfig &Config,
                          std::unique_ptr<EvictionPolicy> Policy)
-    : Config(Config), Policy(std::move(Policy)),
-      Cache(Config.CapacityBytes), Links(Config.Topology) {
+    : Cache(Config.CapacityBytes), Links(Config.Topology), Config(Config),
+      Policy(std::move(Policy)) {
   CCSIM_REQUIRE(this->Policy, "cache engine requires a policy");
+  if (Config.Topology)
+    Cache.reserveIds(Config.Topology->size());
   Stats.SharingActive = this->Config.ContentIndex != nullptr;
   // An access-stateless policy's quantum depends on the capacity alone,
   // so the miss path need not ask it again.
@@ -29,7 +31,13 @@ uint64_t CacheEngine::currentQuantum() const {
 }
 
 void CacheEngine::growSeen(SuperblockId Id) {
-  Seen.resize(std::max<size_t>(Id + 1, Seen.size() * 2), 0);
+  Seen.resize(std::max<size_t>(size_t{Id} + 1, Seen.size() * 2), 0);
+}
+
+void CacheEngine::growTenants(const SuperblockRecord &Rec) {
+  TenantById.resize(
+      std::max<size_t>(size_t{Rec.Id} + 1, TenantById.size() * 2), 0);
+  TenantById[Rec.Id] = Rec.Tenant;
 }
 
 void CacheEngine::sampleBackPointerMemory() {
@@ -40,14 +48,15 @@ void CacheEngine::sampleBackPointerMemory() {
   Stats.BackPointerBytesSum += static_cast<double>(Bytes);
 }
 
-AccessKind CacheEngine::deferredMiss(const SuperblockRecord &Rec) {
+AccessKind CacheEngine::deferredMiss(const SuperblockRecord &Rec,
+                                     bool Cold) {
   CCSIM_ASSERT(Rec.Id != InvalidSuperblockId, "invalid superblock id");
   CCSIM_ASSERT(Rec.SizeBytes > 0,
                "superblock %u must have a positive size", Rec.Id);
   CCSIM_ASSERT(!Cache.contains(Rec.Id),
                "superblock %u is already resident", Rec.Id);
   CurrentTenant = Rec.Tenant;
-  return missAndInsert(Rec);
+  return missAndInsert(Rec, Cold);
 }
 
 void CacheEngine::settleDeferredAccesses(uint64_t TotalAccesses) {
@@ -95,10 +104,11 @@ void CacheEngine::chargeEvictions(uint64_t UnitsFlushed) {
     Stats.LinksDestroyed += LinksBefore - Links.numLinks();
     if (KeepsBackPointers) {
       HaveDangling = true;
+      // A victim without dangling links costs nothing: Eq. 4 charges it
+      // 0.0, which leaves the (nonnegative) overhead sum bit-identical,
+      // so the loop needs no branch.
       for (uint32_t NumLinks : DanglingScratch) {
-        if (NumLinks == 0)
-          continue;
-        ++Stats.UnlinkOperations;
+        Stats.UnlinkOperations += NumLinks != 0;
         Stats.UnlinkedLinks += NumLinks;
         Stats.UnlinkOverhead += Config.Costs.unlinkingOverhead(NumLinks);
       }
@@ -195,11 +205,11 @@ void CacheEngine::notifyEvictions() {
   Config.OnEviction(Event);
 }
 
-AccessKind CacheEngine::missAndInsert(const SuperblockRecord &Rec) {
+AccessKind CacheEngine::missAndInsert(const SuperblockRecord &Rec,
+                                      bool Cold) {
   // Miss: the superblock must be regenerated (re-translated, inserted,
   // hash table updated) at the Eq. 3 cost; there is no backing store.
   ++Stats.Misses;
-  const bool Cold = !seenBefore(Rec.Id);
   if (Cold)
     ++Stats.ColdMisses;
   else
@@ -235,10 +245,12 @@ AccessKind CacheEngine::missAndInsert(const SuperblockRecord &Rec) {
       Config.ContentIndex->lookup(Rec.ContentKey) == nullptr) [[unlikely]]
     Config.ContentIndex->registerRepresentative(Rec.ContentKey, Rec.Id,
                                                 Rec.SizeBytes, Rec.Tenant);
-  if (Rec.Id >= TenantById.size())
-    TenantById.resize(std::max<size_t>(Rec.Id + 1, TenantById.size() * 2),
-                      0);
-  TenantById[Rec.Id] = Rec.Tenant;
+  // Untagged runs never grow the owner table: tenantOf() reads 0 for an
+  // id beyond it, which is what a tenant-0 record would have written.
+  if (Rec.Id < TenantById.size())
+    TenantById[Rec.Id] = Rec.Tenant;
+  else if (Rec.Tenant != 0) [[unlikely]]
+    growTenants(Rec);
   if (Config.EnableChaining)
     Links.onInsert(Cache, Quantum, Rec.Id, Rec.OutEdges, Stats);
   if (Config.Telemetry) [[unlikely]]
@@ -284,7 +296,7 @@ AccessKind CacheEngine::access(const SuperblockRecord &Rec) {
     }
   } else {
     const uint64_t InvocationsBefore = Stats.EvictionInvocations;
-    Kind = missAndInsert(Rec);
+    Kind = missAndInsert(Rec, !seenBefore(Rec.Id));
     Evicted = Stats.EvictionInvocations != InvocationsBefore;
   }
 
@@ -315,7 +327,8 @@ bool CacheEngine::install(const SuperblockRecord &Rec) {
   // the CacheStats conservation identities hold for audited DBT runs.
   ++Stats.Accesses;
   const uint64_t InvocationsBefore = Stats.EvictionInvocations;
-  const bool Installed = missAndInsert(Rec) == AccessKind::Miss;
+  const bool Installed =
+      missAndInsert(Rec, !seenBefore(Rec.Id)) == AccessKind::Miss;
   LastInstallEvicted = Stats.EvictionInvocations != InvocationsBefore;
   return Installed;
 }
@@ -330,16 +343,15 @@ void CacheEngine::flushEntireCache() {
         Stats.Accesses);
   EvictedScratch.clear();
   Cache.flushAll(EvictedScratch);
-  // A full flush is one invocation clearing every unit that held code.
+  // A full flush is one invocation clearing every unit that held code:
+  // a victim outside the previous victim's unit opens a new one.
   const uint64_t Quantum = currentQuantum();
-  uint64_t Units = 0;
-  uint64_t LastUnit = ~0ULL;
-  for (const CodeCache::Resident &V : EvictedScratch) {
-    const uint64_t Unit = CodeCache::unitOf(V.Start, Quantum);
-    if (Unit != LastUnit)
+  uint64_t Units = 0, UnitLo = 0;
+  for (const CodeCache::Resident &V : EvictedScratch)
+    if (Units == 0 || V.Start - UnitLo >= Quantum) {
+      UnitLo = CodeCache::unitBase(V.Start, Quantum);
       ++Units;
-    LastUnit = Unit;
-  }
+    }
   chargeEvictions(Units);
   notifyEvictions();
   maybeAudit(true, "flush");

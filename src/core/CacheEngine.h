@@ -165,6 +165,34 @@ struct CacheEngineConfig {
   /// charges). Disabling models a system without chaining (Table 2).
   bool EnableChaining = true;
 
+  /// Optional cross-tenant content index (ShareJIT-style sharing). Null —
+  /// the default — is the disabled fast path: access() pays one branch and
+  /// nothing else, and every export stays byte-identical to a build
+  /// without the feature. When set, accesses whose records carry a
+  /// nonzero ContentKey resolve misses against the index (linking a
+  /// resident identical copy instead of installing a duplicate), inserts
+  /// register the block as the key's representative, and evicting a
+  /// representative force-drains its links with per-link Eq. 4 charges.
+  /// One index may be shared by several engines (partitioned tenancy).
+  SharedContentIndex *ContentIndex = nullptr;
+
+  /// Optional read-only link topology of the trace this engine replays
+  /// (LinkTopology::fromBlocks); any number of engines on any threads may
+  /// share one. It also presizes the cache's per-id tables. Null — the
+  /// default — gives the engine a private learning topology, for owners
+  /// whose blocks may change shape (the mini-DBT). Either way the
+  /// engine's links and stats are the same.
+  const LinkTopology *Topology = nullptr;
+
+  /// Optional telemetry endpoint. Null (the default) is the disabled
+  /// fast path: hits emit nothing at all, and the miss/eviction paths pay
+  /// one predictable null-pointer branch each. When set, the engine
+  /// emits miss, insert, per-victim evict, eviction-batch, unlink, flush,
+  /// and quantum-change records into the sink's tracer.
+  telemetry::TelemetrySink *Telemetry = nullptr;
+
+  // The hooks come last: a miss only tests whether they are set.
+
   /// Optional eviction attribution hook (multi-tenant accounting). Left
   /// empty in single-tenant runs; the hot path never pays for it then.
   EvictionObserver OnEviction;
@@ -178,35 +206,10 @@ struct CacheEngineConfig {
   /// chaining block, after the link graph repaired the batch.
   UnlinkPayloadHook OnUnlinkPayload;
 
-  /// Optional cross-tenant content index (ShareJIT-style sharing). Null —
-  /// the default — is the disabled fast path: access() pays one branch and
-  /// nothing else, and every export stays byte-identical to a build
-  /// without the feature. When set, accesses whose records carry a
-  /// nonzero ContentKey resolve misses against the index (linking a
-  /// resident identical copy instead of installing a duplicate), inserts
-  /// register the block as the key's representative, and evicting a
-  /// representative force-drains its links with per-link Eq. 4 charges.
-  /// One index may be shared by several engines (partitioned tenancy).
-  SharedContentIndex *ContentIndex = nullptr;
-
   /// Optional observer fired per unshared representative (after the
   /// engine accounted the drain). Only ever fired when ContentIndex is
   /// set.
   UnshareObserver OnUnshare;
-
-  /// Optional learned link topology shared with other engines replaying
-  /// the same trace on the same thread (the one-pass lattice; see
-  /// LinkTopology for the one-thread rule). Null — the default — gives
-  /// the engine a private one. Either way the engine's links and stats
-  /// are the same.
-  LinkTopology *Topology = nullptr;
-
-  /// Optional telemetry endpoint. Null (the default) is the disabled
-  /// fast path: hits emit nothing at all, and the miss/eviction paths pay
-  /// one predictable null-pointer branch each. When set, the engine
-  /// emits miss, insert, per-victim evict, eviction-batch, unlink, flush,
-  /// and quantum-change records into the sink's tracer.
-  telemetry::TelemetrySink *Telemetry = nullptr;
 };
 
 /// Result of one access.
@@ -261,7 +264,8 @@ public:
   bool keepsBackPointerTable() const { return KeepsBackPointers; }
 
   /// Owner of resident or previously-seen superblock \p Id (tenant 0 if
-  /// never inserted). Only meaningful when records carry tenant ids.
+  /// never inserted). Only meaningful when records carry tenant ids; the
+  /// table is written only once a record carries a nonzero tenant.
   TenantId tenantOf(SuperblockId Id) const {
     return Id < TenantById.size() ? TenantById[Id] : 0;
   }
@@ -323,8 +327,17 @@ public:
 
   /// The miss half of access() for a deferred-accounting run: sets the
   /// in-flight tenant and runs missAndInsert(). \p Rec must not be
-  /// resident. Never returns Hit.
-  AccessKind deferredMiss(const SuperblockRecord &Rec);
+  /// resident. \p Cold says whether this is the first access to Rec.Id
+  /// in the stream: a one-pass driver decides it once per access for
+  /// every engine (each first sees an id at the same access), so its
+  /// engines keep no cold-miss table. Never returns Hit.
+  AccessKind deferredMiss(const SuperblockRecord &Rec, bool Cold);
+
+  /// As above, with the engine's own cold-miss table deciding \p Cold
+  /// (SharedCacheEngine, whose guests share one engine).
+  AccessKind deferredMiss(const SuperblockRecord &Rec) {
+    return deferredMiss(Rec, !seenBefore(Rec.Id));
+  }
 
   /// Accounts \p Count back-pointer samples at the table's current size
   /// (same gate as sampleBackPointerMemory). Batching is exact: all
@@ -354,26 +367,32 @@ public:
   }
 
 private:
-  CacheEngineConfig Config;
-  std::unique_ptr<EvictionPolicy> Policy;
+  // What every miss touches comes first, in as few cache lines as it
+  // fits: a one-pass lattice interleaves the misses of dozens of engines,
+  // so each miss starts by pulling its engine back into cache.
   CodeCache Cache;
   LinkGraph Links;
   CacheStats Stats;
-
-  std::vector<uint8_t> Seen; // Cold-miss detection, indexed by id.
-  std::vector<TenantId> TenantById;
   std::vector<CodeCache::Resident> EvictedScratch;
   std::vector<uint32_t> DanglingScratch;
-  std::vector<TenantId> VictimTenantScratch;
-  std::vector<SharedContentIndex::Link> UnshareScratch;
-  TenantId CurrentTenant = 0; // Tenant of the in-flight access.
-  bool LastShareLinked = false;
+  std::vector<TenantId> TenantById;
 
   // Fixed at construction so the miss and sampling paths make no virtual
   // policy calls: the quantum of an access-stateless policy (0 = ask the
   // policy on every miss) and the back-pointer-table gate.
   uint64_t FixedQuantum = 0;
   bool KeepsBackPointers = false;
+  bool LastShareLinked = false;
+  TenantId CurrentTenant = 0; // Tenant of the in-flight access.
+
+  CacheEngineConfig Config;
+  std::unique_ptr<EvictionPolicy> Policy;
+
+  // Cold-miss detection for access()/install(), indexed by id; a
+  // deferred engine is told instead.
+  std::vector<uint8_t> Seen;
+  std::vector<TenantId> VictimTenantScratch;
+  std::vector<SharedContentIndex::Link> UnshareScratch;
 
   // Telemetry bookkeeping (only touched when Config.Telemetry is set).
   uint64_t LastQuantumTraced = 0;   // 0 = no quantum recorded yet.
@@ -383,10 +402,11 @@ private:
   AuditHook Audit;
   bool LastInstallEvicted = false;
 
-  /// Shared miss path behind access() and install(): charge Eq. 3, make
-  /// room (firing the eviction machinery), insert, link. Returns the
-  /// resulting access kind (never Hit).
-  AccessKind missAndInsert(const SuperblockRecord &Rec);
+  /// Shared miss path behind access(), install() and deferredMiss():
+  /// charge Eq. 3, make room (firing the eviction machinery), insert,
+  /// link. \p Cold: first access to Rec.Id. Returns the resulting access
+  /// kind (never Hit).
+  AccessKind missAndInsert(const SuperblockRecord &Rec, bool Cold);
 
   void chargeEvictions(uint64_t UnitsFlushed);
   void drainShares();
@@ -401,6 +421,7 @@ private:
     return Before;
   }
   void growSeen(SuperblockId Id);
+  void growTenants(const SuperblockRecord &Rec);
   void traceMiss(const SuperblockRecord &Rec, bool Cold, uint64_t Quantum);
   void traceEvictionBatch(uint64_t BatchBytes, bool HaveDangling);
 };

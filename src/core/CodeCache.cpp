@@ -8,13 +8,24 @@ using namespace ccsim;
 
 CodeCache::CodeCache(uint64_t CapacityBytes) : Capacity(CapacityBytes) {
   CCSIM_REQUIRE(Capacity > 0, "cache capacity must be positive");
+  CCSIM_REQUIRE(Capacity <= MaxCapacityBytes,
+                "cache capacity %llu exceeds the %llu-byte limit",
+                static_cast<unsigned long long>(Capacity),
+                static_cast<unsigned long long>(MaxCapacityBytes));
 }
 
 void CodeCache::growTablesTo(SuperblockId Id) {
-  const size_t NewSize = std::max<size_t>(Id + 1, ResidentFlag.size() * 2);
-  ResidentFlag.resize(NewSize, 0);
-  StartById.resize(NewSize, 0);
-  SizeById.resize(NewSize, 0);
+  const size_t NewSize = std::max<size_t>(size_t{Id} + 1, Slot.size() * 2);
+  Slot.resize(NewSize, 0);
+}
+
+uint32_t CodeCache::sizeOf(SuperblockId Id) const {
+  CCSIM_ASSERT(contains(Id), "block %u is not resident", Id);
+  for (size_t I = 0; I < FifoSize; ++I)
+    if (fifoAt(I).Id == Id)
+      return fifoAt(I).Size;
+  CCSIM_ASSERT(false, "resident block %u is missing from the ring", Id);
+  return 0;
 }
 
 uint64_t CodeCache::contiguousFreeAtTail() const {
@@ -43,7 +54,7 @@ CodeCache::Resident CodeCache::evictFront() {
   FifoHead = (FifoHead + 1) & (Ring.size() - 1);
   --FifoSize;
   Occupied -= Victim.Size;
-  ResidentFlag[Victim.Id] = 0;
+  Slot[Victim.Id] = 0;
   if (empty())
     Tail = 0; // Empty cache: restart placement at the origin.
   return Victim;
@@ -59,15 +70,17 @@ CodeCache::prepareInsert(uint32_t SizeBytes, uint64_t Quantum,
     return Out; // Cannot ever fit; CanInsert stays false.
   Out.CanInsert = true;
 
-  uint64_t LastEvictedUnit = ~0ULL;
+  // The last victim's unit as [UnitLo, UnitLo + Quantum): a victim inside
+  // it costs a subtraction, and only one that opens a new unit divides.
+  uint64_t UnitLo = 0;
   bool EvictedAny = false;
   auto NoteEvicted = [&](const Resident &Victim) {
     EvictedOut.push_back(Victim);
-    const uint64_t Unit = unitOf(Victim.Start, Quantum);
-    if (!EvictedAny || Unit != LastEvictedUnit)
+    if (!EvictedAny || Victim.Start - UnitLo >= Quantum) {
+      UnitLo = unitBase(Victim.Start, Quantum);
       ++Out.UnitsFlushed;
-    LastEvictedUnit = Unit;
-    EvictedAny = true;
+      EvictedAny = true;
+    }
   };
 
   for (;;) {
@@ -88,9 +101,10 @@ CodeCache::prepareInsert(uint32_t SizeBytes, uint64_t Quantum,
     }
 
     // The FIFO head is ahead of the write position: reclaim from it.
-    // First evict until the incoming block fits ...
+    // First evict until the incoming block fits in the free run between
+    // the write position and the head ...
     while (!empty() && front().Start >= Tail &&
-           contiguousFreeAtTail() < SizeBytes)
+           front().Start - Tail < SizeBytes)
       NoteEvicted(evictFront());
 
     // ... then finish clearing the unit of the last victim, so that whole
@@ -98,7 +112,7 @@ CodeCache::prepareInsert(uint32_t SizeBytes, uint64_t Quantum,
     // fine-grained FIFO, since distinct blocks have distinct starts).
     if (EvictedAny && Quantum > 1)
       while (!empty() && front().Start >= Tail &&
-             unitOf(front().Start, Quantum) == LastEvictedUnit)
+             front().Start - UnitLo < Quantum)
         NoteEvicted(evictFront());
     // Loop: re-check fit (the head may have wrapped to low offsets, in
     // which case the free region now runs to the buffer end).
@@ -118,9 +132,7 @@ uint64_t CodeCache::commitInsert(SuperblockId Id, uint32_t SizeBytes) {
   if (Tail == Capacity)
     Tail = 0; // Exact fit against the end: next write wraps cleanly.
   Occupied += SizeBytes;
-  ResidentFlag[Id] = 1;
-  StartById[Id] = Start;
-  SizeById[Id] = SizeBytes;
+  Slot[Id] = static_cast<uint32_t>(Start + 1);
   return Start;
 }
 
@@ -134,8 +146,8 @@ bool CodeCache::checkInvariants() const {
   // Occupancy bookkeeping.
   uint64_t SumBytes = 0;
   size_t FlaggedResident = 0;
-  for (size_t Id = 0; Id < ResidentFlag.size(); ++Id)
-    if (ResidentFlag[Id])
+  for (uint32_t S : Slot)
+    if (S != 0)
       ++FlaggedResident;
   if (FlaggedResident != FifoSize)
     return false;
@@ -148,8 +160,7 @@ bool CodeCache::checkInvariants() const {
     const Resident &R = fifoAt(I);
     if (R.Size == 0 || R.end() > Capacity)
       return false; // Blocks must not wrap past the buffer end.
-    if (!contains(R.Id) || StartById[R.Id] != R.Start ||
-        SizeById[R.Id] != R.Size)
+    if (!contains(R.Id) || startOf(R.Id) != R.Start)
       return false;
     SumBytes += R.Size;
     Ranges.emplace_back(R.Start, R.end());

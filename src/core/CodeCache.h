@@ -29,10 +29,16 @@
 /// touch one slot each and never allocate once the ring has grown to the
 /// peak resident count.
 ///
+/// Residency and placement share one 32-bit slot per id holding the
+/// block's start + 1 (0 = not resident), so contains() and startOf() are
+/// one load; a block's size lives only in its ring entry. That bounds the
+/// capacity below 2^32 - 1 bytes (MaxCapacityBytes); front doors refuse
+/// larger caches before building an engine.
+///
 /// The class tracks placement only. Links, costs, and policy decisions
 /// live in LinkGraph, CostModel, and CacheEngine. LinkGraph derives every
-/// link from contains()/startOf(), so residency is the single source of
-/// truth for chaining too.
+/// link from slotOf(), so residency is the single source of truth for
+/// chaining too.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -72,6 +78,11 @@ public:
     uint64_t UnitsFlushed = 0;  ///< Distinct quantum units cleared.
   };
 
+  /// Largest capacity a cache accepts: every start + 1 must fit a 32-bit
+  /// slot.
+  static constexpr uint64_t MaxCapacityBytes = 0xFFFFFFFEull;
+
+  /// \p CapacityBytes must be 1..MaxCapacityBytes.
   explicit CodeCache(uint64_t CapacityBytes);
 
   uint64_t capacity() const { return Capacity; }
@@ -79,27 +90,43 @@ public:
   size_t residentCount() const { return FifoSize; }
   bool empty() const { return FifoSize == 0; }
 
-  /// True if \p Id currently resides in the cache.
-  bool contains(SuperblockId Id) const {
-    return Id < ResidentFlag.size() && ResidentFlag[Id];
+  /// \p Id's start + 1 when resident, 0 when not: residency and
+  /// placement in one load.
+  uint32_t slotOf(SuperblockId Id) const {
+    return Id < Slot.size() ? Slot[Id] : 0;
   }
+
+  /// True if \p Id currently resides in the cache.
+  bool contains(SuperblockId Id) const { return slotOf(Id) != 0; }
 
   /// Byte offset of resident \p Id. Must be resident.
   uint64_t startOf(SuperblockId Id) const {
     CCSIM_ASSERT(contains(Id), "block %u is not resident", Id);
-    return StartById[Id];
+    return Slot[Id] - 1;
   }
 
-  /// Size in bytes of resident \p Id. Must be resident.
-  uint32_t sizeOf(SuperblockId Id) const {
-    CCSIM_ASSERT(contains(Id), "block %u is not resident", Id);
-    return SizeById[Id];
-  }
+  /// Size in bytes of resident \p Id, read from its ring entry (a walk
+  /// of the FIFO: for tests and audits, not the miss path). Must be
+  /// resident.
+  uint32_t sizeOf(SuperblockId Id) const;
 
   /// Index of the cache unit containing byte \p Offset under \p Quantum.
   static uint64_t unitOf(uint64_t Offset, uint64_t Quantum) {
     CCSIM_ASSERT(Quantum > 0, "quantum must be positive");
     return Offset / Quantum;
+  }
+
+  /// First byte of the unit containing \p Offset: the unit is
+  /// [unitBase, unitBase + Quantum). Both operands lie below the 32-bit
+  /// capacity bound, so the division is a 32-bit one.
+  static uint64_t unitBase(uint64_t Offset, uint64_t Quantum) {
+    CCSIM_ASSERT(Quantum > 0 && Quantum <= MaxCapacityBytes &&
+                     Offset <= MaxCapacityBytes,
+                 "unit of offset %llu under quantum %llu",
+                 static_cast<unsigned long long>(Offset),
+                 static_cast<unsigned long long>(Quantum));
+    const auto O = static_cast<uint32_t>(Offset);
+    return O - O % static_cast<uint32_t>(Quantum);
   }
 
   /// Makes room for a block of \p SizeBytes, evicting at \p Quantum
@@ -129,12 +156,19 @@ public:
       Visit(fifoAt(I));
   }
 
-  /// Size of the dense per-id lookup tables; ids >= this were never
-  /// inserted. Lets auditors enumerate the residency flags independently
+  /// Size of the dense per-id lookup table; ids >= this were never
+  /// inserted. Lets auditors enumerate the residency slots independently
   /// of the FIFO (check/CacheAuditor cross-checks the two views).
-  size_t idTableSize() const { return ResidentFlag.size(); }
+  size_t idTableSize() const { return Slot.size(); }
 
-  /// Exhaustive internal consistency check for tests: flags match the
+  /// Sizes the per-id table for ids below \p NumIds up front (a trace's
+  /// superblock count), so inserts never grow it.
+  void reserveIds(size_t NumIds) {
+    if (NumIds > Slot.size())
+      growTablesTo(static_cast<SuperblockId>(NumIds - 1));
+  }
+
+  /// Exhaustive internal consistency check for tests: slots match the
   /// FIFO contents, occupancy sums match, no overlapping placements, and
   /// no block wraps past the end of the buffer.
   bool checkInvariants() const;
@@ -150,10 +184,9 @@ private:
   size_t FifoHead = 0;
   size_t FifoSize = 0;
 
-  // Dense per-id lookups (ids are small and dense by construction).
-  std::vector<uint8_t> ResidentFlag;
-  std::vector<uint64_t> StartById;
-  std::vector<uint32_t> SizeById;
+  // Dense per-id lookup (ids are small and dense by construction): start
+  // + 1, 0 = not resident.
+  std::vector<uint32_t> Slot;
 
   /// Contiguous free bytes available at Tail without wrapping.
   uint64_t contiguousFreeAtTail() const;
@@ -175,9 +208,9 @@ private:
   /// Pops and returns the oldest block.
   Resident evictFront();
 
-  /// Makes \p Id a valid index into the per-id tables.
+  /// Makes \p Id a valid index into the per-id table.
   void growTables(SuperblockId Id) {
-    if (Id >= ResidentFlag.size()) [[unlikely]]
+    if (Id >= Slot.size()) [[unlikely]]
       growTablesTo(Id);
   }
   void growTablesTo(SuperblockId Id);

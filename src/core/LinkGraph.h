@@ -17,21 +17,22 @@
 /// and T are both resident and T is among S's static edges (with
 /// multiplicity). So it stores no per-link state, only what residency
 /// cannot tell, split in two:
-///   - a LinkTopology: each block's learned out-edges (the list it was
-///     last inserted with; kept across evictions), a reverse-edge index
-///     (target -> learned sources, filled on a block's first insert and
-///     re-learned only when a re-translated block arrives with a
-///     different edge list), and the eviction epoch that marks one
-///     batch's victims;
-///   - per cache, the live-link counter.
+///   - a LinkTopology: each block's out-edges and the reverse-edge index
+///     (target -> sources). A trace fixes every block's shape, so a
+///     trace-driven engine reads a read-only topology built once from the
+///     trace's block table (LinkTopology::fromBlocks). A graph given none
+///     owns a learning topology that records each block's edges on insert
+///     and re-learns them when a re-translated block arrives with a
+///     different list (the mini-DBT);
+///   - per graph, the live-link counter and the eviction epoch marks that
+///     flag one batch's victims.
 /// Links created, their intra/inter-unit classification, per-victim
-/// dangling counts and links destroyed are all computed from
-/// CodeCache::contains/startOf; no list is edited on eviction.
+/// dangling counts and links destroyed are all counted from
+/// CodeCache::slotOf without branches; no list is edited on eviction.
 ///
-/// Nothing in a topology depends on one cache's residency, so the graphs
-/// of several caches replaying the same trace can share one (the one-pass
-/// lattice gives all its engines one). A graph without a shared topology
-/// owns a private one; both run the same code.
+/// A read-only topology is never written after it is built, so any number
+/// of graphs on any threads may share one (the one-pass lattice gives all
+/// its engines one per trace).
 ///
 /// Links are classified intra-unit or inter-unit at materialization time
 /// using the eviction quantum in force (Figure 13). A whole-cache flush
@@ -48,48 +49,80 @@
 #include "core/Superblock.h"
 
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <span>
 #include <vector>
 
 namespace ccsim {
 
-/// The learned chaining graph of one trace: per-id out-edges, the
-/// reverse-edge index, and eviction-batch marks. Block shapes are fixed
-/// within a trace, so every LinkGraph replaying it learns the same lists
-/// and may share one topology.
+/// The chaining graph of one trace: per-id out-edges and the reverse-edge
+/// index, in one of two forms.
 ///
-/// Not thread-safe: the tables are mutated by every sharing graph's
-/// inserts and evictions. Only graphs driven by one thread may share a
-/// topology; never share one across worker threads.
+///  - Read-only (fromBlocks): built once from a block table as flat
+///    offsets-plus-ids arrays and never written again, so graphs on any
+///    number of threads may share it.
+///  - Learning (default-constructed): empty until a graph that owns it
+///    records each inserted block's edges. Owned by exactly one graph.
 class LinkTopology {
 public:
-  /// Size of the dense per-id tables (ids at or beyond this were never
-  /// inserted or named as an edge target).
-  size_t size() const { return Edges.size(); }
+  /// An empty learning topology.
+  LinkTopology() = default;
 
-  /// Learned out-edges of \p Id and the learned sources naming \p Id as a
-  /// target. Empty span for ids outside the tables. The spans alias
-  /// internal storage and are invalidated by any mutation.
+  /// The read-only topology of \p Blocks, indexed by id: anything whose
+  /// elements carry an OutEdges range (a Trace's block table). Every edge
+  /// must name an id below the block count.
+  template <typename BlockTable>
+  static LinkTopology fromBlocks(const BlockTable &Blocks) {
+    LinkTopology T;
+    T.ReadOnly = true;
+    T.EdgeBegin.reserve(std::size(Blocks) + 1); // Holds the leading 0.
+    for (const auto &B : Blocks) {
+      T.EdgeIds.insert(T.EdgeIds.end(), B.OutEdges.begin(), B.OutEdges.end());
+      T.EdgeBegin.push_back(static_cast<uint32_t>(T.EdgeIds.size()));
+    }
+    T.indexSources();
+    return T;
+  }
+
+  /// True for a topology built by fromBlocks().
+  bool readOnly() const { return ReadOnly; }
+
+  /// Size of the dense per-id tables (ids at or beyond this have no edges
+  /// and no sources).
+  size_t size() const {
+    return ReadOnly ? EdgeBegin.size() - 1 : Edges.size();
+  }
+
+  /// Out-edges of \p Id and the sources naming \p Id as a target. Empty
+  /// span for ids outside the tables. The spans alias internal storage; a
+  /// learning topology invalidates them on its next insert.
   std::span<const SuperblockId> edgesOf(SuperblockId Id) const {
-    return listOrEmpty(Edges, Id);
+    return ReadOnly ? flatList(EdgeBegin, EdgeIds, Id)
+                    : listOrEmpty(Edges, Id);
   }
   std::span<const SuperblockId> sourcesOf(SuperblockId Id) const {
-    return listOrEmpty(Sources, Id);
+    return ReadOnly ? flatList(SourceBegin, SourceIds, Id)
+                    : listOrEmpty(Sources, Id);
   }
 
-  /// True when the reverse index mirrors the learned edges with matching
+  /// True when the reverse index mirrors the edges with matching
   /// multiplicity (tests).
   bool checkMirror() const;
 
 private:
   friend class LinkGraph;
 
-  // Dense per-id state; index by SuperblockId.
+  bool ReadOnly = false;
+
+  // Read-only form: Id's edges are EdgeIds[EdgeBegin[Id], EdgeBegin[Id+1])
+  // and its sources SourceIds[SourceBegin[Id], SourceBegin[Id+1]).
+  std::vector<uint32_t> EdgeBegin{0}, SourceBegin{0};
+  std::vector<SuperblockId> EdgeIds, SourceIds;
+
+  // Learning form, indexed by SuperblockId.
   std::vector<std::vector<SuperblockId>> Edges;   // Source -> targets.
   std::vector<std::vector<SuperblockId>> Sources; // Target -> sources.
-  std::vector<uint32_t> EvictEpoch; // Batch-membership marks.
-  uint32_t CurrentEpoch = 0;
 
   static std::span<const SuperblockId>
   listOrEmpty(const std::vector<std::vector<SuperblockId>> &Table,
@@ -98,20 +131,27 @@ private:
       return {};
     return Table[Id];
   }
+  static std::span<const SuperblockId>
+  flatList(const std::vector<uint32_t> &Begin,
+           const std::vector<SuperblockId> &Ids, SuperblockId Id) {
+    if (size_t{Id} + 1 >= Begin.size())
+      return {};
+    return {Ids.data() + Begin[Id], Ids.data() + Begin[Id + 1]};
+  }
 
-  /// Makes \p Id a valid index into every per-id table.
+  /// Builds the read-only reverse index from EdgeBegin/EdgeIds.
+  void indexSources();
+
+  /// Learning form: makes \p Id a valid index into every per-id table.
   void grow(SuperblockId Id) {
     if (Id >= Edges.size()) [[unlikely]]
       growTo(Id);
   }
   void growTo(SuperblockId Id);
 
-  /// Records \p NewEdges as \p Id's out-edges, moving its reverse-index
-  /// entries when the shape changed.
+  /// Learning form: records \p NewEdges as \p Id's out-edges, moving its
+  /// reverse-index entries when the shape changed.
   void learn(SuperblockId Id, std::span<const SuperblockId> NewEdges);
-
-  /// Starts a new eviction batch: returns the epoch its victims carry.
-  uint32_t nextEpoch();
 };
 
 /// Chaining state for the blocks resident in one CodeCache.
@@ -121,15 +161,16 @@ public:
   /// pointer plus an 8-byte list link (paper, Section 5.1 footnote).
   static constexpr uint64_t BytesPerBackPointer = 16;
 
-  /// A graph over \p Shared, or over a private topology when null. A
-  /// shared topology must outlive the graph and obey its one-thread rule.
-  explicit LinkGraph(LinkTopology *Shared = nullptr);
+  /// A graph over the read-only \p Shared topology, or over a private
+  /// learning one when null. A shared topology must outlive the graph.
+  explicit LinkGraph(const LinkTopology *Shared = nullptr);
 
-  /// Registers newly resident \p Id with its static \p Edges (re-learning
-  /// the reverse index if they differ from the last insert's), counts the
-  /// links that now exist in both directions against residents of
-  /// \p Cache, classifies them under \p Quantum, and updates \p Stats link
-  /// counters. Must be called after the block is committed to the cache.
+  /// Registers newly resident \p Id, counts the links that now exist in
+  /// both directions against residents of \p Cache, classifies them
+  /// under \p Quantum, and updates \p Stats link counters. A learning
+  /// graph first records \p Edges as Id's shape; a read-only topology
+  /// already holds them (they must be the trace's edges of Id). Must be
+  /// called after the block is committed to the cache.
   void onInsert(const CodeCache &Cache, uint64_t Quantum, SuperblockId Id,
                 std::span<const SuperblockId> Edges, CacheStats &Stats);
 
@@ -160,8 +201,8 @@ public:
   bool hasLink(const CodeCache &Cache, SuperblockId From,
                SuperblockId To) const;
 
-  /// The learned graph this cache's links derive from (shared or
-  /// private); auditors read the learned edges and sources here.
+  /// The topology this cache's links derive from (shared or private);
+  /// auditors read the edges and sources here.
   const LinkTopology &topology() const { return *Topo; }
 
   /// Exhaustive consistency check against \p Cache for tests: the reverse
@@ -170,9 +211,17 @@ public:
   bool checkInvariants(const CodeCache &Cache) const;
 
 private:
-  std::unique_ptr<LinkTopology> Owned; // Null when the topology is shared.
-  LinkTopology *Topo;
+  std::unique_ptr<LinkTopology> Owned; // Learning; null when shared.
+  const LinkTopology *Topo;
   uint64_t LinkCount = 0;
+  // Batch-membership marks, one byte per topology id: a victim of the
+  // batch being processed carries CurrentEpoch. A byte keeps the table a
+  // quarter of a 32-bit one; it is cleared once every 255 batches.
+  std::vector<uint8_t> EvictEpoch;
+  uint8_t CurrentEpoch = 0;
+
+  /// Starts a new eviction batch: returns the epoch its victims carry.
+  uint8_t nextEpoch();
 };
 
 } // namespace ccsim

@@ -114,9 +114,11 @@ LatticePlan ccsim::multisweep::planLattice(const std::vector<SweepJob> &Jobs,
 MultiConfigEngine::MultiConfigEngine(const Trace &T,
                                      const std::vector<SweepJob> &Jobs,
                                      const LatticePlan &Plan)
-    : T(T), Jobs(Jobs), Plan(Plan) {
+    : T(T), Jobs(Jobs), Plan(Plan),
+      Topology(LinkTopology::fromBlocks(T.Blocks)) {
   CCSIM_REQUIRE(Plan.Points.size() == Jobs.size(),
                 "lattice plan does not match the grid");
+  Seen.assign(T.numSuperblocks(), 0);
   NumWords = (Plan.NumSharedEngines + 63) / 64;
   Resident.assign(T.numSuperblocks() * NumWords, 0);
   FullMask.assign(NumWords, ~uint64_t{0});
@@ -179,7 +181,10 @@ void MultiConfigEngine::sharedPass() {
       }
       // Miss-driven: the cleared bits of the mask are exactly the engines
       // where this access misses; the ones that hit are never visited.
+      // Every engine first sees Id here, so one table decides coldness.
       const SuperblockRecord Rec = T.recordFor(Id);
+      const bool Cold = !Seen[Id];
+      Seen[Id] = 1;
       for (size_t W = 0; W < NumWords; ++W) {
         uint64_t Missing = FullMask[W] & ~Mask[W];
         while (Missing) {
@@ -199,7 +204,7 @@ void MultiConfigEngine::sharedPass() {
             Engine.addDeferredBackPointerSamples(I - S.SampledThrough);
             S.SampledThrough = I;
           }
-          if (Engine.deferredMiss(Rec) == AccessKind::Miss)
+          if (Engine.deferredMiss(Rec, Cold) == AccessKind::Miss)
             Mask[W] |= Bit;
           // The miss's evictions retire this engine's residency bits; the
           // inserted block's own bit was set above.

@@ -25,9 +25,13 @@
 ///    the ones that hit;
 ///  - hit counters and back-pointer-table samples are settled in batches
 ///    at miss boundaries, bit-identically to per-access accounting;
-///  - every engine's LinkGraph reads one shared LinkTopology (the
-///    trace's learned edges and reverse index), so the lattice keeps one
-///    copy of the graph per trace instead of one per configuration.
+///  - every engine's LinkGraph reads one read-only LinkTopology, built
+///    once from the trace's block table before the pass and never written
+///    during it, so the lattice keeps one copy of the graph per trace
+///    instead of one per configuration;
+///  - cold misses are decided once per access for every engine (each
+///    first sees an id at the same access), so the engines keep no
+///    cold-miss tables.
 ///
 /// Points the shortcuts cannot cover — per-access audit levels, foreign
 /// cancellation tokens, non-stateless policies — fall back to dense
@@ -147,6 +151,7 @@ public:
 
   /// Shared-engine introspection for tests and audits.
   size_t numSharedEngines() const { return Shared.size(); }
+  const LinkTopology &topology() const { return Topology; }
   const CacheEngine &sharedEngine(size_t I) const { return *Shared[I].Engine; }
 
   /// Structural audit of every shared engine's compact state (placement +
@@ -176,10 +181,13 @@ private:
   const Trace &T;
   const std::vector<SweepJob> &Jobs;
   const LatticePlan &Plan;
-  /// The trace's learned link graph, shared by every shared engine. The
-  /// pass drives them all on one thread, as LinkTopology requires.
-  LinkTopology Topology;
+  /// The trace's read-only link graph, read by every shared engine. It
+  /// is never written, so other threads may read it during the pass.
+  const LinkTopology Topology;
   std::vector<SharedState> Shared;
+  /// Ids the pass has accessed: the first access to an id is a cold miss
+  /// in every engine.
+  std::vector<uint8_t> Seen;
   /// Residency bitmask: bit E of word [Id * NumWords + W] is set when
   /// superblock Id is resident in shared engine W * 64 + E. Kept exact by
   /// the miss path (set on insert) and the eviction observer (cleared per

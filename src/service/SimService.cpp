@@ -58,35 +58,43 @@ std::string Job::validate() const {
       return "replay job needs 1.." +
              std::to_string(concurrent::MaxGuestThreads) +
              " guest threads, not " + std::to_string(R->GuestThreads);
-    return R->Config.validate();
+    return R->Config.validateFor(R->TraceData.maxCacheBytes());
   }
   if (const auto *S = std::get_if<SweepBatchJob>(&Payload)) {
     if (!S->Engine)
       return "sweep batch job has no suite engine";
     if (S->Engine->traces().empty())
       return "sweep batch job's suite engine has no benchmarks";
-    return validateSweepGrid(S->Jobs);
+    std::string Err = validateSweepGrid(S->Jobs);
+    for (const Trace &Tr : S->Engine->traces())
+      for (const SweepJob &Point : S->Jobs)
+        if (Err.empty())
+          Err = Point.Config.validateFor(Tr.maxCacheBytes());
+    return Err;
   }
   const auto &T = std::get<TenantJob>(Payload);
   if (T.Traces.empty())
     return "tenant job has no traces";
-  for (const Trace &Tr : T.Traces)
+  uint64_t SuiteMaxCache = 0;
+  for (const Trace &Tr : T.Traces) {
     if (!Tr.validate())
       return "tenant job trace '" + Tr.Name + "' is structurally invalid";
+    SuiteMaxCache += Tr.maxCacheBytes();
+  }
   std::string Err = T.Policy.validateTenantCount(T.Traces.size());
   if (!Err.empty())
     return "tenant job has " + Err;
-  return T.Policy.validate();
+  Err = T.Policy.validate();
+  return Err.empty() ? T.Policy.validateFor(SuiteMaxCache) : Err;
 }
 
-JobOutcome ccsim::service::executeJob(const Job &J, CancelToken *Cancel) {
+namespace {
+
+/// Runs a job that passed Job::validate(): the execution half of
+/// executeJob, which the service workers call directly for jobs
+/// validated at admission (a job is immutable once submitted).
+JobOutcome runValidatedJob(const Job &J, CancelToken *Cancel) {
   JobOutcome Out;
-  std::string Err = J.validate();
-  if (!Err.empty()) {
-    Out.Status = JobStatus::Failed;
-    Out.Error = std::move(Err);
-    return Out;
-  }
   try {
     if (const auto *R = std::get_if<ReplayJob>(&J.Payload)) {
       concurrent::SharedRunConfig Config(R->Config, R->GuestThreads);
@@ -130,6 +138,19 @@ JobOutcome ccsim::service::executeJob(const Job &J, CancelToken *Cancel) {
     Out.Tenants.reset();
   }
   return Out;
+}
+
+} // namespace
+
+JobOutcome ccsim::service::executeJob(const Job &J, CancelToken *Cancel) {
+  std::string Err = J.validate();
+  if (!Err.empty()) {
+    JobOutcome Out;
+    Out.Status = JobStatus::Failed;
+    Out.Error = std::move(Err);
+    return Out;
+  }
+  return runValidatedJob(J, Cancel);
 }
 
 void ccsim::service::setJobTelemetry(Job &J, telemetry::TelemetrySink *Sink) {
@@ -443,7 +464,9 @@ void SimService::runOne() {
     }
     recordTransition(*S, JobStatus::Running);
 
-    JobOutcome Outcome = executeJob(S->TheJob, &S->Cancel);
+    // Admission validated the job and it has not changed since, so the
+    // worker skips executeJob's second scan of its traces.
+    JobOutcome Outcome = runValidatedJob(S->TheJob, &S->Cancel);
     const double RunMs = msBetween(PickTime, std::chrono::steady_clock::now());
     if (telemetry::TelemetrySink *Sink = Config.Telemetry) {
       Sink->Metrics

@@ -24,7 +24,29 @@ std::string SimConfig::validate() const {
     return "cost model coefficients must be nonnegative";
   if (CancelCheckInterval == 0)
     return "cancellation check interval must be at least 1 access";
+  if (ExplicitCapacityBytes > CodeCache::MaxCapacityBytes)
+    return "capacity " + std::to_string(ExplicitCapacityBytes) +
+           " exceeds the " + std::to_string(CodeCache::MaxCapacityBytes) +
+           "-byte cache limit";
   return {};
+}
+
+std::string SimConfig::validateFor(uint64_t MaxCacheBytes) const {
+  std::string Err = validate();
+  if (!Err.empty() || ExplicitCapacityBytes != 0)
+    return Err;
+  // Compared as a double: the derived size may not fit 64 bits' cast.
+  const double Derived = static_cast<double>(MaxCacheBytes) / PressureFactor;
+  if (Derived < static_cast<double>(CodeCache::MaxCapacityBytes) + 1.0)
+    return {};
+  char Buf[160];
+  std::snprintf(Buf, sizeof(Buf),
+                "a %llu-byte trace at pressure %g needs a %.0f-byte cache; "
+                "caches are limited to %llu bytes",
+                static_cast<unsigned long long>(MaxCacheBytes), PressureFactor,
+                Derived,
+                static_cast<unsigned long long>(CodeCache::MaxCapacityBytes));
+  return Buf;
 }
 
 uint64_t ccsim::sim::capacityFor(uint64_t MaxCacheBytes,
@@ -53,11 +75,15 @@ SimResult replay(const TraceT &T, std::unique_ptr<EvictionPolicy> Policy,
   Result.MaxCacheBytes = T.maxCacheBytes();
   Result.CapacityBytes = sim::capacityFor(Result.MaxCacheBytes, Config);
 
+  // The trace fixes every block's shape: its read-only topology replaces
+  // learning the edges on each first insert.
+  const LinkTopology Topology = LinkTopology::fromBlocks(T.blocks());
   CacheEngineConfig EC;
   EC.CapacityBytes = Result.CapacityBytes;
   EC.Costs = Config.Costs;
   EC.EnableChaining = Config.EnableChaining;
   EC.Telemetry = Config.Telemetry;
+  EC.Topology = &Topology;
 
   telemetry::TelemetrySink *Tel = Config.Telemetry;
   uint32_t MarkId = 0;

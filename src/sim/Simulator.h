@@ -99,6 +99,12 @@ struct SimConfig {
   /// cannot abort (SimService) reject the job with this message instead
   /// of tripping the CCSIM_REQUIRE contracts mid-run.
   std::string validate() const;
+
+  /// validate(), then whether the cache this config derives for a trace
+  /// of \p MaxCacheBytes (sim::capacityFor) stays within
+  /// CodeCache::MaxCapacityBytes. Every front door runs it before it
+  /// builds an engine, so an oversized cache is an error, not an abort.
+  std::string validateFor(uint64_t MaxCacheBytes) const;
 };
 
 /// Outcome of simulating one (trace, policy, capacity) combination.

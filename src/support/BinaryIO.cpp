@@ -12,23 +12,22 @@ BinaryWriter::BinaryWriter(const std::string &Path) {
 
 BinaryWriter::BinaryWriter() : ToMemory(true) {}
 
-BinaryWriter::~BinaryWriter() {
-  if (Stream) {
-    std::fclose(Stream);
-    Stream = nullptr;
-  }
-}
+BinaryWriter::~BinaryWriter() { finish(); }
 
 void BinaryWriter::writeBytes(const void *Data, size_t Size) {
   if (Failed || Size == 0)
     return;
-  if (ToMemory) {
-    const auto *P = static_cast<const uint8_t *>(Data);
-    Memory.insert(Memory.end(), P, P + Size);
-    return;
-  }
-  if (std::fwrite(Data, 1, Size, Stream) != Size)
+  const auto *P = static_cast<const uint8_t *>(Data);
+  Memory.insert(Memory.end(), P, P + Size);
+  if (!ToMemory && Memory.size() >= FlushBytes)
+    flushToStream();
+}
+
+void BinaryWriter::flushToStream() {
+  if (!Failed && !Memory.empty() &&
+      std::fwrite(Memory.data(), 1, Memory.size(), Stream) != Memory.size())
     Failed = true;
+  Memory.clear();
 }
 
 void BinaryWriter::writeU32(uint32_t V) {
@@ -52,6 +51,7 @@ void BinaryWriter::writeString(const std::string &S) {
 
 bool BinaryWriter::finish() {
   if (Stream) {
+    flushToStream();
     if (std::fclose(Stream) != 0)
       Failed = true;
     Stream = nullptr;

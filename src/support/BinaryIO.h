@@ -34,7 +34,9 @@ inline uint32_t loadU32LE(const uint8_t *P) {
          (static_cast<uint32_t>(P[3]) << 24);
 }
 
-/// Buffered little-endian binary writer.
+/// Buffered little-endian binary writer. A file writer gathers bytes in
+/// one buffer and hands the stream a whole buffer at a time, so a
+/// writeU32 costs a few stores, not an fwrite.
 class BinaryWriter {
 public:
   /// Opens \p Path for writing. Check ok() before use.
@@ -55,19 +57,25 @@ public:
   /// A u32 length, then the bytes.
   void writeString(const std::string &S);
 
-  /// Flushes and closes the file (no-op for memory writers). Returns ok().
+  /// Writes out the buffer and closes the file (no-op for memory
+  /// writers). Returns ok(). The destructor does the same for a writer
+  /// that was not finished.
   bool finish();
 
   /// For memory writers: the accumulated bytes.
   const std::vector<uint8_t> &buffer() const { return Memory; }
 
 private:
+  /// A file writer hands the stream its buffer once it holds this much.
+  static constexpr size_t FlushBytes = size_t{1} << 16;
+
   FILE *Stream = nullptr;
-  std::vector<uint8_t> Memory;
+  std::vector<uint8_t> Memory; // The whole image, or a file's unwritten tail.
   bool ToMemory = false;
   bool Failed = false;
 
   void writeBytes(const void *Data, size_t Size);
+  void flushToStream();
 };
 
 /// Little-endian cursor over bytes it does not own; they must outlive it.

@@ -54,6 +54,7 @@ struct Trace {
   // The read interface trace::MappedTrace shares, so a replay loop is
   // written once over either source.
   const std::string &name() const { return Name; }
+  const std::vector<SuperblockDef> &blocks() const { return Blocks; }
   SuperblockId idAt(size_t I) const { return Accesses[I]; }
 
   /// Total translated bytes: the size an unbounded code cache would reach

@@ -3,6 +3,7 @@
 #include "core/LinkGraph.h"
 
 #include "support/Random.h"
+#include "trace/Trace.h"
 #include "gtest/gtest.h"
 
 #include <algorithm>
@@ -10,6 +11,33 @@
 using namespace ccsim;
 
 namespace {
+
+/// The read-only topology of blocks whose out-edges are \p Shapes[Id].
+LinkTopology
+topologyOf(const std::vector<std::vector<SuperblockId>> &Shapes) {
+  std::vector<SuperblockDef> Blocks(Shapes.size());
+  for (size_t Id = 0; Id < Shapes.size(); ++Id) {
+    Blocks[Id].SizeBytes = 1;
+    Blocks[Id].OutEdges = Shapes[Id];
+  }
+  return LinkTopology::fromBlocks(Blocks);
+}
+
+/// \p Topology's edges (or sources) as sorted (source, target) pairs.
+std::vector<std::pair<SuperblockId, SuperblockId>>
+edgePairs(const LinkTopology &Topology, bool FromSources) {
+  std::vector<std::pair<SuperblockId, SuperblockId>> Pairs;
+  for (SuperblockId Id = 0; Id < Topology.size(); ++Id) {
+    if (FromSources)
+      for (SuperblockId S : Topology.sourcesOf(Id))
+        Pairs.emplace_back(S, Id);
+    else
+      for (SuperblockId T : Topology.edgesOf(Id))
+        Pairs.emplace_back(Id, T);
+  }
+  std::sort(Pairs.begin(), Pairs.end());
+  return Pairs;
+}
 
 /// Test fixture managing a cache + link graph pair with convenience
 /// insert/evict helpers mirroring the CacheEngine's call order.
@@ -207,13 +235,16 @@ TEST_F(LinkGraphFixture, RetranslatedBlockLinksByItsNewShape) {
 
 namespace {
 
-/// Two graphs over one topology and one cache, fed the same inserts. The
-/// first sees a batch that empties the cache (the short cut); the twin
-/// sees the same victims against a bystander cache that holds only an
-/// unlinked block, so it takes the per-victim path.
+/// Two graphs over one read-only topology and one cache, fed the same
+/// inserts. The first sees a batch that empties the cache (the short
+/// cut); the twin sees the same victims against a bystander cache that
+/// holds only an unlinked block, so it takes the per-victim path.
 struct EmptyingBatch {
+  explicit EmptyingBatch(const std::vector<std::vector<SuperblockId>> &Shapes)
+      : Topology(topologyOf(Shapes)) {}
+
   CodeCache Cache{1000};
-  LinkTopology Topology;
+  const LinkTopology Topology;
   LinkGraph Links{&Topology};
   LinkGraph Twin{&Topology};
   CacheStats Stats, TwinStats;
@@ -255,7 +286,7 @@ struct EmptyingBatch {
 } // namespace
 
 TEST(LinkGraphEmptyingBatchTest, FlushBatchDestroysEveryLiveLink) {
-  EmptyingBatch B;
+  EmptyingBatch B({{1, 2}, {0, 1}, {0, 7}, {}, {}, {}, {}, {}});
   B.insert(0, 300, 1000, {1, 2});
   B.insert(1, 300, 1000, {0, 1});
   B.insert(2, 300, 1000, {0, 7}); // 7 never arrives: no link.
@@ -266,7 +297,7 @@ TEST(LinkGraphEmptyingBatchTest, FlushBatchDestroysEveryLiveLink) {
 }
 
 TEST(LinkGraphEmptyingBatchTest, UnitBatchForAWholeCacheBlock) {
-  EmptyingBatch B;
+  EmptyingBatch B({{1}, {0, 2}, {2}});
   constexpr uint64_t Quantum = 250; // Four units.
   B.insert(0, 300, Quantum, {1});
   B.insert(1, 300, Quantum, {0, 2});
@@ -283,10 +314,67 @@ TEST(LinkGraphEmptyingBatchTest, UnitBatchForAWholeCacheBlock) {
 TEST(LinkGraphTopologyTest, GraphsOwnPrivateTopologiesUnlessShared) {
   LinkGraph A, B;
   EXPECT_NE(&A.topology(), &B.topology());
-  LinkTopology Shared;
+  EXPECT_FALSE(A.topology().readOnly());
+  const LinkTopology Shared = topologyOf({{1}, {0}});
   LinkGraph C(&Shared), D(&Shared);
   EXPECT_EQ(&C.topology(), &Shared);
   EXPECT_EQ(&D.topology(), &Shared);
+  EXPECT_TRUE(Shared.readOnly());
+}
+
+TEST(LinkGraphTopologyTest, BuiltTopologyMatchesOneLearnedFromEveryBlock) {
+  for (uint64_t Seed : {1ULL, 2ULL, 3ULL}) {
+    Rng R(Seed);
+    constexpr SuperblockId NumIds = 80;
+    std::vector<std::vector<SuperblockId>> Shapes(NumIds);
+    for (std::vector<SuperblockId> &Edges : Shapes) {
+      const uint64_t Degree = R.nextPoisson(2.0); // Parallel edges too.
+      for (uint64_t E = 0; E < Degree; ++E)
+        Edges.push_back(static_cast<SuperblockId>(R.nextBelow(NumIds)));
+    }
+    const LinkTopology Built = topologyOf(Shapes);
+
+    // A learning graph inserting every block once, in a cache that holds
+    // them all, learns every shape.
+    CodeCache Cache(NumIds * 10);
+    LinkGraph Learner;
+    CacheStats Stats;
+    std::vector<CodeCache::Resident> None;
+    for (SuperblockId Id = 0; Id < NumIds; ++Id) {
+      ASSERT_TRUE(Cache.prepareInsert(10, 10, None).CanInsert);
+      ASSERT_TRUE(None.empty());
+      Cache.commitInsert(Id, 10);
+      Learner.onInsert(Cache, 10, Id, Shapes[Id], Stats);
+    }
+    const LinkTopology &Learned = Learner.topology();
+
+    ASSERT_EQ(Built.size(), size_t{NumIds});
+    for (SuperblockId Id = 0; Id < NumIds; ++Id) {
+      const std::span<const SuperblockId> Edges = Built.edgesOf(Id);
+      EXPECT_TRUE(std::equal(Edges.begin(), Edges.end(),
+                             Shapes[Id].begin(), Shapes[Id].end()))
+          << "seed " << Seed << " block " << Id;
+    }
+    EXPECT_EQ(edgePairs(Built, false), edgePairs(Learned, false));
+    EXPECT_EQ(edgePairs(Built, true), edgePairs(Learned, true));
+    EXPECT_EQ(edgePairs(Built, true), edgePairs(Built, false));
+    EXPECT_TRUE(Built.checkMirror());
+    EXPECT_TRUE(Learned.checkMirror());
+    EXPECT_TRUE(Built.edgesOf(NumIds).empty());
+    EXPECT_TRUE(Built.sourcesOf(NumIds).empty());
+
+    // With every block resident, every edge is a live link.
+    EXPECT_EQ(Learner.numLinks(), edgePairs(Built, false).size());
+  }
+}
+
+TEST(LinkGraphTopologyTest, EmptyBlockTableBuildsAnEmptyTopology) {
+  const LinkTopology Empty = topologyOf({});
+  EXPECT_TRUE(Empty.readOnly());
+  EXPECT_EQ(Empty.size(), 0u);
+  EXPECT_TRUE(Empty.edgesOf(0).empty());
+  EXPECT_TRUE(Empty.sourcesOf(0).empty());
+  EXPECT_TRUE(Empty.checkMirror());
 }
 
 TEST(LinkGraphRandomTest, InvariantsUnderRandomChurn) {
@@ -379,5 +467,55 @@ TEST(LinkGraphRandomTest, InvariantsUnderRandomChurn) {
     }
     EXPECT_GT(Stats.LinksCreated, 0u);
     EXPECT_GT(Reshaped, 0u) << "churn never re-translated a block";
+  }
+}
+
+TEST(LinkGraphRandomTest, ReadOnlyTopologyMatchesLearningGraphUnderChurn) {
+  // A trace fixes every block's shape, so a graph over the topology built
+  // from the block table must count exactly what a graph learning the
+  // same shapes insert by insert counts, batch by batch.
+  constexpr SuperblockId NumIds = 60;
+  for (uint64_t Seed : {4ULL, 5ULL, 6ULL}) {
+    Rng R(Seed);
+    std::vector<std::vector<SuperblockId>> Shapes(NumIds);
+    for (std::vector<SuperblockId> &Edges : Shapes) {
+      const uint64_t Degree = R.nextPoisson(1.7);
+      for (uint64_t E = 0; E < Degree; ++E)
+        Edges.push_back(static_cast<SuperblockId>(R.nextBelow(NumIds)));
+    }
+    const LinkTopology Built = topologyOf(Shapes);
+    CodeCache Cache(2000);
+    LinkGraph Learner, Reader(&Built);
+    CacheStats LearnerStats, ReaderStats;
+    uint64_t Batches = 0;
+    for (int Step = 0; Step < 2000; ++Step) {
+      const SuperblockId Id = static_cast<SuperblockId>(R.nextBelow(NumIds));
+      if (Cache.contains(Id))
+        continue;
+      const uint32_t Size = static_cast<uint32_t>(R.nextRange(20, 400));
+      const uint64_t Quantum = 1ULL << R.nextBelow(12);
+      std::vector<CodeCache::Resident> Evicted;
+      if (!Cache.prepareInsert(Size, Quantum, Evicted).CanInsert)
+        continue;
+      if (!Evicted.empty()) {
+        std::vector<uint32_t> LearnerDangling, ReaderDangling;
+        Learner.onEvict(Cache, Evicted, LearnerDangling);
+        Reader.onEvict(Cache, Evicted, ReaderDangling);
+        ASSERT_EQ(ReaderDangling, LearnerDangling)
+            << "seed " << Seed << " step " << Step;
+        ++Batches;
+      }
+      Cache.commitInsert(Id, Size);
+      Learner.onInsert(Cache, Quantum, Id, Shapes[Id], LearnerStats);
+      Reader.onInsert(Cache, Quantum, Id, Shapes[Id], ReaderStats);
+      ASSERT_EQ(Reader.numLinks(), Learner.numLinks())
+          << "seed " << Seed << " step " << Step;
+      ASSERT_EQ(ReaderStats, LearnerStats)
+          << "seed " << Seed << " step " << Step;
+      ASSERT_TRUE(Reader.checkInvariants(Cache))
+          << "seed " << Seed << " step " << Step;
+    }
+    EXPECT_GT(Batches, 0u);
+    EXPECT_GT(ReaderStats.InterUnitLinksCreated, 0u);
   }
 }

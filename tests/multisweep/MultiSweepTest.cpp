@@ -92,6 +92,19 @@ std::vector<SuiteResult> perConfig(const SweepEngine &Engine,
   return runSweepGrid(Engine, Grid, {SweepMode::PerConfig, nullptr});
 }
 
+/// Every edge and source list of \p Topology, by id.
+std::vector<std::vector<SuperblockId>>
+topologyLists(const LinkTopology &Topology) {
+  std::vector<std::vector<SuperblockId>> Lists;
+  for (SuperblockId Id = 0; Id < Topology.size(); ++Id) {
+    const std::span<const SuperblockId> Edges = Topology.edgesOf(Id);
+    const std::span<const SuperblockId> Sources = Topology.sourcesOf(Id);
+    Lists.emplace_back(Edges.begin(), Edges.end());
+    Lists.emplace_back(Sources.begin(), Sources.end());
+  }
+  return Lists;
+}
+
 Trace scaledTrace(const char *Name, double Factor, uint64_t Seed = 42) {
   const WorkloadModel *M = findWorkload(Name);
   return TraceGenerator::generateBenchmark(scaledWorkload(*M, Factor), Seed);
@@ -472,10 +485,15 @@ TEST(MultiSweepAuditTest, SharedEnginesShareOneTopologyAndAuditMidPass) {
   Pass.run();
   ASSERT_EQ(Pass.numSharedEngines(), Grid.size());
   const LinkTopology &Topology = Pass.sharedEngine(0).links().topology();
-  EXPECT_GT(Topology.size(), 0u);
+  EXPECT_EQ(&Topology, &Pass.topology());
+  EXPECT_TRUE(Topology.readOnly());
+  EXPECT_EQ(Topology.size(), T.numSuperblocks());
   for (size_t I = 1; I < Pass.numSharedEngines(); ++I)
     EXPECT_EQ(&Pass.sharedEngine(I).links().topology(), &Topology)
         << "engine " << I;
+  // Built from the block table before the pass and never written by it.
+  EXPECT_EQ(topologyLists(Topology),
+            topologyLists(LinkTopology::fromBlocks(T.Blocks)));
   EXPECT_TRUE(Pass.auditSharedStructures().clean())
       << Pass.auditSharedStructures().render();
 
@@ -483,6 +501,55 @@ TEST(MultiSweepAuditTest, SharedEnginesShareOneTopologyAndAuditMidPass) {
   CacheEngineConfig EC;
   const CacheEngine Standalone(EC, makePolicy(GranularitySpec::fine()));
   EXPECT_NE(&Standalone.links().topology(), &Topology);
+}
+
+TEST(MultiSweepTopologyTest, TwoThreadsReplayThroughOneReadOnlyTopology) {
+  // A pass's topology is built with the pass and never written during
+  // it: one thread runs the pass while another replays two more policies
+  // through engines whose graphs read that same topology. Every result
+  // matches its serial run, and the topology still equals a fresh build
+  // from the block table: nothing learned into it, no epoch marks (TSan,
+  // in CI, would see any write racing the other thread's reads).
+  const Trace T = scaledTrace("gap", 0.02);
+  const auto Grid = gridOf({GranularitySpec::flush(),
+                            GranularitySpec::units(8),
+                            GranularitySpec::fine()},
+                           {2.0, 6.0});
+  const LatticePlan Plan = planLattice(Grid);
+  MultiConfigEngine Pass(T, Grid, Plan);
+  const LinkTopology &Topology = Pass.topology();
+  SimConfig Config;
+  Config.PressureFactor = 4.0;
+  const GranularitySpec DenseSpecs[2] = {GranularitySpec::units(4),
+                                         GranularitySpec::units(64)};
+
+  std::vector<SimResult> PassResults;
+  CacheStats Dense[2];
+  std::thread Runner([&] { PassResults = Pass.run(); });
+  std::thread Reader([&] {
+    for (int I = 0; I < 2; ++I) {
+      CacheEngineConfig EC(sim::capacityFor(T, Config), true);
+      EC.Topology = &Topology;
+      CacheEngine Engine(EC, makePolicy(DenseSpecs[I]));
+      for (SuperblockId Id : T.Accesses)
+        Engine.access(T.recordFor(Id));
+      Dense[I] = Engine.stats();
+    }
+  });
+  Runner.join();
+  Reader.join();
+
+  ASSERT_EQ(PassResults.size(), Grid.size());
+  for (size_t J = 0; J < Grid.size(); ++J)
+    expectStatsEqual(PassResults[J].Stats,
+                     sim::run(T, Grid[J].Spec, Grid[J].Config).Stats,
+                     "pass point " + std::to_string(J));
+  for (int I = 0; I < 2; ++I)
+    expectStatsEqual(Dense[I], sim::run(T, DenseSpecs[I], Config).Stats,
+                     "reader engine " + std::to_string(I));
+  EXPECT_EQ(topologyLists(Topology),
+            topologyLists(LinkTopology::fromBlocks(T.Blocks)));
+  EXPECT_TRUE(Topology.checkMirror());
 }
 
 TEST(MultiSweepAuditTest, SeededCorruptionOfCompactStateIsCaught) {

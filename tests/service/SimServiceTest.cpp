@@ -4,6 +4,7 @@
 
 #include "telemetry/Exporters.h"
 #include "trace/TraceGenerator.h"
+#include "trace/TraceIO.h"
 #include "gtest/gtest.h"
 
 #include <chrono>
@@ -437,6 +438,65 @@ TEST(SimServiceTest, TenantJobWithTheWrongTenantCountIsRejected) {
   EXPECT_NE(O.Error.find("tenant job has 2 traces but 1 tenant specs"),
             std::string::npos)
       << O.Error;
+}
+
+TEST(SimServiceTest, OversizedCacheIsRefusedWithTheServiceRunning) {
+  // Two 0xFFFFFFFF-byte blocks at pressure 2 derive a 2^32 - 1 byte
+  // cache, one byte past what a 32-bit residency slot can place. The job
+  // must end Rejected or Failed, never abort a worker, and the service
+  // must keep running.
+  const auto Huge = readTrace(std::string(CCSIM_TRACE_FIXTURE_DIR) +
+                              "/huge_blocks.cct");
+  ASSERT_TRUE(Huge.has_value());
+  ASSERT_EQ(Huge->maxCacheBytes(), 2 * uint64_t{0xFFFFFFFF});
+
+  SimServiceConfig SC;
+  SC.Threads = 1;
+  SimService Service(SC);
+  for (const unsigned K : {1u, 2u}) {
+    ReplayJob R;
+    R.TraceData = *Huge;
+    R.Config.PressureFactor = 2.0;
+    R.GuestThreads = K;
+    const JobOutcome O = Service.submit(Job(std::move(R))).wait();
+    EXPECT_TRUE(O.Status == JobStatus::Rejected ||
+                O.Status == JobStatus::Failed)
+        << jobStatusName(O.Status);
+    EXPECT_NE(O.Error.find("caches are limited to 4294967294 bytes"),
+              std::string::npos)
+        << O.Error;
+    EXPECT_TRUE(O.Replay.empty());
+  }
+
+  // An explicit capacity past the limit is refused the same way, for a
+  // replay, a sweep batch and a tenant run alike.
+  constexpr uint64_t TooBig = CodeCache::MaxCapacityBytes + 1;
+  std::vector<Job> Oversized;
+  Oversized.push_back(thrashingJob(1000));
+  std::get<ReplayJob>(Oversized.back().Payload).Config.ExplicitCapacityBytes =
+      TooBig;
+  SweepBatchJob Sweep;
+  std::vector<Trace> One;
+  One.push_back(syntheticTrace(4, 100));
+  Sweep.Engine = std::make_shared<const SweepEngine>(std::move(One));
+  Sweep.Jobs = makeSweepGrid({GranularitySpec::flush()}, {2.0},
+                             SimConfig().withCapacityBytes(TooBig));
+  Oversized.emplace_back(std::move(Sweep));
+  TenantJob Tenants;
+  Tenants.Traces.push_back(syntheticTrace(4, 100));
+  Tenants.Policy.ExplicitCapacityBytes = TooBig;
+  Oversized.emplace_back(std::move(Tenants));
+  for (Job &J : Oversized) {
+    const std::string Kind = J.kindName();
+    const JobOutcome O = Service.submit(std::move(J)).wait();
+    EXPECT_EQ(O.Status, JobStatus::Rejected) << Kind;
+    EXPECT_NE(O.Error.find("exceeds the 4294967294-byte cache limit"),
+              std::string::npos)
+        << Kind << ": " << O.Error;
+  }
+
+  JobHandle Good = Service.submit(thrashingJob(1000));
+  EXPECT_EQ(Good.wait().Status, JobStatus::Done) << Good.wait().Error;
 }
 
 TEST(SimServiceTest, ExecuteJobFailsOnInvalidTraceWithoutAborting) {

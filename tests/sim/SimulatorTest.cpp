@@ -34,6 +34,33 @@ TEST(SimulatorTest, ExplicitCapacityOverrides) {
   EXPECT_EQ(sim::capacityFor(T, C), 12345u);
 }
 
+TEST(SimulatorTest, ValidateForBoundsTheCacheAThirtyTwoBitSlotCanPlace) {
+  constexpr uint64_t Limit = CodeCache::MaxCapacityBytes;
+  SimConfig C;
+  C.ExplicitCapacityBytes = Limit;
+  EXPECT_EQ(C.validate(), "");
+  EXPECT_EQ(C.validateFor(~uint64_t{0}), ""); // Explicit wins.
+  C.ExplicitCapacityBytes = Limit + 1;
+  EXPECT_NE(C.validate().find("cache limit"), std::string::npos);
+  EXPECT_EQ(C.validateFor(1000), C.validate());
+
+  // Derived: two 0xFFFFFFFF-byte blocks at pressure 2 need a 2^32 - 1
+  // byte cache, one byte too many; slightly more pressure fits.
+  C.ExplicitCapacityBytes = 0;
+  const uint64_t TwoHugeBlocks = 2 * uint64_t{0xFFFFFFFF};
+  C.PressureFactor = 2.0;
+  EXPECT_NE(C.validateFor(TwoHugeBlocks).find("caches are limited"),
+            std::string::npos);
+  EXPECT_NE(C.validateFor(~uint64_t{0}).find("caches are limited"),
+            std::string::npos);
+  C.PressureFactor = 2.000001;
+  EXPECT_EQ(C.validateFor(TwoHugeBlocks), "");
+  EXPECT_LE(sim::capacityFor(TwoHugeBlocks, C), Limit);
+  // The config's own errors come first.
+  C.PressureFactor = 0.5;
+  EXPECT_EQ(C.validateFor(TwoHugeBlocks), C.validate());
+}
+
 TEST(SimulatorTest, RunCountsEveryAccess) {
   Trace T = scaledTrace("mcf", 1.0);
   SimConfig C;

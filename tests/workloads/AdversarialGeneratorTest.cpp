@@ -388,9 +388,11 @@ TEST(AdversarialFuzzTest, ValidSpecsGenerateAndReplayEverywhere) {
 
     // Replay at degenerate capacities: smaller than one block (every
     // insert is a too-big miss), exactly one block, the tuned worst
-    // case, and effectively unbounded.
+    // case, and effectively unbounded (the largest capacity a cache
+    // accepts).
     const uint64_t Sizes[] = {1, Spec.BlockBytes - 1, Spec.BlockBytes,
-                              Spec.tunedCapacityBytes(), 1ull << 40};
+                              Spec.tunedCapacityBytes(),
+                              CodeCache::MaxCapacityBytes};
     for (uint64_t Capacity : Sizes) {
       if (Capacity == 0)
         continue;
