@@ -34,7 +34,7 @@ enum class AuditRule : uint8_t {
   // CodeCache: circular-buffer placement.
   CacheResidencyFlagMismatch, ///< Slot table and FIFO disagree on who is
                               ///< resident (or the FIFO holds duplicates).
-  CacheLookupStale,           ///< A resident block's slot start (or size)
+  CacheLookupStale,           ///< A resident block's slot start
                               ///< disagrees with its FIFO entry.
   CacheBlockOutOfBounds,      ///< Zero-size block or placement past the
                               ///< end of the buffer (blocks never wrap).

@@ -27,7 +27,7 @@ std::vector<uint64_t> ids(std::initializer_list<uint64_t> Values) {
 bool CodeCacheState::isResident(SuperblockId Id) const {
   return std::any_of(
       Lookup.begin(), Lookup.end(),
-      [Id](const CodeCache::Resident &R) { return R.Id == Id; });
+      [Id](const CodeCacheState::Slot &S) { return S.Id == Id; });
 }
 
 // --- Snapshot extraction -------------------------------------------------
@@ -37,20 +37,11 @@ CodeCacheState check::captureCodeCache(const CodeCache &Cache) {
   State.Capacity = Cache.capacity();
   State.OccupiedBytes = Cache.occupiedBytes();
   State.Fifo.reserve(Cache.residentCount());
-  // The lookup view: every id whose slot says resident, at the slot's
-  // start. A block's size lives only in its ring entry; an id the ring
-  // lacks reads size 0 (the FIFO rules report it).
-  std::unordered_map<SuperblockId, uint32_t> RingSize;
-  Cache.forEachResident([&](const CodeCache::Resident &R) {
-    State.Fifo.push_back(R);
-    RingSize.emplace(R.Id, R.Size);
-  });
+  Cache.forEachResident(
+      [&](const CodeCache::Resident &R) { State.Fifo.push_back(R); });
   for (SuperblockId Id = 0; Id < Cache.idTableSize(); ++Id)
-    if (Cache.contains(Id)) {
-      const auto It = RingSize.find(Id);
-      State.Lookup.push_back(CodeCache::Resident{
-          Id, Cache.startOf(Id), It == RingSize.end() ? 0 : It->second});
-    }
+    if (Cache.contains(Id))
+      State.Lookup.push_back({Id, Cache.startOf(Id)});
   return State;
 }
 
@@ -156,9 +147,9 @@ void check::checkCodeCache(const CodeCacheState &Cache,
                  "block %llu appears more than once in the FIFO",
                  static_cast<ULL>(R.Id));
   }
-  std::unordered_map<SuperblockId, const CodeCache::Resident *> ByIdLookup;
-  for (const CodeCache::Resident &R : Cache.Lookup)
-    ByIdLookup.emplace(R.Id, &R);
+  std::unordered_map<SuperblockId, uint64_t> ByIdLookup;
+  for (const CodeCacheState::Slot &S : Cache.Lookup)
+    ByIdLookup.emplace(S.Id, S.Start);
 
   for (const CodeCache::Resident &R : Cache.Fifo) {
     const auto It = ByIdLookup.find(R.Id);
@@ -168,15 +159,13 @@ void check::checkCodeCache(const CodeCacheState &Cache,
                  static_cast<ULL>(R.Id));
       continue;
     }
-    if (It->second->Start != R.Start || It->second->Size != R.Size)
+    if (It->second != R.Start)
       Report.add(AuditRule::CacheLookupStale, ids({R.Id}),
-                 "lookup places block %llu at [%llu, +%llu) but the FIFO "
-                 "says [%llu, +%llu)",
-                 static_cast<ULL>(R.Id), static_cast<ULL>(It->second->Start),
-                 static_cast<ULL>(It->second->Size),
-                 static_cast<ULL>(R.Start), static_cast<ULL>(R.Size));
+                 "lookup places block %llu at %llu but the FIFO says %llu",
+                 static_cast<ULL>(R.Id), static_cast<ULL>(It->second),
+                 static_cast<ULL>(R.Start));
   }
-  for (const CodeCache::Resident &R : Cache.Lookup)
+  for (const CodeCacheState::Slot &R : Cache.Lookup)
     if (!ByIdFifo.count(R.Id))
       Report.add(AuditRule::CacheResidencyFlagMismatch, ids({R.Id}),
                  "block %llu is flagged resident but missing from the FIFO",
@@ -236,7 +225,7 @@ void check::checkLinkGraph(const LinkGraphState &Links,
                            const CodeCacheState &Cache,
                            AuditReport &Report) {
   std::unordered_set<SuperblockId> Resident;
-  for (const CodeCache::Resident &R : Cache.Lookup)
+  for (const CodeCacheState::Slot &R : Cache.Lookup)
     Resident.insert(R.Id);
 
   uint64_t OutTotal = 0;
@@ -535,9 +524,9 @@ void check::checkGenerational(const CodeCacheState &Nursery,
   checkCodeCache(Nursery, Report);
   checkCodeCache(Tenured, Report);
   std::unordered_set<SuperblockId> InNursery;
-  for (const CodeCache::Resident &R : Nursery.Lookup)
+  for (const CodeCacheState::Slot &R : Nursery.Lookup)
     InNursery.insert(R.Id);
-  for (const CodeCache::Resident &R : Tenured.Lookup)
+  for (const CodeCacheState::Slot &R : Tenured.Lookup)
     if (InNursery.count(R.Id))
       Report.add(AuditRule::GenerationalDualResidency, ids({R.Id}),
                  "block %llu is resident in both nursery and tenured",
@@ -645,7 +634,7 @@ void check::checkDispatchTable(const DispatchTableState &Table,
     }
     Reachable.insert(E.Id);
   }
-  for (const CodeCache::Resident &R : Cache.Lookup)
+  for (const CodeCacheState::Slot &R : Cache.Lookup)
     if (!Reachable.count(R.Id))
       Report.add(AuditRule::DispatchResidentUnreachable, ids({R.Id}),
                  "resident fragment %llu has no table entry at its entry "
@@ -664,7 +653,7 @@ void check::checkSharedIndex(const SharedIndexState &Index,
                              const CodeCacheState &Cache,
                              AuditReport &Report) {
   std::unordered_map<SuperblockId, uint64_t> StartById;
-  for (const CodeCache::Resident &R : Cache.Lookup)
+  for (const CodeCacheState::Slot &R : Cache.Lookup)
     StartById[R.Id] = R.Start;
   std::unordered_set<SuperblockId> Indexed;
   const uint64_t Width = std::max<uint64_t>(1, Index.FenceBytes);
@@ -689,7 +678,7 @@ void check::checkSharedIndex(const SharedIndexState &Index,
                  static_cast<ULL>(E.Id), static_cast<ULL>(E.Region),
                  static_cast<ULL>(It->second), static_cast<ULL>(Expected));
   }
-  for (const CodeCache::Resident &R : Cache.Lookup)
+  for (const CodeCacheState::Slot &R : Cache.Lookup)
     if (!Indexed.count(R.Id))
       Report.add(AuditRule::SharedIndexMissingEntry, ids({R.Id}),
                  "resident block %llu has no sharded-index entry (a "

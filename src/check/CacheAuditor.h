@@ -49,10 +49,16 @@ namespace ccsim::check {
 /// Snapshot of a CodeCache: the FIFO view and the per-id lookup view are
 /// captured separately so the auditor can cross-check them.
 struct CodeCacheState {
+  /// A per-id slot: an id the slot table calls resident, at its start.
+  struct Slot {
+    SuperblockId Id = 0;
+    uint64_t Start = 0;
+  };
+
   uint64_t Capacity = 0;
   uint64_t OccupiedBytes = 0;
-  std::vector<CodeCache::Resident> Fifo;   ///< Oldest-first placement log.
-  std::vector<CodeCache::Resident> Lookup; ///< Flagged residents, by id.
+  std::vector<CodeCache::Resident> Fifo; ///< Oldest-first placement log.
+  std::vector<Slot> Lookup;              ///< Slot-resident ids, by id.
 
   bool isResident(SuperblockId Id) const;
 };

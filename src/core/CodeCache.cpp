@@ -19,15 +19,6 @@ void CodeCache::growTablesTo(SuperblockId Id) {
   Slot.resize(NewSize, 0);
 }
 
-uint32_t CodeCache::sizeOf(SuperblockId Id) const {
-  CCSIM_ASSERT(contains(Id), "block %u is not resident", Id);
-  for (size_t I = 0; I < FifoSize; ++I)
-    if (fifoAt(I).Id == Id)
-      return fifoAt(I).Size;
-  CCSIM_ASSERT(false, "resident block %u is missing from the ring", Id);
-  return 0;
-}
-
 uint64_t CodeCache::contiguousFreeAtTail() const {
   if (empty())
     return Capacity - Tail;

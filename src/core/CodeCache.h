@@ -105,11 +105,6 @@ public:
     return Slot[Id] - 1;
   }
 
-  /// Size in bytes of resident \p Id, read from its ring entry (a walk
-  /// of the FIFO: for tests and audits, not the miss path). Must be
-  /// resident.
-  uint32_t sizeOf(SuperblockId Id) const;
-
   /// Index of the cache unit containing byte \p Offset under \p Quantum.
   static uint64_t unitOf(uint64_t Offset, uint64_t Quantum) {
     CCSIM_ASSERT(Quantum > 0, "quantum must be positive");

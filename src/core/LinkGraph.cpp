@@ -99,8 +99,19 @@ void LinkGraph::onInsert(const CodeCache &Cache, uint64_t Quantum,
                          CacheStats &Stats) {
   CCSIM_ASSERT(Cache.contains(Id),
                "block %u must be committed before onInsert", Id);
-  if (Owned)
+  if (Owned) {
     Owned->learn(Id, NewEdges);
+    if (EvictEpoch.size() < Owned->size()) [[unlikely]]
+      EvictEpoch.resize(Owned->size(), 0);
+  }
+#ifdef CCSIM_PARANOID
+  // A walk of the edges per insert: only the paranoid build pays for it.
+  CCSIM_ASSERT(Owned || std::ranges::equal(NewEdges, Topo->edgesOf(Id)),
+               "block %u's edges differ from its read-only topology's", Id);
+#endif
+  CCSIM_ASSERT(Id < EvictEpoch.size(),
+               "block %u is outside the %zu-id topology", Id,
+               EvictEpoch.size());
 
   // Links now exist from Id to every resident target and into Id from
   // every resident source. A link is inter-unit when its other end starts
@@ -152,8 +163,6 @@ void LinkGraph::onEvict(const CodeCache &Cache,
     return;
   }
 
-  if (EvictEpoch.size() < G.size()) [[unlikely]]
-    EvictEpoch.resize(G.size(), 0); // A learning topology grew.
   const uint8_t Epoch = nextEpoch();
   for (const CodeCache::Resident &V : Victims) {
     CheckVictim(V);

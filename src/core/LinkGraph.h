@@ -61,7 +61,9 @@ namespace ccsim {
 ///
 ///  - Read-only (fromBlocks): built once from a block table as flat
 ///    offsets-plus-ids arrays and never written again, so graphs on any
-///    number of threads may share it.
+///    number of threads may share it. (Learning every block into the
+///    per-id lists below instead made the one-pass lattice about 6%
+///    slower; DESIGN §15.)
 ///  - Learning (default-constructed): empty until a graph that owns it
 ///    records each inserted block's edges. Owned by exactly one graph.
 class LinkTopology {
@@ -169,8 +171,9 @@ public:
   /// both directions against residents of \p Cache, classifies them
   /// under \p Quantum, and updates \p Stats link counters. A learning
   /// graph first records \p Edges as Id's shape; a read-only topology
-  /// already holds them (they must be the trace's edges of Id). Must be
-  /// called after the block is committed to the cache.
+  /// already holds them (they must be its edges of Id, asserted in
+  /// paranoid builds, and Id must lie inside it, always asserted). Must
+  /// be called after the block is committed to the cache.
   void onInsert(const CodeCache &Cache, uint64_t Quantum, SuperblockId Id,
                 std::span<const SuperblockId> Edges, CacheStats &Stats);
 

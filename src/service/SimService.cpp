@@ -66,11 +66,19 @@ std::string Job::validate() const {
     if (S->Engine->traces().empty())
       return "sweep batch job's suite engine has no benchmarks";
     std::string Err = validateSweepGrid(S->Jobs);
+    if (!Err.empty())
+      return Err;
+    // A derived capacity grows with maxCache: the largest trace bounds
+    // every point.
+    uint64_t LargestMaxCache = 0;
     for (const Trace &Tr : S->Engine->traces())
-      for (const SweepJob &Point : S->Jobs)
-        if (Err.empty())
-          Err = Point.Config.validateFor(Tr.maxCacheBytes());
-    return Err;
+      LargestMaxCache = std::max(LargestMaxCache, Tr.maxCacheBytes());
+    for (const SweepJob &Point : S->Jobs) {
+      Err = Point.Config.validateFor(LargestMaxCache);
+      if (!Err.empty())
+        return Err;
+    }
+    return {};
   }
   const auto &T = std::get<TenantJob>(Payload);
   if (T.Traces.empty())

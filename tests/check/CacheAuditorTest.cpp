@@ -29,13 +29,22 @@ SuperblockRecord rec(SuperblockId Id, uint32_t Size,
   return R;
 }
 
+/// The lookup view that agrees with \p Fifo.
+std::vector<CodeCacheState::Slot>
+lookupOf(const std::vector<CodeCache::Resident> &Fifo) {
+  std::vector<CodeCacheState::Slot> Lookup;
+  for (const CodeCache::Resident &R : Fifo)
+    Lookup.push_back({R.Id, R.Start});
+  return Lookup;
+}
+
 /// Three residents tiling [0, 450) of a 1000-byte cache, FIFO == lookup.
 CodeCacheState cleanCache() {
   CodeCacheState State;
   State.Capacity = 1000;
   State.OccupiedBytes = 450;
   State.Fifo = {{0, 0, 100}, {1, 100, 200}, {2, 300, 150}};
-  State.Lookup = State.Fifo;
+  State.Lookup = lookupOf(State.Fifo);
   return State;
 }
 
@@ -265,7 +274,6 @@ TEST(CacheAuditorCorruptionTest, BlockPastBufferEnd) {
 TEST(CacheAuditorCorruptionTest, ZeroSizeBlock) {
   CodeCacheState State = cleanCache();
   State.Fifo[0].Size = 0;
-  State.Lookup[0].Size = 0;
   State.OccupiedBytes = 350;
   EXPECT_TRUE(auditOf(State).has(AuditRule::CacheBlockOutOfBounds));
 }
@@ -296,7 +304,7 @@ TEST(CacheAuditorCorruptionTest, FifoOrderDoubleWrap) {
   // Two descents in the start sequence: a circular buffer wraps at most
   // once, so this FIFO cannot be unit-order monotone.
   State.Fifo = {{0, 200, 50}, {1, 0, 50}, {2, 300, 50}, {3, 100, 50}};
-  State.Lookup = State.Fifo;
+  State.Lookup = lookupOf(State.Fifo);
   EXPECT_TRUE(auditOf(State).has(AuditRule::CacheFifoOrderBroken));
 }
 
@@ -310,7 +318,7 @@ TEST(CacheAuditorCorruptionTest, LinkIntoEvictedBlock) {
   LinkFixture F;
   // Evict block 1 from the cache but leave the 0->1 link materialized.
   F.Cache.Fifo.erase(F.Cache.Fifo.begin() + 1);
-  F.Cache.Lookup = F.Cache.Fifo;
+  F.Cache.Lookup = lookupOf(F.Cache.Fifo);
   F.Cache.OccupiedBytes = 250;
   const AuditReport Report = F.audit();
   EXPECT_TRUE(Report.has(AuditRule::LinkEndpointNotResident));
@@ -493,7 +501,7 @@ TEST(CacheAuditorCorruptionTest, DualResidency) {
   Tenured.Capacity = 1000;
   Tenured.OccupiedBytes = 100;
   Tenured.Fifo = {{2, 0, 100}}; // Block 2 also lives in the nursery.
-  Tenured.Lookup = Tenured.Fifo;
+  Tenured.Lookup = lookupOf(Tenured.Fifo);
   AuditReport Report;
   checkGenerational(Nursery, Tenured, Report);
   EXPECT_TRUE(Report.has(AuditRule::GenerationalDualResidency));

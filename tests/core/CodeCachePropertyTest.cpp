@@ -67,10 +67,13 @@ TEST_P(CodeCacheProperty, RandomStreamKeepsInvariants) {
     ASSERT_TRUE(C.checkInvariants()) << "step " << Step;
     ASSERT_LE(C.occupiedBytes(), Capacity);
     ASSERT_EQ(C.residentCount(), Expected.size());
-    for (const auto &[EId, ESize] : Expected) {
-      ASSERT_TRUE(C.contains(EId));
-      ASSERT_EQ(C.sizeOf(EId), ESize);
-    }
+    std::map<SuperblockId, uint32_t> Resident;
+    C.forEachResident([&Resident](const CodeCache::Resident &Res) {
+      Resident[Res.Id] = Res.Size;
+    });
+    ASSERT_EQ(Resident, Expected);
+    for (const auto &Entry : Expected)
+      ASSERT_TRUE(C.contains(Entry.first));
   }
   // Under pressure the stream must actually exercise eviction.
   if (Capacity <= 4096) {

@@ -58,7 +58,12 @@ TEST(CodeCacheTest, SequentialPlacement) {
   EXPECT_EQ(C.startOf(0), 0u);
   EXPECT_EQ(C.startOf(1), 100u);
   EXPECT_EQ(C.occupiedBytes(), 300u);
-  EXPECT_EQ(C.sizeOf(1), 200u);
+  std::vector<CodeCache::Resident> Ring;
+  C.forEachResident(
+      [&Ring](const CodeCache::Resident &R) { Ring.push_back(R); });
+  ASSERT_EQ(Ring.size(), 2u);
+  EXPECT_EQ(Ring[1].Id, 1u);
+  EXPECT_EQ(Ring[1].Size, 200u);
   EXPECT_TRUE(C.checkInvariants());
 }
 

@@ -31,7 +31,7 @@ check::CodeCacheState makeCache() {
   Cache.Capacity = 400;
   Cache.OccupiedBytes = 150;
   Cache.Fifo = {{1, 0, 50}, {2, 100, 50}, {3, 200, 50}};
-  Cache.Lookup = Cache.Fifo;
+  Cache.Lookup = {{1, 0}, {2, 100}, {3, 200}};
   return Cache;
 }
 
@@ -116,7 +116,7 @@ TEST(SharedTornStateTest, RegionBeyondLastFenceClampsToLast) {
   // (the fences tile [0, capacity) with the tail region absorbing
   // overflow); an entry that agrees with the clamp is legal.
   check::CodeCacheState Cache = makeCache();
-  Cache.Lookup.push_back({9, 390, 10});
+  Cache.Lookup.push_back({9, 390});
   Cache.Fifo.push_back({9, 390, 10});
   Cache.OccupiedBytes += 10;
 
