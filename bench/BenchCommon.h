@@ -66,13 +66,23 @@ inline void maybeWriteCsv(const FlagSet &Flags,
     std::fprintf(stderr, "warning: could not write %s\n", Path.c_str());
 }
 
-/// Builds the sweep engine for the parsed flags.
+/// Parses a standardFlags() set and checks its --scale (scaleFlag), so a
+/// bench exits before it prints or simulates anything: false, with the
+/// error on stderr, when either fails.
+inline bool parseFlags(FlagSet &Flags, int Argc, const char *const *Argv) {
+  if (!Flags.parse(Argc, Argv))
+    return false;
+  std::string Error;
+  if (scaleFlag(Flags, "scale", &Error))
+    return true;
+  std::fprintf(stderr, "error: %s\n", Error.c_str());
+  return false;
+}
+
+/// Builds the sweep engine for the flags parseFlags() checked.
 inline SweepEngine makeEngine(const FlagSet &Flags) {
-  const double Scale = Flags.getDouble("scale");
-  const uint64_t Seed = static_cast<uint64_t>(Flags.getInt("seed"));
-  if (Scale >= 0.999)
-    return SweepEngine::forTable1(Seed);
-  return SweepEngine::forScaledTable1(Scale, Seed);
+  return SweepEngine::forScaledTable1(
+      Flags.getDouble("scale"), static_cast<uint64_t>(Flags.getInt("seed")));
 }
 
 /// Prints the uniform experiment header.

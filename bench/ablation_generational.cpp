@@ -42,7 +42,7 @@ int main(int Argc, char **Argv) {
   FlagSet Flags = benchutil::standardFlags(
       "Ablation: single cache vs generational (nursery + tenured).");
   Flags.addDouble("pressure", 6.0, "Cache pressure factor.");
-  if (!Flags.parse(Argc, Argv))
+  if (!benchutil::parseFlags(Flags, Argc, Argv))
     return 1;
   SimConfig Config;
   Config.PressureFactor = Flags.getDouble("pressure");

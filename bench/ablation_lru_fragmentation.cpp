@@ -83,7 +83,7 @@ int main(int Argc, char **Argv) {
   FlagSet Flags = benchutil::standardFlags(
       "Section 3.3 ablation: circular FIFO vs LRU free-list caches.");
   Flags.addDouble("pressure", 10.0, "Cache pressure factor.");
-  if (!Flags.parse(Argc, Argv))
+  if (!benchutil::parseFlags(Flags, Argc, Argv))
     return 1;
   SimConfig Config;
   Config.PressureFactor = Flags.getDouble("pressure");

@@ -23,7 +23,7 @@ using namespace ccsim;
 int main(int Argc, char **Argv) {
   FlagSet Flags = benchutil::standardFlags(
       "Ablation: adaptive/preemptive policies and cost-model source.");
-  if (!Flags.parse(Argc, Argv))
+  if (!benchutil::parseFlags(Flags, Argc, Argv))
     return 1;
 
   benchutil::printHeader(

@@ -42,8 +42,14 @@ int main(int Argc, char **Argv) {
   if (!Flags.parse(Argc, Argv))
     return 1;
 
+  std::string Error;
+  const auto Scale = scaleFlag(Flags, "scale", &Error);
+  if (!Scale) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
+    return 1;
+  }
   workloads::DegradationConfig Config;
-  Config.Scale = Flags.getDouble("scale");
+  Config.Scale = *Scale;
   Config.Seed = static_cast<uint64_t>(Flags.getInt("seed"));
   Config.BaselineBenchmark = Flags.getString("benchmark");
 

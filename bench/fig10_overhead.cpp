@@ -16,7 +16,7 @@ int main(int Argc, char **Argv) {
   FlagSet Flags = benchutil::standardFlags(
       "Figure 10: relative overhead of eviction granularities.");
   Flags.addDouble("pressure", 10.0, "Cache pressure factor.");
-  if (!Flags.parse(Argc, Argv))
+  if (!benchutil::parseFlags(Flags, Argc, Argv))
     return 1;
 
   const auto Grid = benchutil::runFigureGrid(

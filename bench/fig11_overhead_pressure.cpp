@@ -14,7 +14,7 @@ using namespace ccsim;
 int main(int Argc, char **Argv) {
   FlagSet Flags = benchutil::standardFlags(
       "Figure 11: relative overhead as cache pressure increases.");
-  if (!Flags.parse(Argc, Argv))
+  if (!benchutil::parseFlags(Flags, Argc, Argv))
     return 1;
 
   const auto Pressures = benchutil::pressureAxis();

@@ -16,7 +16,7 @@ using namespace ccsim;
 int main(int Argc, char **Argv) {
   FlagSet Flags = benchutil::standardFlags(
       "Figure 12: mean outbound links per superblock.");
-  if (!Flags.parse(Argc, Argv))
+  if (!benchutil::parseFlags(Flags, Argc, Argv))
     return 1;
 
   benchutil::printHeader(

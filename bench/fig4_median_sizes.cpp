@@ -12,7 +12,7 @@ using namespace ccsim;
 int main(int Argc, char **Argv) {
   FlagSet Flags = benchutil::standardFlags(
       "Figure 4: median superblock size per benchmark.");
-  if (!Flags.parse(Argc, Argv))
+  if (!benchutil::parseFlags(Flags, Argc, Argv))
     return 1;
 
   benchutil::printHeader(

@@ -13,7 +13,7 @@ using namespace ccsim;
 int main(int Argc, char **Argv) {
   FlagSet Flags = benchutil::standardFlags(
       "Figure 7: miss rates as cache pressure increases.");
-  if (!Flags.parse(Argc, Argv))
+  if (!benchutil::parseFlags(Flags, Argc, Argv))
     return 1;
 
   const auto Pressures = benchutil::pressureAxis();

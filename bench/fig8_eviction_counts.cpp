@@ -15,7 +15,7 @@ int main(int Argc, char **Argv) {
   FlagSet Flags = benchutil::standardFlags(
       "Figure 8: eviction invocations relative to fine-grained FIFO.");
   Flags.addDouble("pressure", 2.0, "Cache pressure factor.");
-  if (!Flags.parse(Argc, Argv))
+  if (!benchutil::parseFlags(Flags, Argc, Argv))
     return 1;
 
   const auto Grid = benchutil::runFigureGrid(

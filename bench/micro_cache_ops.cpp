@@ -3,10 +3,14 @@
 // Microbenchmarks of the core cache operations themselves (wall-clock
 // cost of this library, not the modeled instruction overheads): hit
 // lookups, miss+insert churn at each granularity, and link maintenance.
+// The trace-replay benches build their engine the way every replay does
+// (sim::engineConfig over the trace's read-only topology); the churn
+// benches keep the learning install path the mini-DBT runs.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/CacheEngine.h"
+#include "sim/Simulator.h"
 #include "support/Random.h"
 #include "telemetry/Telemetry.h"
 #include "trace/TraceGenerator.h"
@@ -27,20 +31,21 @@ const Trace &benchTrace() {
   return T;
 }
 
-CacheEngine makeManager(GranularitySpec Spec, double Pressure,
-                        bool Chaining = true) {
-  CacheEngineConfig Config;
-  Config.CapacityBytes = std::max<uint64_t>(
-      1, static_cast<uint64_t>(
-             static_cast<double>(benchTrace().maxCacheBytes()) / Pressure));
-  Config.EnableChaining = Chaining;
-  return CacheEngine(Config, makePolicy(Spec));
+/// The engine a replay of benchTrace() under \p Config builds.
+CacheEngine makeReplayEngine(GranularitySpec Spec, const SimConfig &Config) {
+  static const LinkTopology Topology =
+      LinkTopology::fromBlocks(benchTrace().Blocks);
+  return CacheEngine(
+      sim::engineConfig(Config, sim::capacityFor(benchTrace(), Config),
+                        Topology),
+      makePolicy(Spec));
 }
 
 } // namespace
 
 static void BM_HitLookup(benchmark::State &State) {
-  CacheEngine M = makeManager(GranularitySpec::fine(), 1.0);
+  CacheEngine M =
+      makeReplayEngine(GranularitySpec::fine(), SimConfig().withPressure(1.0));
   const SuperblockRecord Rec = benchTrace().recordFor(0);
   M.access(Rec);
   for (auto _ : State)
@@ -59,7 +64,7 @@ static void BM_AccessStream(benchmark::State &State) {
                             : GranularitySpec::units(1u << Arg));
   const Trace &T = benchTrace();
   for (auto _ : State) {
-    CacheEngine M = makeManager(Spec, 8.0);
+    CacheEngine M = makeReplayEngine(Spec, SimConfig().withPressure(8.0));
     for (SuperblockId Id : T.Accesses)
       M.access(T.recordFor(Id));
     benchmark::DoNotOptimize(M.stats().Misses);
@@ -77,12 +82,9 @@ static void BM_AccessStreamTraced(benchmark::State &State) {
   const Trace &T = benchTrace();
   telemetry::TelemetrySink Sink(1 << 16);
   for (auto _ : State) {
-    CacheEngineConfig Config;
-    Config.CapacityBytes = std::max<uint64_t>(
-        1, static_cast<uint64_t>(
-               static_cast<double>(T.maxCacheBytes()) / 8.0));
-    Config.Telemetry = &Sink;
-    CacheEngine Traced(Config, makePolicy(GranularitySpec::units(8)));
+    CacheEngine Traced = makeReplayEngine(
+        GranularitySpec::units(8),
+        SimConfig().withPressure(8.0).withTelemetry(&Sink));
     for (SuperblockId Id : T.Accesses)
       Traced.access(T.recordFor(Id));
     benchmark::DoNotOptimize(Traced.stats().Misses);
@@ -95,8 +97,9 @@ BENCHMARK(BM_AccessStreamTraced);
 static void BM_AccessStreamNoChaining(benchmark::State &State) {
   const Trace &T = benchTrace();
   for (auto _ : State) {
-    CacheEngine M = makeManager(GranularitySpec::units(8), 8.0,
-                                /*Chaining=*/false);
+    CacheEngine M = makeReplayEngine(
+        GranularitySpec::units(8),
+        SimConfig().withPressure(8.0).withChaining(false));
     for (SuperblockId Id : T.Accesses)
       M.access(T.recordFor(Id));
     benchmark::DoNotOptimize(M.stats().Misses);

@@ -103,6 +103,11 @@ int main(int Argc, char **Argv) {
     return 1;
 
   std::string Error;
+  const auto Scale = scaleFlag(Flags, "scale", &Error);
+  if (!Scale) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
+    return 1;
+  }
   const auto Schedule =
       parseInterleaveKind(Flags.getString("schedule"), &Error);
   if (!Schedule) {
@@ -131,11 +136,9 @@ int main(int Argc, char **Argv) {
       std::fprintf(stderr, "error: unknown benchmark '%s'\n", Name.c_str());
       return 1;
     }
-    WorkloadModel Chosen = *M;
-    if (Flags.getDouble("scale") < 0.999)
-      Chosen = scaledWorkload(*M, Flags.getDouble("scale"));
     Traces.push_back(TraceGenerator::generateBenchmark(
-        Chosen, static_cast<uint64_t>(Flags.getInt("seed"))));
+        workloadAtScale(*M, *Scale),
+        static_cast<uint64_t>(Flags.getInt("seed"))));
   }
   if (Traces.size() < 2) {
     std::fprintf(stderr, "error: need at least two tenants\n");

@@ -19,7 +19,7 @@ int main(int Argc, char **Argv) {
   Flags.addDouble("pressure", 10.0, "Cache pressure factor.");
   Flags.addDouble("ipd", 6000.0,
                   "Application instructions retired per dispatch event.");
-  if (!Flags.parse(Argc, Argv))
+  if (!benchutil::parseFlags(Flags, Argc, Argv))
     return 1;
   SimConfig Config;
   Config.PressureFactor = Flags.getDouble("pressure");

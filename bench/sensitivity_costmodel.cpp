@@ -19,7 +19,7 @@ int main(int Argc, char **Argv) {
   FlagSet Flags = benchutil::standardFlags(
       "Sensitivity: optimal granularity vs cost-model coefficients.");
   Flags.addDouble("pressure", 6.0, "Cache pressure factor.");
-  if (!Flags.parse(Argc, Argv))
+  if (!benchutil::parseFlags(Flags, Argc, Argv))
     return 1;
 
   // One grid for the whole study: the granularity sweep once per cost

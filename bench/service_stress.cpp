@@ -118,8 +118,9 @@ int main(int Argc, char **Argv) {
       boundedIntFlag(Flags, "load-queue", 1, 1 << 20, &Error);
   const auto LoadGuests = boundedIntFlag(
       Flags, "load-guests", 1, concurrent::MaxGuestThreads, &Error);
+  const auto LoadScale = scaleFlag(Flags, "load-scale", &Error);
   if (!OpsFlag || !ThreadsFlag || !WorkingSet || !FragmentBytes || !CapacityKB ||
-      !LoadJobs || !LoadWorkers || !LoadQueue || !LoadGuests) {
+      !LoadJobs || !LoadWorkers || !LoadQueue || !LoadGuests || !LoadScale) {
     std::fprintf(stderr, "error: %s\n", Error.c_str());
     return 1;
   }
@@ -209,12 +210,9 @@ int main(int Argc, char **Argv) {
                  Flags.getString("benchmark").c_str());
     return 1;
   }
-  const WorkloadModel Scaled =
-      Flags.getDouble("load-scale") < 0.999
-          ? scaledWorkload(*Model, Flags.getDouble("load-scale"))
-          : *Model;
   const Trace LoadTrace = TraceGenerator::generateBenchmark(
-      Scaled, static_cast<uint64_t>(Flags.getInt("seed")));
+      workloadAtScale(*Model, *LoadScale),
+      static_cast<uint64_t>(Flags.getInt("seed")));
 
   const service::BackpressurePolicy Policies[] = {
       service::BackpressurePolicy::ShedOldest,

@@ -74,7 +74,7 @@ int main(int Argc, char **Argv) {
   Flags.addString("pressures", "",
                   "Comma-separated pressure axis override (default: the "
                   "paper's 2,4,6,8,10).");
-  if (!Flags.parse(Argc, Argv))
+  if (!benchutil::parseFlags(Flags, Argc, Argv))
     return 1;
 
   std::vector<double> Pressures = benchutil::pressureAxis();

@@ -15,7 +15,7 @@ using namespace ccsim;
 int main(int Argc, char **Argv) {
   FlagSet Flags = benchutil::standardFlags(
       "Table 1: benchmarks and hot superblock counts.");
-  if (!Flags.parse(Argc, Argv))
+  if (!benchutil::parseFlags(Flags, Argc, Argv))
     return 1;
 
   benchutil::printHeader("Table 1: Benchmarks used in the evaluation",

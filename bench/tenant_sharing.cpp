@@ -37,6 +37,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -100,13 +101,20 @@ int main(int Argc, char **Argv) {
     return 1;
   }
   const uint64_t Seed = static_cast<uint64_t>(Flags.getInt("seed"));
-  const double Scale = Flags.getDouble("scale");
+  // The one bench that scales its adversary up as well as down.
+  std::string Error;
+  const auto ScaleFlag = scaleFlag(Flags, "scale", &Error,
+                                   std::numeric_limits<double>::infinity());
+  if (!ScaleFlag) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
+    return 1;
+  }
+  const double Scale = *ScaleFlag;
   std::vector<workloads::AdversarySpec> Suites;
   for (const std::string &OverlapText :
        splitList(Flags.getString("overlaps"))) {
-    workloads::AdversarySpec Spec = *workloads::findAdversarial("overlap");
-    if (Scale < 0.999 || Scale > 1.001)
-      Spec = workloads::scaledAdversary(Spec, Scale);
+    workloads::AdversarySpec Spec = workloads::adversaryAtScale(
+        *workloads::findAdversarial("overlap"), Scale);
     Spec.Tenants = Tenants;
     char *End = nullptr;
     Spec.OverlapFraction = std::strtod(OverlapText.c_str(), &End);
@@ -120,7 +128,6 @@ int main(int Argc, char **Argv) {
   }
   TenancyPolicy Base;
   Base.PressureFactor = Flags.getDouble("pressure");
-  std::string Error;
   const auto Grid = makeTenancyGrid(Base, Flags.getString("granularities"),
                                     Flags.getString("modes"), &Error);
   if (!Grid) {

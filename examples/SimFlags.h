@@ -105,9 +105,9 @@ inline void addWorkloadFlags(FlagSet &Flags,
 
 /// Resolves an "adversarial:<name>" workload value to generated traces:
 /// one trace for a catalog name, the whole catalog for
-/// "adversarial:all". Scaling below 1 shrinks the working sets exactly
-/// like scaledWorkload does for Table 1 models. On failure returns
-/// nullopt with the description (including the catalog) in \p Error.
+/// "adversarial:all", each at \p Scale (adversaryAtScale), which
+/// scaleFlag has checked. On failure returns nullopt with the
+/// description (including the catalog) in \p Error.
 inline std::optional<std::vector<Trace>>
 adversarialTracesFromSpec(const std::string &Workload, double Scale,
                           uint64_t Seed, std::string *Error) {
@@ -139,11 +139,9 @@ adversarialTracesFromSpec(const std::string &Workload, double Scale,
   }
   std::vector<Trace> Traces;
   Traces.reserve(Chosen.size());
-  for (const workloads::AdversarySpec *Spec : Chosen) {
-    const workloads::AdversarySpec Scaled =
-        Scale < 0.999 ? workloads::scaledAdversary(*Spec, Scale) : *Spec;
-    Traces.push_back(workloads::generateAdversarial(Scaled, Seed));
-  }
+  for (const workloads::AdversarySpec *Spec : Chosen)
+    Traces.push_back(workloads::generateAdversarial(
+        workloads::adversaryAtScale(*Spec, Scale), Seed));
   return Traces;
 }
 
@@ -249,9 +247,9 @@ tenancyPolicyFromFlags(const FlagSet &Flags, std::string *Error) {
   return Policy;
 }
 
-/// Resolves a Table 1 benchmark name to its workload model, scaled when
-/// \p Scale is below 1. On failure returns nullopt with the description
-/// in \p Error.
+/// Resolves a Table 1 benchmark name to its workload model at \p Scale
+/// (workloadAtScale), which scaleFlag has checked. On failure returns
+/// nullopt with the description in \p Error.
 inline std::optional<WorkloadModel>
 workloadModelFor(const std::string &Name, double Scale, std::string *Error) {
   const WorkloadModel *M = findWorkload(Name);
@@ -263,16 +261,16 @@ workloadModelFor(const std::string &Name, double Scale, std::string *Error) {
     }
     return std::nullopt;
   }
-  if (Scale < 0.999)
-    return scaledWorkload(*M, Scale);
-  return *M;
+  return workloadAtScale(*M, Scale);
 }
 
 /// Resolves the addWorkloadFlags() flags to a workload model.
 inline std::optional<WorkloadModel>
 workloadFromFlags(const FlagSet &Flags, std::string *Error) {
-  return workloadModelFor(Flags.getString("benchmark"),
-                          Flags.getDouble("scale"), Error);
+  const auto Scale = scaleFlag(Flags, "scale", Error);
+  if (!Scale)
+    return std::nullopt;
+  return workloadModelFor(Flags.getString("benchmark"), *Scale, Error);
 }
 
 /// Generates the trace the addWorkloadFlags() flags describe: the
@@ -282,9 +280,11 @@ inline std::optional<Trace> workloadTraceFromFlags(const FlagSet &Flags,
                                                    std::string *Error) {
   const std::string Workload = Flags.getString("workload");
   if (!Workload.empty()) {
+    const auto Scale = scaleFlag(Flags, "scale", Error);
+    if (!Scale)
+      return std::nullopt;
     auto Traces = adversarialTracesFromSpec(
-        Workload, Flags.getDouble("scale"),
-        static_cast<uint64_t>(Flags.getInt("seed")), Error);
+        Workload, *Scale, static_cast<uint64_t>(Flags.getInt("seed")), Error);
     if (!Traces)
       return std::nullopt;
     if (Traces->size() != 1) {

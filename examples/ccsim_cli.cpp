@@ -31,9 +31,10 @@
 //   ccsim_cli tenants --tenants=gzip,vpr,crafty --mode=shared
 //       Multi-tenant simulation: interleave several benchmarks into one
 //       shared (or partitioned) code cache.
-//   ccsim_cli audit [run.cct] --policies=flush,8,fine
+//   ccsim_cli audit [run.cct] [--mmap] --policies=flush,8,fine
 //       Replay a trace with the structural auditor validating every cache
-//       mutation; exits nonzero at the first violated invariant.
+//       mutation; exits nonzero after the first policy that violates an
+//       invariant. --mmap streams the trace out of a read-only mapping.
 //   ccsim_cli audit --dbt --policies=flush,8,fine
 //       Same auditor over the execution-driven path: the mini-DBT runs
 //       two-tier with every install re-validated (including the
@@ -283,16 +284,6 @@ replaySettingsFromFlags(const FlagSet &Flags, std::string *Error) {
   return Job;
 }
 
-/// Reads a trace file into memory, through a read-only mapping when
-/// \p Mapped (the --mmap of `audit` and of manifest `replay` lines).
-std::optional<Trace> loadTrace(const std::string &Path, bool Mapped) {
-  if (!Mapped)
-    return readTrace(Path);
-  if (const auto M = trace::MappedTrace::open(Path))
-    return M->toTrace();
-  return std::nullopt;
-}
-
 /// The job a `replay` line means. A job owns its trace, so --mmap here
 /// copies the mapped trace into memory; only the `replay` subcommand
 /// itself streams out of the mapping (runReplay).
@@ -303,7 +294,11 @@ std::optional<service::Job> buildReplayJob(const FlagSet &Flags,
   if (!Job)
     return std::nullopt;
   const std::string &Path = Flags.positional().front();
-  auto T = loadTrace(Path, Flags.getBool("mmap"));
+  std::optional<Trace> T;
+  if (!Flags.getBool("mmap"))
+    T = readTrace(Path);
+  else if (const auto Mapped = trace::MappedTrace::open(Path))
+    T = Mapped->toTrace();
   if (!T) {
     Failure->Exit = ExitRuntime;
     Failure->Message = "cannot read " + Path;
@@ -326,22 +321,22 @@ std::optional<service::Job> buildSuiteJob(const FlagSet &Flags,
   const auto Jobs = jobsFromFlags(Flags, Error);
   if (!Jobs)
     return std::nullopt;
+  const auto Scale = scaleFlag(Flags, "scale", Error);
+  if (!Scale)
+    return std::nullopt;
   const std::string Workload = Flags.getString("workload");
-  const double Scale = Flags.getDouble("scale");
   const int64_t Seed = Flags.getInt("seed");
-  auto &Slot = Engines[{Workload, Scale, Seed, *Jobs}];
+  auto &Slot = Engines[{Workload, *Scale, Seed, *Jobs}];
   if (!Slot) {
     std::optional<SweepEngine> Engine;
     if (Workload.empty()) {
-      Engine = Scale >= 0.999
-                   ? SweepEngine::forTable1(static_cast<uint64_t>(Seed))
-                   : SweepEngine::forScaledTable1(
-                         Scale, static_cast<uint64_t>(Seed));
+      Engine = SweepEngine::forScaledTable1(*Scale,
+                                            static_cast<uint64_t>(Seed));
     } else {
       // Adversarial suite: the catalog entry (or all of them) in place
       // of the Table 1 benchmarks.
       auto Traces = adversarialTracesFromSpec(
-          Workload, Scale, static_cast<uint64_t>(Seed), Error);
+          Workload, *Scale, static_cast<uint64_t>(Seed), Error);
       if (!Traces)
         return std::nullopt;
       Engine.emplace(std::move(*Traces));
@@ -381,9 +376,8 @@ overlapSuiteFromEntry(const std::string &Name, double Scale, uint64_t Seed,
              "' (expected overlap:<tenants>@<fraction in [0,1]>)";
     return std::nullopt;
   }
-  workloads::AdversarySpec Spec = *workloads::findAdversarial("overlap");
-  if (Scale < 0.999)
-    Spec = workloads::scaledAdversary(Spec, Scale);
+  workloads::AdversarySpec Spec = workloads::adversaryAtScale(
+      *workloads::findAdversarial("overlap"), Scale);
   Spec.Tenants = static_cast<uint32_t>(K);
   Spec.OverlapFraction = F;
   const std::string Err = Spec.validate();
@@ -401,6 +395,10 @@ std::optional<service::Job> buildTenantsJob(const FlagSet &Flags,
   const auto Policy = tenancyPolicyFromFlags(Flags, Error);
   if (!Policy)
     return std::nullopt;
+  const auto Scale = scaleFlag(Flags, "scale", Error);
+  if (!Scale)
+    return std::nullopt;
+  const uint64_t Seed = static_cast<uint64_t>(Flags.getInt("seed"));
   std::vector<Trace> Traces;
   for (const std::string &Name : splitList(Flags.getString("tenants"))) {
     // A tenant entry is a Table 1 benchmark, an adversarial workload
@@ -408,9 +406,7 @@ std::optional<service::Job> buildTenantsJob(const FlagSet &Flags,
     // or "overlap:<K>@<F>" — K tenants whose working sets share content
     // fraction F, tagged for the --share-code path.
     if (Name.rfind("overlap:", 0) == 0) {
-      auto Suite = overlapSuiteFromEntry(
-          Name, Flags.getDouble("scale"),
-          static_cast<uint64_t>(Flags.getInt("seed")), Error);
+      auto Suite = overlapSuiteFromEntry(Name, *Scale, Seed, Error);
       if (!Suite)
         return std::nullopt;
       for (Trace &T : *Suite)
@@ -418,20 +414,17 @@ std::optional<service::Job> buildTenantsJob(const FlagSet &Flags,
       continue;
     }
     if (Name.rfind("adversarial:", 0) == 0) {
-      auto Generated = adversarialTracesFromSpec(
-          Name, Flags.getDouble("scale"),
-          static_cast<uint64_t>(Flags.getInt("seed")), Error);
+      auto Generated = adversarialTracesFromSpec(Name, *Scale, Seed, Error);
       if (!Generated)
         return std::nullopt;
       for (Trace &T : *Generated)
         Traces.push_back(std::move(T));
       continue;
     }
-    const auto Model = workloadModelFor(Name, Flags.getDouble("scale"), Error);
+    const auto Model = workloadModelFor(Name, *Scale, Error);
     if (!Model)
       return std::nullopt;
-    Traces.push_back(TraceGenerator::generateBenchmark(
-        *Model, static_cast<uint64_t>(Flags.getInt("seed"))));
+    Traces.push_back(TraceGenerator::generateBenchmark(*Model, Seed));
   }
   if (Traces.size() < 2) {
     *Error = "need at least two tenants";
@@ -560,15 +553,15 @@ FlagSet makeAuditFlags() {
   Flags.addInt("cache-kb", 2, "Code cache size in KB, 1..1048576 (--dbt).");
   Flags.addInt("guest-threads", 1,
                "Audit the thread-shared engine under this many "
-               "concurrent guests instead of the serial manager (trace "
-               "mode only).");
+               "concurrent guests (1 = the serial simulator, every "
+               "mutation audited; trace mode only).");
   Flags.addInt("quiesce-interval", 65536,
                "Accesses between quiesce-point audits with "
                "--guest-threads > 1 (0 = only the final audit).");
   Flags.addBool("mmap", false,
-                "Read a file trace through a read-only mapping instead of "
-                "the buffered reader (the trace is copied into memory "
-                "before the audit).");
+                "Stream a file trace out of a read-only mapping instead "
+                "of reading it into memory. Falls back to a buffered read "
+                "when mmap is unavailable.");
   return Flags;
 }
 
@@ -761,16 +754,14 @@ int runGen(FlagSet &Flags) {
 
   // For adversarial workloads, tell the user the cache size the pattern
   // is engineered to defeat, so `replay --capacity=...` hits the worst
-  // case without guessing.
+  // case without guessing. The trace above already checked --scale.
   const std::string Workload = Flags.getString("workload");
   const std::string Prefix = "adversarial:";
   if (Workload.rfind(Prefix, 0) == 0) {
     if (const workloads::AdversarySpec *Spec =
             workloads::findAdversarial(Workload.substr(Prefix.size()))) {
       const workloads::AdversarySpec Tuned =
-          Flags.getDouble("scale") < 0.999
-              ? workloads::scaledAdversary(*Spec, Flags.getDouble("scale"))
-              : *Spec;
+          workloads::adversaryAtScale(*Spec, Flags.getDouble("scale"));
       std::printf("worst case at --capacity=%llu (pressure %.2f)\n",
                   static_cast<unsigned long long>(
                       Tuned.tunedCapacityBytes()),
@@ -814,6 +805,20 @@ int runFit(FlagSet &Flags) {
   return ExitOk;
 }
 
+/// The one violation handler of every `audit` arm: counts \p Policy's
+/// findings and prints the first report (later audits would re-report the
+/// same corrupt state). Both references must outlive the run.
+check::ViolationHandler auditFailurePrinter(const GranularitySpec &Policy,
+                                            size_t &Violations) {
+  return [&Policy, &Violations](const check::AuditReport &Report,
+                                const char *Where) {
+    if (Violations == 0)
+      std::fprintf(stderr, "audit FAILED (policy %s, after %s):\n%s",
+                   Policy.label().c_str(), Where, Report.render().c_str());
+    Violations += Report.size();
+  };
+}
+
 /// The --dbt arm of runAudit: run the mini-DBT (two-tier) with the deep
 /// auditor armed on both engines, so every install re-validates placement,
 /// chaining, stats, and the dispatch.* table-vs-residency rules.
@@ -837,24 +842,14 @@ int auditTranslatorRun(const FlagSet &Flags,
     Translator T(P, Config);
 
     size_t Violations = 0;
-    check::ParanoiaOptions Opts;
-    Opts.Level = AuditLevel::Full;
-    Opts.OnViolation = [&Violations, &Policy](
-                           const check::AuditReport &Report,
-                           const char *Where) {
-      Violations += Report.size();
-      std::fprintf(stderr, "audit FAILED (policy %s, after %s):\n%s",
-                   Policy.label().c_str(), Where, Report.render().c_str());
-    };
-    check::armAuditor(T, Opts);
+    const check::ViolationHandler OnViolation =
+        auditFailurePrinter(Policy, Violations);
+    check::armAuditor(T, {AuditLevel::Full, OnViolation});
 
     const TranslatorStats &S = T.run(1ULL << 40);
     const check::AuditReport Final = check::CacheAuditor().auditTranslator(T);
-    if (!Final.clean()) {
-      Violations += Final.size();
-      std::fprintf(stderr, "audit FAILED (policy %s, final state):\n%s",
-                   Policy.label().c_str(), Final.render().c_str());
-    }
+    if (!Final.clean())
+      OnViolation(Final, "the run");
     if (Violations > 0)
       return ExitRuntime;
     std::printf("policy %-8s %s guest instrs, %llu fragments, %llu "
@@ -870,44 +865,46 @@ int auditTranslatorRun(const FlagSet &Flags,
   return ExitOk;
 }
 
-/// The --guest-threads > 1 arm of runAudit: replays each policy through
-/// the shared engine with the full auditSharedEngine rule set firing at
-/// every quiesce point and once over the drained final state.
-int auditSharedRun(const Trace &T,
-                   const std::vector<GranularitySpec> &Policies,
-                   const SimConfig &Config, unsigned GuestThreads,
-                   uint64_t QuiesceInterval) {
+/// The trace arm of runAudit, at every guest count: each policy replays
+/// through runShared with the full auditor armed. K = 1 is sim::run, which
+/// audits every mutation; K > 1 audits each quiesce point and the drained
+/// end state. A violation exits 2 before the next policy runs.
+template <typename TraceT>
+int auditTraceRun(const TraceT &T, const std::vector<GranularitySpec> &Policies,
+                  concurrent::SharedRunConfig Config) {
+  const std::string Error = Config.validateFor(T.maxCacheBytes());
+  if (!Error.empty()) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
+    return ExitRuntime;
+  }
   for (const GranularitySpec &Policy : Policies) {
     size_t Violations = 0;
-    concurrent::SharedRunConfig SC(Config, GuestThreads);
-    SC.Audit = AuditLevel::Full;
-    SC.QuiesceInterval = QuiesceInterval;
-    SC.OnViolation = [&Violations, &Policy](const check::AuditReport &Report,
-                                            const char *Where) {
-      Violations += Report.size();
-      std::fprintf(stderr, "audit FAILED (policy %s, after %s):\n%s",
-                   Policy.label().c_str(), Where, Report.render().c_str());
-    };
-    const concurrent::SharedRunResult R = concurrent::runShared(T, Policy, SC);
+    Config.OnViolation = auditFailurePrinter(Policy, Violations);
+    const concurrent::SharedRunResult R =
+        concurrent::runShared(T, Policy, Config);
     if (Violations > 0)
       return ExitRuntime;
-    std::printf("policy %-8s %s accesses, %s evictions, %u guests, "
-                "%llu quiesce audits -- audit clean\n",
+    const std::string Detail =
+        Config.GuestThreads == 1
+            ? formatBytes(R.Stats.BackPointerBytesPeak) + " links peak"
+            : std::to_string(R.GuestThreads) + " guests, " +
+                  std::to_string(R.QuiesceAudits) + " quiesce audits";
+    std::printf("policy %-8s %s accesses, %s evictions, %s -- audit clean\n",
                 R.PolicyName.c_str(),
                 formatWithCommas(R.Stats.Accesses).c_str(),
                 formatWithCommas(R.Stats.EvictedBlocks).c_str(),
-                R.GuestThreads,
-                static_cast<unsigned long long>(R.QuiesceAudits));
+                Detail.c_str());
   }
-  std::printf("trace %s: every quiesce point audited, all invariants "
-              "held\n",
-              T.Name.c_str());
+  std::printf("trace %s: every %s audited, all invariants held\n",
+              T.name().c_str(),
+              Config.GuestThreads == 1 ? "mutation" : "quiesce point");
   return ExitOk;
 }
 
 /// `audit`: every flag, the whole --policies list included, is checked
 /// before the first replay, so a usage error never follows a partial
-/// audit.
+/// audit. A file trace is read into memory, or with --mmap streamed out
+/// of a read-only mapping.
 int runAudit(FlagSet &Flags) {
   std::string Error;
   const auto Policies = parsePolicyList(Flags.getString("policies"), &Error);
@@ -927,63 +924,25 @@ int runAudit(FlagSet &Flags) {
   const auto GuestThreads = guestThreadsFromFlags(Flags, &Error);
   if (!GuestThreads)
     return usageError(Error);
+  concurrent::SharedRunConfig Audited(*Config, *GuestThreads);
+  Audited.Audit = AuditLevel::Full;
+  Audited.QuiesceInterval = static_cast<uint64_t>(*Quiesce);
 
-  Trace T;
-  if (!Flags.positional().empty()) {
-    auto Loaded = loadTrace(Flags.positional().front(), Flags.getBool("mmap"));
-    if (!Loaded) {
-      std::fprintf(stderr, "error: cannot read %s\n",
-                   Flags.positional().front().c_str());
-      return ExitRuntime;
-    }
-    T = std::move(*Loaded);
-  } else {
-    auto Generated = workloadTraceFromFlags(Flags, &Error);
+  if (Flags.positional().empty()) {
+    const auto Generated = workloadTraceFromFlags(Flags, &Error);
     if (!Generated)
       return usageError(Error);
-    T = std::move(*Generated);
+    return auditTraceRun(*Generated, *Policies, Audited);
   }
-  Error = Config->validateFor(T.maxCacheBytes());
-  if (!Error.empty()) {
-    std::fprintf(stderr, "error: %s\n", Error.c_str());
-    return ExitRuntime;
+  const std::string &Path = Flags.positional().front();
+  if (Flags.getBool("mmap")) {
+    if (const auto Mapped = trace::MappedTrace::open(Path))
+      return auditTraceRun(*Mapped, *Policies, Audited);
+  } else if (const auto Loaded = readTrace(Path)) {
+    return auditTraceRun(*Loaded, *Policies, Audited);
   }
-  if (*GuestThreads > 1)
-    return auditSharedRun(T, *Policies, *Config, *GuestThreads,
-                          static_cast<uint64_t>(*Quiesce));
-
-  for (const GranularitySpec &Policy : *Policies) {
-    // The engine sim::run would build: capacity, costs and chaining.
-    CacheEngineConfig MC(sim::capacityFor(T, *Config), Config->EnableChaining);
-    MC.Costs = Config->Costs;
-    CacheEngine Manager(MC, makePolicy(Policy));
-
-    size_t Violations = 0;
-    check::ParanoiaOptions Opts;
-    Opts.Level = AuditLevel::Full;
-    Opts.OnViolation = [&Violations, &Policy](const check::AuditReport &Report,
-                                              const char *Where) {
-      Violations += Report.size();
-      std::fprintf(stderr, "audit FAILED (policy %s, after %s):\n%s",
-                   Policy.label().c_str(), Where, Report.render().c_str());
-    };
-    check::armAuditor(Manager, Opts);
-
-    for (SuperblockId Id : T.Accesses) {
-      Manager.access(T.recordFor(Id));
-      if (Violations > 0)
-        return ExitRuntime; // First corrupt state wins; report is out.
-    }
-    std::printf("policy %-8s %s accesses, %s evictions, %s links peak "
-                "-- audit clean\n",
-                Manager.policy().name().c_str(),
-                formatWithCommas(Manager.stats().Accesses).c_str(),
-                formatWithCommas(Manager.stats().EvictedBlocks).c_str(),
-                formatBytes(Manager.stats().BackPointerBytesPeak).c_str());
-  }
-  std::printf("trace %s: every mutation audited, all invariants held\n",
-              T.Name.c_str());
-  return ExitOk;
+  std::fprintf(stderr, "error: cannot read %s\n", Path.c_str());
+  return ExitRuntime;
 }
 
 //===----------------------------------------------------------------------===//

@@ -21,6 +21,7 @@
 #define CCSIM_CHECK_AUDITREPORT_H
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -171,6 +172,11 @@ public:
 private:
   std::vector<AuditViolation> Findings;
 };
+
+/// Receives an audit's non-clean report and the site it ran after ("access",
+/// a quiesce point). Unset, an audited run prints the report and aborts.
+using ViolationHandler =
+    std::function<void(const AuditReport &, const char *Where)>;
 
 } // namespace ccsim::check
 

@@ -11,32 +11,27 @@
 using namespace ccsim;
 using namespace ccsim::check;
 
-namespace {
-
-/// Shared report handling: OnViolation if set, else print and abort.
-void handleReport(const AuditReport &Report, const char *Where,
-                  const ParanoiaOptions &Options) {
+void check::reportViolation(const AuditReport &Report, const char *Where,
+                            const ViolationHandler &OnViolation) {
   if (Report.clean())
     return;
-  if (Options.OnViolation) {
-    Options.OnViolation(Report, Where);
+  if (OnViolation) {
+    OnViolation(Report, Where);
     return;
   }
   std::fprintf(stderr,
                "ccsim paranoid audit failed after %s "
                "(%zu violation(s)):\n%s",
                Where, Report.size(), Report.render().c_str());
-  if (Options.AbortOnViolation)
-    std::abort();
+  std::abort();
 }
-
-} // namespace
 
 void check::armAuditor(CacheEngine &Manager, ParanoiaOptions Options) {
   Manager.setAuditLevel(Options.Level);
   Manager.setAuditHook(
       [Options](const CacheEngine &M, const char *Where) {
-        handleReport(CacheAuditor().auditManager(M), Where, Options);
+        reportViolation(CacheAuditor().auditManager(M), Where,
+                        Options.OnViolation);
       });
 }
 
@@ -59,7 +54,7 @@ void check::armSharedTenancyAuditors(const std::vector<CacheEngine *> &Managers,
         Merged.merge(Peer->stats());
       }
       checkContentIndex(captureContentIndex(Index), Caches, Merged, Report);
-      handleReport(Report, Where, Options);
+      reportViolation(Report, Where, Options.OnViolation);
     });
   }
 }
@@ -68,7 +63,8 @@ void check::armAuditor(Translator &T, ParanoiaOptions Options) {
   // One hook audits the whole translator regardless of which tier engine
   // triggered it; the engine argument is ignored on purpose.
   const auto Hook = [Options, &T](const CacheEngine &, const char *Where) {
-    handleReport(CacheAuditor().auditTranslator(T), Where, Options);
+    reportViolation(CacheAuditor().auditTranslator(T), Where,
+                    Options.OnViolation);
   };
   T.engine().setAuditLevel(Options.Level);
   T.engine().setAuditHook(Hook);

@@ -26,7 +26,6 @@
 #include "core/CacheEngine.h"
 #include "core/SharedContentIndex.h"
 
-#include <functional>
 #include <vector>
 
 namespace ccsim {
@@ -41,14 +40,16 @@ struct ParanoiaOptions {
   /// CCSIM_PARANOID; pass an explicit level to override.
   AuditLevel Level = defaultAuditLevel();
 
-  /// When no OnViolation handler is set: print the report to stderr and
-  /// abort (the paranoid contract — stop at the first corrupt state).
-  bool AbortOnViolation = true;
-
-  /// Optional handler receiving the findings and the mutation site.
-  /// When set it replaces the print-and-abort behavior.
-  std::function<void(const AuditReport &, const char *Where)> OnViolation;
+  /// Optional handler receiving the findings and the mutation site. When
+  /// set it replaces the paranoid contract: print the report to stderr
+  /// and abort at the first corrupt state.
+  ViolationHandler OnViolation;
 };
+
+/// The paranoid contract for every armed auditor and quiesce audit: a
+/// non-clean \p Report goes to \p OnViolation, else to stderr and abort.
+void reportViolation(const AuditReport &Report, const char *Where,
+                     const ViolationHandler &OnViolation);
 
 /// Installs the deep auditor (CacheAuditor::auditManager after every
 /// mutation the level covers) on \p Manager.

@@ -70,24 +70,22 @@ MultiTenantSimulator::MultiTenantSimulator(const std::vector<Trace> &Traces,
   }
 
   // Tenants keep their trace-local dense ids but are shifted into disjoint
-  // global ranges, so one shared CacheEngine can tell them apart. Edge
-  // lists are remapped once up front; the per-access records then alias
-  // these vectors.
+  // global ranges, so one shared CacheEngine can tell them apart. The
+  // concatenated block table, its edges remapped, is read once into the
+  // read-only topology every manager shares; a record's edges are its
+  // view of it.
   IdBase.resize(K, 0);
-  RemappedEdges.resize(K);
-  SuperblockId NextBase = 0;
+  std::vector<SuperblockDef> GlobalBlocks;
   for (size_t T = 0; T < K; ++T) {
-    IdBase[T] = NextBase;
-    NextBase += static_cast<SuperblockId>(Traces[T].Blocks.size());
-    RemappedEdges[T].reserve(Traces[T].Blocks.size());
+    IdBase[T] = static_cast<SuperblockId>(GlobalBlocks.size());
     for (const SuperblockDef &B : Traces[T].Blocks) {
-      std::vector<SuperblockId> Edges;
-      Edges.reserve(B.OutEdges.size());
+      SuperblockDef &G = GlobalBlocks.emplace_back();
+      G.OutEdges.reserve(B.OutEdges.size());
       for (SuperblockId E : B.OutEdges)
-        Edges.push_back(E + IdBase[T]);
-      RemappedEdges[T].push_back(std::move(Edges));
+        G.OutEdges.push_back(E + IdBase[T]);
     }
   }
+  Topology = LinkTopology::fromBlocks(GlobalBlocks);
 
   // Content identity for sharing runs: a generator-set ContentTag wins;
   // untagged blocks derive identity from (trace name, local id, size,
@@ -239,14 +237,12 @@ MultiTenantResult MultiTenantSimulator::run() {
       Policy.Granularity.Kind == GranularitySpec::KindType::Units &&
       Policy.Granularity.Units >= 2;
   for (size_t M = 0; M < NumManagers; ++M) {
-    CacheEngineConfig MC;
-    MC.CapacityBytes =
+    CacheEngineConfig MC = sim::engineConfig(
+        Policy,
         Policy.Mode == PartitionMode::Shared ? TotalCapacity
-                                             : TenantCapacities[M];
-    MC.Costs = Policy.Costs;
-    MC.EnableChaining = Policy.EnableChaining;
+                                             : TenantCapacities[M],
+        Topology);
     MC.OnEviction = Observer;
-    MC.Telemetry = Policy.Telemetry;
     if (Policy.ShareCode) {
       MC.ContentIndex = &ContentIdx;
       MC.OnUnshare = ShareObserver;
@@ -274,17 +270,18 @@ MultiTenantResult MultiTenantSimulator::run() {
       Raw.reserve(Managers.size());
       for (const auto &M : Managers)
         Raw.push_back(M.get());
-      check::armSharedTenancyAuditors(
-          Raw, ContentIdx, check::ParanoiaOptions{Policy.Audit, true, {}});
+      check::armSharedTenancyAuditors(Raw, ContentIdx,
+                                      {Policy.Audit, Policy.OnViolation});
     } else {
       for (const auto &M : Managers)
-        check::armAuditor(*M, check::ParanoiaOptions{Policy.Audit, true, {}});
+        check::armAuditor(*M, {Policy.Audit, Policy.OnViolation});
     }
   }
 
   // Replay the deterministic interleaving until every stream is consumed.
   std::vector<size_t> Cursor(K, 0);
-  std::vector<uint8_t> SeenGlobal; // Cold-miss detection over global ids.
+  // Cold-miss detection over global ids.
+  std::vector<uint8_t> SeenGlobal(Topology.size(), 0);
   size_t LiveCount = 0;
   for (size_t T = 0; T < K; ++T)
     if (!Traces[T].Accesses.empty())
@@ -311,7 +308,7 @@ MultiTenantResult MultiTenantSimulator::run() {
     SuperblockRecord Rec;
     Rec.Id = IdBase[T] + Local;
     Rec.SizeBytes = Def.SizeBytes;
-    Rec.OutEdges = RemappedEdges[T][Local];
+    Rec.OutEdges = Topology.edgesOf(Rec.Id);
     Rec.Tenant = static_cast<TenantId>(T);
     if (Policy.ShareCode)
       Rec.ContentKey = ContentKeys[T][Local];
@@ -334,9 +331,6 @@ MultiTenantResult MultiTenantSimulator::run() {
     } else {
       ++TR.Misses;
       TR.MissOverhead += Policy.Costs.missOverhead(Rec.SizeBytes);
-      if (Rec.Id >= SeenGlobal.size())
-        SeenGlobal.resize(
-            std::max<size_t>(Rec.Id + 1, SeenGlobal.size() * 2), 0);
       if (SeenGlobal[Rec.Id])
         ++TR.CapacityMisses;
       else

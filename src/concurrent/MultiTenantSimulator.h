@@ -34,8 +34,10 @@
 ///
 /// Configuration lives in concurrent/TenancyPolicy.h: one TenancyPolicy,
 /// a SimConfig plus the tenancy fields. The shared capacity is
-/// sim::capacityFor over the tenants' summed maxCache -- the serial
-/// simulator's derivation, not a copy of it.
+/// sim::capacityFor over the tenants' summed maxCache, and every manager
+/// is built by sim::engineConfig over one read-only LinkTopology of the
+/// concatenated, remapped block table -- the serial simulator's recipe,
+/// not a copy of it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -174,8 +176,9 @@ private:
   const std::vector<Trace> &Traces;
   TenancyPolicy Policy;
 
-  std::vector<SuperblockId> IdBase;   ///< Global-id offset per tenant.
-  std::vector<std::vector<std::vector<SuperblockId>>> RemappedEdges;
+  std::vector<SuperblockId> IdBase; ///< Global-id offset per tenant.
+  /// Read-only edges over the global ids, shared by every manager.
+  LinkTopology Topology;
   std::vector<double> Weights;
   uint64_t TotalCapacity = 0;
   std::vector<uint64_t> TenantCapacities;

@@ -3,11 +3,11 @@
 #include "concurrent/SharedEngineRunner.h"
 
 #include "check/CacheAuditor.h"
+#include "check/Paranoia.h"
 #include "support/Contracts.h"
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <exception>
 #include <thread>
 
@@ -19,23 +19,13 @@ namespace {
 /// Accesses a guest claims from the shared cursor per grab.
 constexpr size_t GrabBlock = 4096;
 
-/// Quiesces the engine and runs the full shared audit; mirrors the
-/// paranoid contract of check::armAuditor (print + abort) unless the
-/// config installed a handler.
+/// Quiesces the engine and runs the full shared audit under the paranoid
+/// contract armed auditors follow (check::reportViolation).
 void runQuiesceAudit(SharedCacheEngine &Engine, const SharedRunConfig &Config,
                      const char *Where) {
   Engine.quiesce([&](const SharedCacheEngine &E) {
-    const check::AuditReport Report = check::auditSharedEngine(E);
-    if (Report.clean())
-      return;
-    if (Config.OnViolation) {
-      Config.OnViolation(Report, Where);
-      return;
-    }
-    std::fprintf(stderr,
-                 "ccsim paranoid audit failed after %s (%zu violation(s)):\n%s",
-                 Where, Report.size(), Report.render().c_str());
-    std::abort();
+    check::reportViolation(check::auditSharedEngine(E), Where,
+                           Config.OnViolation);
   });
 }
 
@@ -57,21 +47,8 @@ SharedRunResult runThreaded(const TraceT &T,
 
   const LinkTopology Topology = LinkTopology::fromBlocks(T.blocks());
   SharedEngineConfig SC;
-  SC.Engine.CapacityBytes = Result.CapacityBytes;
-  SC.Engine.Costs = Config.Costs;
-  SC.Engine.EnableChaining = Config.EnableChaining;
-  SC.Engine.Telemetry = Config.Telemetry;
-  SC.Engine.Topology = &Topology;
-
-  telemetry::TelemetrySink *Tel = Config.Telemetry;
-  uint32_t MarkId = 0;
-  if (Tel) {
-    MarkId = Tel->Tracer.internLabel("shared:" + Result.BenchmarkName + "/" +
-                                     Result.PolicyName);
-    Tel->Tracer.record(telemetry::EventKind::Mark, 0, telemetry::NoBlock,
-                       MarkId, 1, 0);
-  }
-
+  SC.Engine = sim::engineConfig(Config, Result.CapacityBytes, Topology);
+  const sim::RunFrame Frame(Config.Telemetry, "shared:", Result);
   SharedCacheEngine Engine(SC, std::move(Policy));
 
   const size_t N = T.numAccesses();
@@ -162,20 +139,13 @@ SharedRunResult runThreaded(const TraceT &T,
   Result.Stats = Engine.stats();
   Result.Contention = Engine.contention();
   Result.QuiesceAudits = Audits.load();
-  if (Tel) {
-    Tel->Tracer.record(telemetry::EventKind::Mark, 0, telemetry::NoBlock,
-                       MarkId, 0, Result.Stats.Accesses);
-    char Pressure[32];
-    std::snprintf(Pressure, sizeof(Pressure), "%g", Config.PressureFactor);
-    const telemetry::MetricLabels Labels = {
-        {"benchmark", Result.BenchmarkName},
-        {"policy", Result.PolicyName},
-        {"pressure", Pressure},
-        {"guest-threads", std::to_string(Result.GuestThreads)}};
-    Result.Stats.recordMetrics(Tel->Metrics, Labels);
+  if (telemetry::TelemetrySink *Tel = Config.Telemetry) {
+    const telemetry::MetricLabels Labels = Frame.close(
+        Result, Config.PressureFactor,
+        {{"guest-threads", std::to_string(Result.GuestThreads)}});
     Engine.publishContention(Tel->Metrics, Labels);
     Tel->Tracer.record(telemetry::EventKind::Contention, Result.GuestThreads,
-                       telemetry::NoBlock, MarkId,
+                       telemetry::NoBlock, Frame.markId(),
                        Result.Contention.EngineLockStalls,
                        Result.Stats.Accesses);
   }

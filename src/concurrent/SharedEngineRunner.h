@@ -30,12 +30,9 @@
 #ifndef CCSIM_CONCURRENT_SHAREDENGINERUNNER_H
 #define CCSIM_CONCURRENT_SHAREDENGINERUNNER_H
 
-#include "check/AuditReport.h"
 #include "concurrent/ThreadPool.h"
 #include "core/SharedCacheEngine.h"
 #include "sim/Simulator.h"
-
-#include <functional>
 
 namespace ccsim::concurrent {
 
@@ -44,8 +41,9 @@ namespace ccsim::concurrent {
 inline constexpr unsigned MaxGuestThreads = ThreadPool::MaxThreads;
 
 /// Configuration of one shared-engine replay: the serial simulator's
-/// knobs (pressure, capacity, costs, chaining, telemetry, audit,
-/// cancellation) with identical semantics, plus the guest count.
+/// knobs (pressure, capacity, costs, chaining, telemetry, audit and its
+/// violation handler, cancellation) with identical semantics, plus the
+/// guest count.
 struct SharedRunConfig : SimConfig {
   SharedRunConfig() = default;
 
@@ -61,14 +59,9 @@ struct SharedRunConfig : SimConfig {
   /// K > 1: accesses between quiesce-point audits (0 = only the final
   /// one). The guest that crosses the threshold runs the audit. Any
   /// Audit level other than Off runs the full auditSharedEngine rule set
-  /// at every quiesce point and once at the end of the run.
+  /// at every quiesce point and once at the end of the run; the base's
+  /// OnViolation receives the findings at every K.
   uint64_t QuiesceInterval = 0;
-
-  /// K > 1: receives non-clean quiesce-audit reports; default prints and
-  /// aborts (the paranoid contract). K = 1 keeps sim::run's print-and-
-  /// abort auditor.
-  std::function<void(const check::AuditReport &, const char *Where)>
-      OnViolation;
 };
 
 /// Outcome of a shared replay. Stats match the serial simulator exactly

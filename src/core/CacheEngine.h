@@ -146,15 +146,6 @@ using UnlinkPayloadHook =
 
 /// Configuration for a CacheEngine instance.
 struct CacheEngineConfig {
-  CacheEngineConfig() = default;
-
-  /// Convenience for the three axes every front-end sets; everything else
-  /// keeps its default.
-  CacheEngineConfig(uint64_t CapacityBytes, bool EnableChaining,
-                    telemetry::TelemetrySink *Telemetry = nullptr)
-      : CapacityBytes(CapacityBytes), EnableChaining(EnableChaining),
-        Telemetry(Telemetry) {}
-
   /// Code cache capacity in bytes (the paper's maxCache / pressure).
   uint64_t CapacityBytes = 1 << 20;
 

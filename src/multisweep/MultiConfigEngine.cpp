@@ -129,16 +129,13 @@ MultiConfigEngine::MultiConfigEngine(const Trace &T,
     if (Plan.Points[J].Kind != LatticePlan::Route::Shared)
       continue;
     const SweepJob &Job = Jobs[J];
-    CacheEngineConfig EC;
-    EC.CapacityBytes = sim::capacityFor(T, Job.Config);
-    EC.Costs = Job.Config.Costs;
-    EC.EnableChaining = Job.Config.EnableChaining;
+    CacheEngineConfig EC = sim::engineConfig(
+        Job.Config, sim::capacityFor(T, Job.Config), Topology);
     // No per-engine telemetry: a shared engine replicates the metrics
     // recording at settle time instead of emitting per-access events.
     // No OnEviction observer either — the miss path reads lastEvictions()
     // to keep the residency bitmask exact without per-batch copies.
     EC.Telemetry = nullptr;
-    EC.Topology = &Topology;
     SharedState S;
     S.Engine = std::make_unique<CacheEngine>(EC, makePolicy(Job.Spec));
     S.JobIndex = J;
@@ -155,18 +152,8 @@ void MultiConfigEngine::sharedPass() {
     return;
   Accounting.DecodedAccesses = N;
 
-  CancelToken *Cancel = Plan.SharedCancel;
-  const size_t Chunk =
-      Cancel ? std::max<uint32_t>(1, Plan.SharedCancelInterval) : N;
-  size_t I = 0;
-  while (I < N) {
-    if (Cancel)
-      Cancel->throwIfStopped([&] {
-        return "one-pass sweep of " + T.Name + " stopped after " +
-               std::to_string(I) + " of " + std::to_string(N) + " accesses";
-      });
-    const size_t End = std::min(N, I + Chunk);
-    for (; I < End; ++I) {
+  auto Walk = [&](size_t Begin, size_t End) {
+    for (size_t I = Begin; I < End; ++I) {
       const SuperblockId Id = T.Accesses[I];
       uint64_t *Mask = &Resident[static_cast<size_t>(Id) * NumWords];
       // Bitmask shortcut: a block resident in every configuration hits
@@ -214,7 +201,9 @@ void MultiConfigEngine::sharedPass() {
         }
       }
     }
-  }
+  };
+  sim::forEachChunk(N, Plan.SharedCancel, Plan.SharedCancelInterval,
+                    "one-pass sweep of ", T.Name, Walk);
 }
 
 void MultiConfigEngine::settle(SharedState &S, SimResult &Out) {
@@ -231,23 +220,11 @@ void MultiConfigEngine::settle(SharedState &S, SimResult &Out) {
   Out.CapacityBytes = Engine.cache().capacity();
   Out.Stats = Engine.stats();
 
-  // Metrics-fidelity telemetry: the same Mark pair and per-benchmark
-  // CacheStats recording sim::run emits, minus the per-access event
-  // stream (which only per-config replay can produce).
-  if (telemetry::TelemetrySink *Tel = Job.Config.Telemetry) {
-    const uint32_t MarkId = Tel->Tracer.internLabel(
-        "sim:" + Out.BenchmarkName + "/" + Out.PolicyName);
-    Tel->Tracer.record(telemetry::EventKind::Mark, 0, telemetry::NoBlock,
-                       MarkId, 1, 0);
-    Tel->Tracer.record(telemetry::EventKind::Mark, 0, telemetry::NoBlock,
-                       MarkId, 0, Out.Stats.Accesses);
-    char Pressure[32];
-    std::snprintf(Pressure, sizeof(Pressure), "%g",
-                  Job.Config.PressureFactor);
-    Out.Stats.recordMetrics(Tel->Metrics, {{"benchmark", Out.BenchmarkName},
-                                      {"policy", Out.PolicyName},
-                                      {"pressure", Pressure}});
-  }
+  // Metrics-fidelity telemetry: sim::run's frame, minus the per-access
+  // event stream between its Marks (which only per-config replay can
+  // produce).
+  sim::RunFrame(Job.Config.Telemetry, "sim:", Out)
+      .close(Out, Job.Config.PressureFactor);
 }
 
 std::vector<SimResult> MultiConfigEngine::run() {

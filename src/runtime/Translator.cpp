@@ -9,14 +9,25 @@
 
 using namespace ccsim;
 
+/// A tier engine learns each block's edges as the translator installs it.
+static CacheEngineConfig tierConfig(uint64_t CapacityBytes, bool Chaining,
+                                    telemetry::TelemetrySink *Telemetry) {
+  CacheEngineConfig C;
+  C.CapacityBytes = CapacityBytes;
+  C.EnableChaining = Chaining;
+  C.Telemetry = Telemetry;
+  return C;
+}
+
 Translator::Translator(const Program &P, const TranslatorConfig &Config)
     : Prog(P), Config(Config), State(Config.GuestMemoryBytes),
-      Engine({Config.CacheBytes, Config.EnableChaining, Config.Telemetry},
+      Engine(tierConfig(Config.CacheBytes, Config.EnableChaining,
+                        Config.Telemetry),
              makePolicy(Config.Policy)),
       // BB fragments never enter the link graph; the tier runs
       // fine-grained FIFO (DynamoRIO's default), i.e. a one-byte quantum.
-      BBEngine({Config.BBCacheBytes, /*EnableChaining=*/false,
-                Config.Telemetry},
+      BBEngine(tierConfig(Config.BBCacheBytes, /*EnableChaining=*/false,
+                          Config.Telemetry),
                makePolicy(GranularitySpec::fine())),
       Jitter(Config.Seed) {
   State.PC = P.EntryPC;

@@ -61,6 +61,49 @@ uint64_t ccsim::sim::capacityFor(uint64_t MaxCacheBytes,
   return std::max<uint64_t>(1, static_cast<uint64_t>(Derived));
 }
 
+CacheEngineConfig ccsim::sim::engineConfig(const SimConfig &Config,
+                                           uint64_t CapacityBytes,
+                                           const LinkTopology &Topology) {
+  CacheEngineConfig EC;
+  EC.CapacityBytes = CapacityBytes;
+  EC.Costs = Config.Costs;
+  EC.EnableChaining = Config.EnableChaining;
+  EC.Telemetry = Config.Telemetry;
+  EC.Topology = &Topology;
+  return EC;
+}
+
+std::string ccsim::sim::pressureLabel(double PressureFactor) {
+  char Buf[32];
+  std::snprintf(Buf, sizeof(Buf), "%g", PressureFactor);
+  return Buf;
+}
+
+sim::RunFrame::RunFrame(telemetry::TelemetrySink *Sink, const char *Prefix,
+                        const SimResult &R)
+    : Sink(Sink) {
+  if (!Sink)
+    return;
+  MarkId = Sink->Tracer.internLabel(Prefix + R.BenchmarkName + "/" +
+                                    R.PolicyName);
+  Sink->Tracer.record(telemetry::EventKind::Mark, 0, telemetry::NoBlock,
+                      MarkId, 1, 0);
+}
+
+telemetry::MetricLabels
+sim::RunFrame::close(const SimResult &R, double PressureFactor,
+                     telemetry::MetricLabels Extra) const {
+  if (!Sink)
+    return {};
+  Sink->Tracer.record(telemetry::EventKind::Mark, 0, telemetry::NoBlock,
+                      MarkId, 0, R.Stats.Accesses);
+  Extra.insert(Extra.begin(), {{"benchmark", R.BenchmarkName},
+                               {"policy", R.PolicyName},
+                               {"pressure", pressureLabel(PressureFactor)}});
+  R.Stats.recordMetrics(Sink->Metrics, Extra);
+  return Extra;
+}
+
 namespace {
 
 /// The replay loop, written once over both trace sources (Trace and
@@ -78,56 +121,20 @@ SimResult replay(const TraceT &T, std::unique_ptr<EvictionPolicy> Policy,
   // The trace fixes every block's shape: its read-only topology replaces
   // learning the edges on each first insert.
   const LinkTopology Topology = LinkTopology::fromBlocks(T.blocks());
-  CacheEngineConfig EC;
-  EC.CapacityBytes = Result.CapacityBytes;
-  EC.Costs = Config.Costs;
-  EC.EnableChaining = Config.EnableChaining;
-  EC.Telemetry = Config.Telemetry;
-  EC.Topology = &Topology;
-
-  telemetry::TelemetrySink *Tel = Config.Telemetry;
-  uint32_t MarkId = 0;
-  if (Tel) {
-    MarkId = Tel->Tracer.internLabel("sim:" + Result.BenchmarkName + "/" +
-                                     Result.PolicyName);
-    Tel->Tracer.record(telemetry::EventKind::Mark, 0, telemetry::NoBlock,
-                       MarkId, 1, 0);
-  }
-
-  CacheEngine Engine(EC, std::move(Policy));
+  const sim::RunFrame Frame(Config.Telemetry, "sim:", Result);
+  CacheEngine Engine(sim::engineConfig(Config, Result.CapacityBytes, Topology),
+                     std::move(Policy));
   if (Config.Audit != AuditLevel::Off)
-    check::armAuditor(Engine, check::ParanoiaOptions{Config.Audit, true, {}});
-  const size_t N = T.numAccesses();
-  if (!Config.Cancel) {
-    for (size_t I = 0; I < N; ++I)
+    check::armAuditor(Engine, {Config.Audit, Config.OnViolation});
+  auto Walk = [&](size_t Begin, size_t End) {
+    for (size_t I = Begin; I < End; ++I)
       Engine.access(T.recordFor(T.idAt(I)));
-  } else {
-    // Cancellable replay: poll the token once per trace chunk so a
-    // cancellation or deadline lands within CancelCheckInterval accesses.
-    const size_t Chunk = std::max<uint32_t>(1, Config.CancelCheckInterval);
-    size_t I = 0;
-    while (I < N) {
-      Config.Cancel->throwIfStopped([&] {
-        return "replay of " + T.name() + " stopped after " +
-               std::to_string(I) + " of " + std::to_string(N) + " accesses";
-      });
-      const size_t End = std::min(N, I + Chunk);
-      for (; I < End; ++I)
-        Engine.access(T.recordFor(T.idAt(I)));
-    }
-  }
+  };
+  sim::forEachChunk(T.numAccesses(), Config.Cancel, Config.CancelCheckInterval,
+                    "replay of ", Result.BenchmarkName, Walk);
 
   Result.Stats = Engine.stats();
-  if (Tel) {
-    Tel->Tracer.record(telemetry::EventKind::Mark, 0, telemetry::NoBlock,
-                       MarkId, 0, Result.Stats.Accesses);
-    char Pressure[32];
-    std::snprintf(Pressure, sizeof(Pressure), "%g", Config.PressureFactor);
-    Result.Stats.recordMetrics(Tel->Metrics,
-                          {{"benchmark", Result.BenchmarkName},
-                           {"policy", Result.PolicyName},
-                           {"pressure", Pressure}});
-  }
+  Frame.close(Result, Config.PressureFactor);
   return Result;
 }
 

@@ -21,10 +21,12 @@
 #ifndef CCSIM_SIM_SIMULATOR_H
 #define CCSIM_SIM_SIMULATOR_H
 
+#include "check/AuditReport.h"
 #include "core/CacheEngine.h"
 #include "support/Cancellation.h"
 #include "trace/MappedTrace.h"
 
+#include <algorithm>
 #include <memory>
 #include <string>
 
@@ -51,9 +53,12 @@ struct SimConfig {
   telemetry::TelemetrySink *Telemetry = nullptr;
 
   /// Deep structural auditing during the replay (check::armAuditor).
-  /// Defaults to Full in CCSIM_PARANOID builds, Off otherwise; any
-  /// violation prints its report and aborts the process.
+  /// Defaults to Full in CCSIM_PARANOID builds, Off otherwise.
   AuditLevel Audit = defaultAuditLevel();
+
+  /// Receives the audit's findings; empty (the default) prints them and
+  /// aborts. It changes what a run reports, not what it simulates.
+  check::ViolationHandler OnViolation;
 
   /// Optional cooperative cancellation. When set, run() polls the token
   /// every CancelCheckInterval accesses and throws ReplayCancelled when it
@@ -127,6 +132,54 @@ uint64_t capacityFor(const trace::MappedTrace &T, const SimConfig &Config);
 /// capacity when set, else \p MaxCacheBytes / pressure (at least 1 byte).
 /// A multi-tenant run passes its tenants' summed maxCache.
 uint64_t capacityFor(uint64_t MaxCacheBytes, const SimConfig &Config);
+
+/// The trace-replay recipe, the one place a SimConfig becomes an engine
+/// config: capacity, Eq. 2-4 costs, chaining, telemetry sink and the
+/// trace's read-only \p Topology, which must outlive the engine.
+CacheEngineConfig engineConfig(const SimConfig &Config, uint64_t CapacityBytes,
+                               const LinkTopology &Topology);
+
+/// The "pressure" metric label of \p PressureFactor ("%g").
+std::string pressureLabel(double PressureFactor);
+
+/// A replay's telemetry: a Mark pair named "<Prefix><benchmark>/<policy>"
+/// around it, then its CacheStats under {benchmark, policy, pressure}
+/// labels. A null sink makes it a no-op.
+class RunFrame {
+public:
+  RunFrame(telemetry::TelemetrySink *Sink, const char *Prefix,
+           const SimResult &R);
+
+  /// Closes the Mark and publishes R.Stats under the run's labels plus
+  /// \p Extra; returns those labels for a runner's own series.
+  telemetry::MetricLabels close(const SimResult &R, double PressureFactor,
+                                telemetry::MetricLabels Extra = {}) const;
+
+  uint32_t markId() const { return MarkId; }
+
+private:
+  telemetry::TelemetrySink *Sink;
+  uint32_t MarkId = 0;
+};
+
+/// The one chunked walk over an access stream: \p Body(Begin, End) over
+/// chunks of \p CheckInterval accesses covering [0, \p N), polling
+/// \p Cancel before each; one chunk when there is no token.
+template <typename BodyFn>
+void forEachChunk(size_t N, CancelToken *Cancel, uint32_t CheckInterval,
+                  const char *Kind, const std::string &Name, BodyFn &&Body) {
+  const size_t Chunk = Cancel ? std::max<uint32_t>(1, CheckInterval) : N;
+  for (size_t I = 0; I < N;) {
+    if (Cancel)
+      Cancel->throwIfStopped([&] {
+        return Kind + Name + " stopped after " + std::to_string(I) + " of " +
+               std::to_string(N) + " accesses";
+      });
+    const size_t End = std::min(N, I + Chunk);
+    Body(I, End);
+    I = End;
+  }
+}
 
 /// Replays \p T through a fresh CacheEngine running \p Policy.
 SimResult run(const Trace &T, std::unique_ptr<EvictionPolicy> Policy,

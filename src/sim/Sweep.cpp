@@ -4,19 +4,15 @@
 
 #include "concurrent/ThreadPool.h"
 
-#include <cassert>
-#include <cstdio>
-
 using namespace ccsim;
 
 void ccsim::recordSuiteMetrics(telemetry::TelemetrySink *Tel,
                                const SuiteResult &Result) {
   if (!Tel)
     return;
-  char Pressure[32];
-  std::snprintf(Pressure, sizeof(Pressure), "%g", Result.PressureFactor);
-  Result.Combined.recordMetrics(Tel->Metrics, {{"suite", Result.PolicyLabel},
-                                          {"pressure", Pressure}});
+  Result.Combined.recordMetrics(
+      Tel->Metrics, {{"suite", Result.PolicyLabel},
+                     {"pressure", sim::pressureLabel(Result.PressureFactor)}});
 }
 
 bool SweepJob::sameSimulation(const SweepJob &Other) const {
@@ -65,15 +61,11 @@ void SweepEngine::setNumThreads(unsigned Threads) {
   NumThreads = Threads ? Threads : ThreadPool::hardwareThreads();
 }
 
-SweepEngine SweepEngine::forTable1(uint64_t SuiteSeed) {
-  return SweepEngine(table1Workloads(), SuiteSeed);
-}
-
 SweepEngine SweepEngine::forScaledTable1(double Factor, uint64_t SuiteSeed) {
   std::vector<WorkloadModel> Scaled;
   Scaled.reserve(table1Workloads().size());
   for (const WorkloadModel &M : table1Workloads())
-    Scaled.push_back(scaledWorkload(M, Factor));
+    Scaled.push_back(workloadAtScale(M, Factor));
   return SweepEngine(Scaled, SuiteSeed);
 }
 

@@ -71,6 +71,7 @@ struct SweepJob {
   /// cost model, chaining, audit level, cancellation wiring, telemetry
   /// endpoint). Two such points produce bit-identical results, which is
   /// what lets multisweep::planLattice simulate one and copy the other.
+  /// The OnViolation handler changes only what a run reports.
   bool sameSimulation(const SweepJob &Other) const;
 };
 
@@ -107,10 +108,8 @@ public:
   /// benchmarks.
   explicit SweepEngine(std::vector<Trace> TraceList);
 
-  /// Engine over the paper's full Table 1 suite.
-  static SweepEngine forTable1(uint64_t SuiteSeed = DefaultSuiteSeed);
-
-  /// Engine over a size-scaled copy of Table 1 (fast tests/smoke runs).
+  /// Engine over Table 1 at a --scale value (workloadAtScale): the
+  /// paper's full suite at 1, a size-scaled copy for fast runs below.
   static SweepEngine forScaledTable1(double Factor,
                                      uint64_t SuiteSeed = DefaultSuiteSeed);
 

@@ -3,6 +3,7 @@
 #include "support/Flags.h"
 #include "support/Contracts.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -194,5 +195,21 @@ std::optional<int64_t> ccsim::boundedIntFlag(const FlagSet &Flags,
   if (Error)
     *Error = "bad " + Name + " " + std::to_string(Value) + " (need " +
              std::to_string(Lo) + ".." + std::to_string(Hi) + ")";
+  return std::nullopt;
+}
+
+std::optional<double> ccsim::scaleFlag(const FlagSet &Flags,
+                                       const std::string &Name,
+                                       std::string *Error, double Max) {
+  const double Value = Flags.getDouble(Name);
+  if (std::isfinite(Value) && Value > 0.0 && Value <= Max)
+    return Value;
+  if (Error) {
+    char Buf[128];
+    std::snprintf(Buf, sizeof(Buf),
+                  "bad %s %g (need a finite value in (0, %g])", Name.c_str(),
+                  Value, Max);
+    *Error = Buf;
+  }
   return std::nullopt;
 }

@@ -84,6 +84,12 @@ std::optional<int64_t> boundedIntFlag(const FlagSet &Flags,
                                       const std::string &Name, int64_t Lo,
                                       int64_t Hi, std::string *Error);
 
+/// The one workload-scale reader: the value of --\p Name when it is
+/// finite and in (0, \p Max], else nullopt with the reason in \p Error.
+/// Binaries that only shrink a workload keep \p Max at 1.
+std::optional<double> scaleFlag(const FlagSet &Flags, const std::string &Name,
+                                std::string *Error, double Max = 1.0);
+
 } // namespace ccsim
 
 #endif // CCSIM_SUPPORT_FLAGS_H

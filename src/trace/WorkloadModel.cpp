@@ -123,6 +123,11 @@ const WorkloadModel *ccsim::findWorkload(const std::string &Name) {
   return nullptr;
 }
 
+WorkloadModel ccsim::workloadAtScale(const WorkloadModel &Model,
+                                     double Scale) {
+  return isFullScale(Scale) ? Model : scaledWorkload(Model, Scale);
+}
+
 WorkloadModel ccsim::scaledWorkload(const WorkloadModel &Model,
                                     double Factor) {
   CCSIM_ASSERT(Factor > 0.0, "scale factor must be positive");

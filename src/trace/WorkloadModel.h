@@ -104,6 +104,14 @@ const WorkloadModel *findWorkload(const std::string &Name);
 /// superblocks).
 WorkloadModel scaledWorkload(const WorkloadModel &Model, double Factor);
 
+/// Whether a --scale value means the full-size workload (within 0.1%).
+inline bool isFullScale(double Scale) {
+  return Scale >= 0.999 && Scale <= 1.001;
+}
+
+/// \p Model itself at full scale, else scaledWorkload(Model, Scale).
+WorkloadModel workloadAtScale(const WorkloadModel &Model, double Scale);
+
 } // namespace ccsim
 
 #endif // CCSIM_TRACE_WORKLOADMODEL_H

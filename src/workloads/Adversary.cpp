@@ -5,6 +5,7 @@
 #include "core/SharedContentIndex.h"
 #include "support/Contracts.h"
 #include "support/Random.h"
+#include "trace/WorkloadModel.h"
 
 #include <algorithm>
 #include <cmath>
@@ -576,6 +577,11 @@ const AdversarySpec *ccsim::workloads::findAdversarial(
     if (Spec.Name == Name)
       return &Spec;
   return nullptr;
+}
+
+AdversarySpec ccsim::workloads::adversaryAtScale(const AdversarySpec &Spec,
+                                                 double Scale) {
+  return isFullScale(Scale) ? Spec : scaledAdversary(Spec, Scale);
 }
 
 AdversarySpec ccsim::workloads::scaledAdversary(const AdversarySpec &Spec,

@@ -162,6 +162,9 @@ const AdversarySpec *findAdversarial(const std::string &Name);
 /// (0) stays derived so the stream shrinks with the geometry.
 AdversarySpec scaledAdversary(const AdversarySpec &Spec, double Factor);
 
+/// \p Spec itself at full scale (isFullScale), else scaledAdversary.
+AdversarySpec adversaryAtScale(const AdversarySpec &Spec, double Scale);
+
 } // namespace ccsim::workloads
 
 #endif // CCSIM_WORKLOADS_ADVERSARY_H

@@ -15,18 +15,14 @@ ccsim::workloads::computeDegradation(const DegradationConfig &Config) {
   const WorkloadModel *Model = findWorkload(Config.BaselineBenchmark);
   CCSIM_REQUIRE(Model, "unknown baseline benchmark '%s'",
                 Config.BaselineBenchmark.c_str());
-  WorkloadModel Baseline = *Model;
-  if (Config.Scale < 0.999)
-    Baseline = scaledWorkload(Baseline, Config.Scale);
-  const Trace Benign =
-      TraceGenerator::generateBenchmark(Baseline, Config.Seed);
+  const Trace Benign = TraceGenerator::generateBenchmark(
+      workloadAtScale(*Model, Config.Scale), Config.Seed);
   const uint64_t Length = Benign.numAccesses();
   const uint64_t BenignMax = Benign.maxCacheBytes();
 
   std::vector<DegradationCell> Cells;
   for (const AdversarySpec &Entry : adversarialCatalog()) {
-    AdversarySpec Spec =
-        Config.Scale < 0.999 ? scaledAdversary(Entry, Config.Scale) : Entry;
+    AdversarySpec Spec = adversaryAtScale(Entry, Config.Scale);
     Spec.Accesses = Length; // Equal trace length by construction.
     const Trace Adversarial = generateAdversarial(Spec, Config.Seed);
     const uint64_t AdvCapacity = Spec.tunedCapacityBytes();

@@ -8,6 +8,8 @@
 #include "check/Paranoia.h"
 
 #include "check/CacheAuditor.h"
+#include "concurrent/MultiTenantSimulator.h"
+#include "concurrent/SharedEngineRunner.h"
 #include "isa/ProgramGenerator.h"
 #include "runtime/Translator.h"
 #include "sim/Simulator.h"
@@ -141,6 +143,13 @@ TEST(ParanoidIntegrationTest, AuditedSimulationMatchesUnaudited) {
   Plain.Audit = AuditLevel::Off;
   SimConfig Audited = Plain;
   Audited.Audit = AuditLevel::Full;
+  // Every runner hands the base config's handler to its auditor.
+  size_t Violations = 0;
+  Audited.OnViolation = [&Violations](const AuditReport &Report,
+                                      const char *Where) {
+    Violations += Report.size();
+    ADD_FAILURE() << "after " << Where << ":\n" << Report.render();
+  };
 
   const SimResult A = sim::run(T, GranularitySpec::units(8), Plain);
   const SimResult B = sim::run(T, GranularitySpec::units(8), Audited);
@@ -149,6 +158,27 @@ TEST(ParanoidIntegrationTest, AuditedSimulationMatchesUnaudited) {
   EXPECT_EQ(A.Stats.EvictedBlocks, B.Stats.EvictedBlocks);
   EXPECT_EQ(A.Stats.LinksCreated, B.Stats.LinksCreated);
   EXPECT_DOUBLE_EQ(A.Stats.totalOverhead(true), B.Stats.totalOverhead(true));
+
+  // One guest through the thread-shared runner is sim::run, audit
+  // included.
+  const concurrent::SharedRunResult Shared = concurrent::runShared(
+      T, GranularitySpec::units(8), concurrent::SharedRunConfig(Audited, 1));
+  EXPECT_TRUE(Shared.Stats == A.Stats);
+
+  // The tenant runner arms the same auditor from the same base config.
+  const std::vector<Trace> Tenants = {scaledTrace("vpr", 0.02),
+                                      scaledTrace("gzip", 0.02)};
+  TenancyPolicy PlainTenancy(Plain);
+  PlainTenancy.Granularity = GranularitySpec::units(8);
+  TenancyPolicy AuditedTenancy(Audited);
+  AuditedTenancy.Granularity = GranularitySpec::units(8);
+  const MultiTenantResult C =
+      MultiTenantSimulator(Tenants, PlainTenancy).run();
+  const MultiTenantResult D =
+      MultiTenantSimulator(Tenants, AuditedTenancy).run();
+  EXPECT_TRUE(C.Global == D.Global);
+  EXPECT_GT(D.Global.EvictedBlocks, 0u);
+  EXPECT_EQ(Violations, 0u);
 }
 
 TEST(ParanoidIntegrationTest, ArmedTranslatorStaysQuietOnCorrectRun) {

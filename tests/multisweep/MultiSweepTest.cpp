@@ -528,7 +528,8 @@ TEST(MultiSweepTopologyTest, TwoThreadsReplayThroughOneReadOnlyTopology) {
   std::thread Runner([&] { PassResults = Pass.run(); });
   std::thread Reader([&] {
     for (int I = 0; I < 2; ++I) {
-      CacheEngineConfig EC(sim::capacityFor(T, Config), true);
+      CacheEngineConfig EC;
+      EC.CapacityBytes = sim::capacityFor(T, Config);
       EC.Topology = &Topology;
       CacheEngine Engine(EC, makePolicy(DenseSpecs[I]));
       for (SuperblockId Id : T.Accesses)

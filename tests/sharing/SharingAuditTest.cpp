@@ -136,7 +136,6 @@ TEST(SharingAuditTest, ArmedFleetStaysCleanThroughUnshareDrains) {
   std::vector<std::string> Violations;
   ParanoiaOptions Options;
   Options.Level = AuditLevel::Full;
-  Options.AbortOnViolation = false;
   Options.OnViolation = [&Violations](const AuditReport &Report,
                                       const char *Where) {
     Violations.push_back(std::string(Where) + ":\n" + Report.render());

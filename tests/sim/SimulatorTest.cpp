@@ -132,6 +132,53 @@ TEST(SimulatorTest, CustomCostModelPropagates) {
               1e-6 * Base.Stats.MissOverhead);
 }
 
+TEST(SimulatorTest, EngineConfigCarriesEveryEngineField) {
+  // The one trace-replay recipe: every SimConfig field that shapes an
+  // engine, plus the trace's read-only topology, reaches the engine
+  // config. Defaults would hide a dropped field, so none is left default
+  // (a copy that forgot chaining or the costs once audited a different
+  // engine than the replay it claimed to check).
+  const Trace T = scaledTrace("gzip", 0.05);
+  const LinkTopology Topology = LinkTopology::fromBlocks(T.Blocks);
+  telemetry::TelemetrySink Sink(16);
+  SimConfig C;
+  C.ExplicitCapacityBytes = 12345;
+  C.Costs.EvictionPerByte = 1.25;
+  C.Costs.EvictionBase = 2.5;
+  C.Costs.MissPerByte = 3.75;
+  C.Costs.MissBase = 5.0;
+  C.Costs.UnlinkPerLink = 6.25;
+  C.Costs.UnlinkBase = 7.5;
+  C.EnableChaining = false;
+  C.Telemetry = &Sink;
+
+  const CacheEngineConfig EC =
+      sim::engineConfig(C, sim::capacityFor(T, C), Topology);
+  EXPECT_EQ(EC.CapacityBytes, 12345u);
+  EXPECT_EQ(EC.Costs.EvictionPerByte, 1.25);
+  EXPECT_EQ(EC.Costs.EvictionBase, 2.5);
+  EXPECT_EQ(EC.Costs.MissPerByte, 3.75);
+  EXPECT_EQ(EC.Costs.MissBase, 5.0);
+  EXPECT_EQ(EC.Costs.UnlinkPerLink, 6.25);
+  EXPECT_EQ(EC.Costs.UnlinkBase, 7.5);
+  EXPECT_FALSE(EC.EnableChaining);
+  EXPECT_EQ(EC.Telemetry, &Sink);
+  EXPECT_EQ(EC.Topology, &Topology);
+  // What a runner owns is its own to add.
+  EXPECT_EQ(EC.ContentIndex, nullptr);
+  EXPECT_FALSE(EC.OnEviction);
+
+  // And the engine sim::run builds from it runs with those fields.
+  C.Telemetry = nullptr;
+  const SimResult R = sim::run(T, GranularitySpec::units(8), C);
+  EXPECT_EQ(R.CapacityBytes, 12345u);
+  EXPECT_EQ(R.Stats.LinksCreated, 0u);
+  ASSERT_EQ(R.Stats.TooBigMisses, 0u);
+  const double Eq3 = 3.75 * static_cast<double>(R.Stats.InsertedBytes) +
+                     5.0 * static_cast<double>(R.Stats.Misses);
+  EXPECT_NEAR(R.Stats.MissOverhead, Eq3, 1e-9 * Eq3);
+}
+
 TEST(SimulatorTest, DeterministicAcrossRuns) {
   Trace T = scaledTrace("twolf", 0.3);
   SimConfig C;
