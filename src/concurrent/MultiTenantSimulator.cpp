@@ -237,11 +237,10 @@ MultiTenantResult MultiTenantSimulator::run() {
       Policy.Granularity.Kind == GranularitySpec::KindType::Units &&
       Policy.Granularity.Units >= 2;
   for (size_t M = 0; M < NumManagers; ++M) {
-    CacheEngineConfig MC = sim::engineConfig(
-        Policy,
+    const uint64_t Capacity =
         Policy.Mode == PartitionMode::Shared ? TotalCapacity
-                                             : TenantCapacities[M],
-        Topology);
+                                             : TenantCapacities[M];
+    CacheEngineConfig MC = sim::engineConfig(Policy, Capacity, Topology);
     MC.OnEviction = Observer;
     if (Policy.ShareCode) {
       MC.ContentIndex = &ContentIdx;
