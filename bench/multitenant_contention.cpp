@@ -23,7 +23,6 @@
 
 #include "BenchCommon.h"
 #include "concurrent/MultiTenantSimulator.h"
-#include "trace/TraceGenerator.h"
 
 #include <cstdio>
 
@@ -129,21 +128,21 @@ int main(int Argc, char **Argv) {
       "Multi-tenant contention: shared code caches across guests",
       "extension of Sections 4-5 (ShareJIT/Memshare-style multi-tenancy)");
 
-  std::vector<Trace> Traces;
+  std::vector<WorkloadModel> Models;
   for (const std::string &Name : splitList(Flags.getString("tenants"))) {
     const WorkloadModel *M = findWorkload(Name);
     if (!M) {
       std::fprintf(stderr, "error: unknown benchmark '%s'\n", Name.c_str());
       return 1;
     }
-    Traces.push_back(TraceGenerator::generateBenchmark(
-        workloadAtScale(*M, *Scale),
-        static_cast<uint64_t>(Flags.getInt("seed"))));
+    Models.push_back(workloadAtScale(*M, *Scale));
   }
-  if (Traces.size() < 2) {
+  if (Models.size() < 2) {
     std::fprintf(stderr, "error: need at least two tenants\n");
     return 1;
   }
+  const std::vector<Trace> Traces = generateSuite(
+      Models, static_cast<uint64_t>(Flags.getInt("seed")), /*Threads=*/0);
 
   for (const TenancyPolicy &Policy : *Grid)
     printRun(MultiTenantSimulator(Traces, Policy).run());

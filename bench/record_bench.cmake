@@ -33,8 +33,8 @@ cmake_minimum_required(VERSION 3.19)
 set(sweep_TARGET sweep_onepass)
 set(sweep_DEFAULT_ARGS --scale=0.1)
 set(sweep_KEYS bench suite scale seed benchmarks configs_per_pass
-  accesses_per_pass shared_misses all_hit_fraction threads per_config_ms
-  one_pass_ms speedup equal)
+  accesses_per_pass shared_misses all_hit_fraction threads generate_ms
+  per_config_ms one_pass_ms speedup equal)
 set(sweep_POSITIVE accesses_per_pass configs_per_pass benchmarks)
 set(sweep_GATES equal)
 set(sweep_SHOW configs_per_pass speedup)

@@ -14,7 +14,8 @@
 //
 // Besides the human-readable table the run writes a machine-readable
 // BENCH_sweep.json (see --out) so CI and bench/record_bench.sh can track
-// the one-pass speedup over time.
+// the one-pass speedup over time. It also times the suite's generation
+// on the engine's workers (generate_ms). Every timing is informational.
 //
 // Run: ./sweep_onepass --scale=0.2 --out=BENCH_sweep.json
 //
@@ -97,11 +98,16 @@ int main(int Argc, char **Argv) {
   benchutil::printHeader("one-pass multi-configuration sweep",
                          "Figures 6-8 lattice (granularity x pressure)");
 
+  // The suite is generated on the engine's workers (generateSuite).
+  const auto GenerateStart = std::chrono::steady_clock::now();
   const SweepEngine Engine = benchutil::makeEngine(Flags);
+  const double GenerateMs =
+      elapsedMs(GenerateStart, std::chrono::steady_clock::now());
   std::printf("lattice: %zu configs x %zu benchmarks (scale %.3f, "
               "%u threads)\n\n",
               Grid.size(), Engine.traces().size(), Flags.getDouble("scale"),
               Engine.numThreads());
+  std::printf("generate:   %.1f ms\n", GenerateMs);
 
   const auto PerConfigStart = std::chrono::steady_clock::now();
   const std::vector<SuiteResult> Dense = multisweep::runSweepGrid(
@@ -149,6 +155,7 @@ int main(int Argc, char **Argv) {
                  "  \"shared_misses\": %llu,\n"
                  "  \"all_hit_fraction\": %.6f,\n"
                  "  \"threads\": %u,\n"
+                 "  \"generate_ms\": %.3f,\n"
                  "  \"per_config_ms\": %.3f,\n"
                  "  \"one_pass_ms\": %.3f,\n"
                  "  \"speedup\": %.3f,\n"
@@ -159,7 +166,8 @@ int main(int Argc, char **Argv) {
                  Engine.traces().size(), Grid.size(),
                  static_cast<unsigned long long>(Accounting.DecodedAccesses),
                  static_cast<unsigned long long>(Accounting.SharedMisses),
-                 AllHitFraction, Engine.numThreads(), PerConfigMs, OnePassMs,
+                 AllHitFraction, Engine.numThreads(), GenerateMs,
+                 PerConfigMs, OnePassMs,
                  Speedup, Equal ? "true" : "false");
     std::fclose(Out);
     std::printf("record written to %s\n", OutPath.c_str());

@@ -81,7 +81,6 @@
 #include "support/Table.h"
 #include "telemetry/Exporters.h"
 #include "trace/MappedTrace.h"
-#include "trace/TraceGenerator.h"
 #include "trace/TraceIO.h"
 
 #include "SimFlags.h"
@@ -330,8 +329,8 @@ std::optional<service::Job> buildSuiteJob(const FlagSet &Flags,
   if (!Slot) {
     std::optional<SweepEngine> Engine;
     if (Workload.empty()) {
-      Engine = SweepEngine::forScaledTable1(*Scale,
-                                            static_cast<uint64_t>(Seed));
+      Engine = SweepEngine::forScaledTable1(
+          *Scale, static_cast<uint64_t>(Seed), *Jobs);
     } else {
       // Adversarial suite: the catalog entry (or all of them) in place
       // of the Table 1 benchmarks.
@@ -340,8 +339,8 @@ std::optional<service::Job> buildSuiteJob(const FlagSet &Flags,
       if (!Traces)
         return std::nullopt;
       Engine.emplace(std::move(*Traces));
+      Engine->setNumThreads(*Jobs);
     }
-    Engine->setNumThreads(*Jobs);
     Slot = std::make_shared<const SweepEngine>(std::move(*Engine));
   }
   service::SweepBatchJob Job;
@@ -400,6 +399,10 @@ std::optional<service::Job> buildTenantsJob(const FlagSet &Flags,
     return std::nullopt;
   const uint64_t Seed = static_cast<uint64_t>(Flags.getInt("seed"));
   std::vector<Trace> Traces;
+  // Table 1 entries are generated together, after every entry parsed,
+  // into the slots they hold in the tenant list.
+  std::vector<WorkloadModel> Models;
+  std::vector<size_t> ModelSlots;
   for (const std::string &Name : splitList(Flags.getString("tenants"))) {
     // A tenant entry is a Table 1 benchmark, an adversarial workload
     // ("adversarial:<name>"; "adversarial:all" adds the whole catalog),
@@ -424,12 +427,17 @@ std::optional<service::Job> buildTenantsJob(const FlagSet &Flags,
     const auto Model = workloadModelFor(Name, *Scale, Error);
     if (!Model)
       return std::nullopt;
-    Traces.push_back(TraceGenerator::generateBenchmark(*Model, Seed));
+    Models.push_back(*Model);
+    ModelSlots.push_back(Traces.size());
+    Traces.emplace_back();
   }
   if (Traces.size() < 2) {
     *Error = "need at least two tenants";
     return std::nullopt;
   }
+  std::vector<Trace> Generated = generateSuite(Models, Seed, /*Threads=*/0);
+  for (size_t I = 0; I < Models.size(); ++I)
+    Traces[ModelSlots[I]] = std::move(Generated[I]);
   service::TenantJob Job;
   Job.Traces = std::move(Traces);
   Job.Policy = *Policy;

@@ -6,7 +6,7 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <map>
+#include <iterator>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -21,6 +21,42 @@ using ULL = unsigned long long;
 std::vector<uint64_t> ids(std::initializer_list<uint64_t> Values) {
   return std::vector<uint64_t>(Values);
 }
+
+/// Signed per-edge tallies for the mirror rules: one +1 or -1 entry per
+/// list element, summed per (From, To) in sorted order, so the report
+/// order is deterministic without a node allocation per edge.
+class EdgeTally {
+public:
+  void add(SuperblockId From, SuperblockId To, int64_t Delta) {
+    Entries.push_back({From, To, Delta});
+  }
+
+  /// Calls Visit(From, To, Balance) for every edge whose entries do not
+  /// sum to zero, in (From, To) order.
+  template <typename Fn> void forEachImbalance(Fn Visit) {
+    std::sort(Entries.begin(), Entries.end(),
+              [](const Entry &A, const Entry &B) {
+                return A.From != B.From ? A.From < B.From : A.To < B.To;
+              });
+    for (size_t I = 0; I < Entries.size();) {
+      const Entry &First = Entries[I];
+      int64_t Balance = 0;
+      for (; I < Entries.size() && Entries[I].From == First.From &&
+             Entries[I].To == First.To;
+           ++I)
+        Balance += Entries[I].Delta;
+      if (Balance != 0)
+        Visit(First.From, First.To, Balance);
+    }
+  }
+
+private:
+  struct Entry {
+    SuperblockId From, To;
+    int64_t Delta;
+  };
+  std::vector<Entry> Entries;
+};
 
 } // namespace
 
@@ -50,19 +86,34 @@ LinkGraphState check::captureLinkGraph(const LinkGraph &Links,
   LinkGraphState State;
   State.LiveLinkCount = Links.numLinks();
   const LinkTopology &Learned = Links.topology();
-  State.Nodes.resize(Learned.size());
-  for (SuperblockId Id = 0; Id < Learned.size(); ++Id) {
+  // A read-only topology spans every id of its trace, touched or not.
+  // Views live only on residents and on their edges' targets (the wants
+  // entries), so nodes stop past the highest of those ids; the learned
+  // lists keep only ids inside that range, so the reverse-edge rule
+  // compares the same edges from both sides.
+  size_t Bound = 0;
+  Cache.forEachResident([&](const CodeCache::Resident &R) {
+    Bound = std::max<size_t>(Bound, size_t{R.Id} + 1);
+    for (SuperblockId To : Learned.edgesOf(R.Id))
+      Bound = std::max<size_t>(Bound, size_t{To} + 1);
+  });
+  Bound = std::min(Bound, Learned.size());
+  const auto InRange = [Bound](SuperblockId Id) { return Id < Bound; };
+  State.Nodes.resize(Bound);
+  for (SuperblockId Id = 0; Id < Bound; ++Id) {
     LinkGraphState::Node &N = State.Nodes[Id];
     N.Id = Id;
     const std::span<const SuperblockId> Edges = Learned.edgesOf(Id);
     const std::span<const SuperblockId> Sources = Learned.sourcesOf(Id);
-    N.LearnedEdges.assign(Edges.begin(), Edges.end());
-    N.LearnedSources.assign(Sources.begin(), Sources.end());
+    std::copy_if(Edges.begin(), Edges.end(),
+                 std::back_inserter(N.LearnedEdges), InRange);
+    std::copy_if(Sources.begin(), Sources.end(),
+                 std::back_inserter(N.LearnedSources), InRange);
     // The views a list-keeping back-pointer table would hold: out-links
     // come from the learned edges, back-pointers and wants from the
     // reverse index, so the mirror rules cross-check the two.
     if (Cache.contains(Id)) {
-      N.StaticEdges = N.LearnedEdges;
+      N.StaticEdges.assign(Edges.begin(), Edges.end());
       for (SuperblockId To : Edges)
         if (Cache.contains(To))
           N.Out.push_back(To);
@@ -224,17 +275,23 @@ void check::checkCodeCache(const CodeCacheState &Cache,
 void check::checkLinkGraph(const LinkGraphState &Links,
                            const CodeCacheState &Cache,
                            AuditReport &Report) {
-  std::unordered_set<SuperblockId> Resident;
-  for (const CodeCacheState::Slot &R : Cache.Lookup)
-    Resident.insert(R.Id);
+  std::vector<bool> ResidentById;
+  for (const CodeCacheState::Slot &R : Cache.Lookup) {
+    if (R.Id >= ResidentById.size())
+      ResidentById.resize(size_t{R.Id} + 1);
+    ResidentById[R.Id] = true;
+  }
+  const auto IsResidentId = [&](SuperblockId Id) {
+    return Id < ResidentById.size() && ResidentById[Id];
+  };
 
   uint64_t OutTotal = 0;
-  // (From, To) -> out-entry count minus in-entry count; every key must
+  // (From, To): +1 per out-entry, -1 per in-entry; every edge must
   // balance to zero, or the back-pointer table does not mirror the links.
-  std::map<std::pair<SuperblockId, SuperblockId>, int64_t> Mirror;
+  EdgeTally Mirror;
 
   for (const LinkGraphState::Node &N : Links.Nodes) {
-    const bool IsResident = Resident.count(N.Id) != 0;
+    const bool IsResident = IsResidentId(N.Id);
     if (!IsResident && (!N.StaticEdges.empty() || !N.Out.empty() ||
                         !N.In.empty())) {
       Report.add(AuditRule::LinkStateLeak, ids({N.Id}),
@@ -245,37 +302,36 @@ void check::checkLinkGraph(const LinkGraphState &Links,
     }
     OutTotal += N.Out.size();
     for (SuperblockId To : N.Out) {
-      ++Mirror[{N.Id, To}];
-      if (IsResident && !Resident.count(To))
+      Mirror.add(N.Id, To, +1);
+      if (IsResident && !IsResidentId(To))
         Report.add(AuditRule::LinkEndpointNotResident, ids({N.Id, To}),
                    "link %llu->%llu targets an evicted superblock",
                    static_cast<ULL>(N.Id), static_cast<ULL>(To));
     }
     for (SuperblockId From : N.In) {
-      --Mirror[{From, N.Id}];
-      if (IsResident && !Resident.count(From))
+      Mirror.add(From, N.Id, -1);
+      if (IsResident && !IsResidentId(From))
         Report.add(AuditRule::LinkEndpointNotResident, ids({From, N.Id}),
                    "back-pointer at %llu names evicted source %llu",
                    static_cast<ULL>(N.Id), static_cast<ULL>(From));
     }
   }
 
-  for (const auto &[Edge, Balance] : Mirror) {
+  Mirror.forEachImbalance([&](SuperblockId From, SuperblockId To,
+                               int64_t Balance) {
     if (Balance > 0)
-      Report.add(AuditRule::LinkBackPointerMissing, ids({Edge.first,
-                                                         Edge.second}),
+      Report.add(AuditRule::LinkBackPointerMissing, ids({From, To}),
                  "out-link %llu->%llu has no back-pointer at the target "
                  "(imbalance %lld)",
-                 static_cast<ULL>(Edge.first), static_cast<ULL>(Edge.second),
+                 static_cast<ULL>(From), static_cast<ULL>(To),
                  static_cast<long long>(Balance));
-    else if (Balance < 0)
-      Report.add(AuditRule::LinkBackPointerStale, ids({Edge.first,
-                                                       Edge.second}),
+    else
+      Report.add(AuditRule::LinkBackPointerStale, ids({From, To}),
                  "back-pointer %llu->%llu has no matching out-link "
                  "(imbalance %lld)",
-                 static_cast<ULL>(Edge.first), static_cast<ULL>(Edge.second),
+                 static_cast<ULL>(From), static_cast<ULL>(To),
                  static_cast<long long>(Balance));
-  }
+  });
 
   if (OutTotal != Links.LiveLinkCount)
     Report.add(AuditRule::LinkCountMismatch, {},
@@ -291,7 +347,7 @@ void check::checkLinkGraph(const LinkGraphState &Links,
   // Static edges of residents: materialized when the target is resident,
   // indexed in wants when it is absent — with matching multiplicity.
   for (const LinkGraphState::Node &N : Links.Nodes) {
-    if (!Resident.count(N.Id))
+    if (!IsResidentId(N.Id))
       continue;
     // Sorted unique targets: violation order must be deterministic, and
     // hash order is not (determinism.unordered-iteration).
@@ -303,7 +359,7 @@ void check::checkLinkGraph(const LinkGraphState &Links,
     for (SuperblockId To : Targets) {
       const int64_t Edges = CountIn(N.StaticEdges, To);
       const int64_t Materialized = CountIn(N.Out, To);
-      if (Resident.count(To)) {
+      if (IsResidentId(To)) {
         if (Materialized > Edges)
           Report.add(AuditRule::LinkWithoutStaticEdge, ids({N.Id, To}),
                      "%lld links %llu->%llu but only %lld static edges",
@@ -338,44 +394,43 @@ void check::checkLinkGraph(const LinkGraphState &Links,
 
   // The learned graph behind the views: every learned edge S->T appears
   // in T's reverse index with the same multiplicity, and nothing else
-  // does (std::map keeps the report order deterministic).
-  std::map<std::pair<SuperblockId, SuperblockId>, int64_t> Learned;
+  // does.
+  EdgeTally Learned;
   for (const LinkGraphState::Node &N : Links.Nodes) {
     for (SuperblockId To : N.LearnedEdges)
-      ++Learned[{N.Id, To}];
+      Learned.add(N.Id, To, +1);
     for (SuperblockId From : N.LearnedSources)
-      --Learned[{From, N.Id}];
+      Learned.add(From, N.Id, -1);
   }
-  for (const auto &[Edge, Balance] : Learned) {
+  Learned.forEachImbalance([&](SuperblockId From, SuperblockId To,
+                               int64_t Balance) {
     if (Balance > 0)
-      Report.add(AuditRule::LinkReverseEdgeMismatch,
-                 ids({Edge.first, Edge.second}),
+      Report.add(AuditRule::LinkReverseEdgeMismatch, ids({From, To}),
                  "learned edge %llu->%llu is missing from the reverse "
                  "index (imbalance %lld)",
-                 static_cast<ULL>(Edge.first), static_cast<ULL>(Edge.second),
+                 static_cast<ULL>(From), static_cast<ULL>(To),
                  static_cast<long long>(Balance));
-    else if (Balance < 0)
-      Report.add(AuditRule::LinkReverseEdgeMismatch,
-                 ids({Edge.first, Edge.second}),
+    else
+      Report.add(AuditRule::LinkReverseEdgeMismatch, ids({From, To}),
                  "reverse index names %llu as a source of %llu without a "
                  "learned edge (imbalance %lld)",
-                 static_cast<ULL>(Edge.first), static_cast<ULL>(Edge.second),
+                 static_cast<ULL>(From), static_cast<ULL>(To),
                  static_cast<long long>(Balance));
-  }
+  });
 
   // Wants hygiene: entries only for absent targets, only from resident
   // sources backed by a static edge.
   for (const LinkGraphState::Node &N : Links.Nodes) {
     if (N.Wants.empty())
       continue;
-    if (Resident.count(N.Id)) {
+    if (IsResidentId(N.Id)) {
       Report.add(AuditRule::LinkWantsStale, ids({N.Id}),
                  "resident block %llu still has %zu undrained wants entries",
                  static_cast<ULL>(N.Id), N.Wants.size());
       continue;
     }
     for (SuperblockId Source : N.Wants) {
-      if (!Resident.count(Source)) {
+      if (!IsResidentId(Source)) {
         Report.add(AuditRule::LinkWantsStale, ids({Source, N.Id}),
                    "wants entry for %llu names non-resident source %llu",
                    static_cast<ULL>(N.Id), static_cast<ULL>(Source));

@@ -4,6 +4,9 @@
 
 #include "concurrent/ThreadPool.h"
 
+#include <algorithm>
+#include <numeric>
+
 using namespace ccsim;
 
 void ccsim::recordSuiteMetrics(telemetry::TelemetrySink *Tel,
@@ -44,12 +47,33 @@ std::string ccsim::validateSweepGrid(const std::vector<SweepJob> &Jobs) {
   return {};
 }
 
+std::vector<Trace> ccsim::generateSuite(const std::vector<WorkloadModel> &Models,
+                                        uint64_t SuiteSeed, unsigned Threads) {
+  // Longest first, so the largest traces do not start last; each result
+  // is written to its model's index.
+  std::vector<size_t> Order(Models.size());
+  std::iota(Order.begin(), Order.end(), size_t{0});
+  std::stable_sort(Order.begin(), Order.end(), [&](size_t A, size_t B) {
+    return Models[A].effectiveNumAccesses() > Models[B].effectiveNumAccesses();
+  });
+  std::vector<Trace> Traces(Models.size());
+  const unsigned Workers =
+      Threads ? Threads : ThreadPool::hardwareThreads();
+  ThreadPool Pool(std::max(1u, std::min<unsigned>(Workers, Models.size())));
+  Pool.parallelFor(
+      Order.size(),
+      [&](size_t K) {
+        const size_t I = Order[K];
+        Traces[I] = TraceGenerator::generateBenchmark(Models[I], SuiteSeed);
+      },
+      /*ChunkSize=*/1);
+  return Traces;
+}
+
 SweepEngine::SweepEngine(const std::vector<WorkloadModel> &Models,
-                         uint64_t SuiteSeed) {
-  Traces.reserve(Models.size());
-  for (const WorkloadModel &M : Models)
-    Traces.push_back(TraceGenerator::generateBenchmark(M, SuiteSeed));
-  setNumThreads(0);
+                         uint64_t SuiteSeed, unsigned Threads)
+    : Traces(generateSuite(Models, SuiteSeed, Threads)) {
+  setNumThreads(Threads);
 }
 
 SweepEngine::SweepEngine(std::vector<Trace> TraceList)
@@ -61,12 +85,13 @@ void SweepEngine::setNumThreads(unsigned Threads) {
   NumThreads = Threads ? Threads : ThreadPool::hardwareThreads();
 }
 
-SweepEngine SweepEngine::forScaledTable1(double Factor, uint64_t SuiteSeed) {
+SweepEngine SweepEngine::forScaledTable1(double Factor, uint64_t SuiteSeed,
+                                         unsigned Threads) {
   std::vector<WorkloadModel> Scaled;
   Scaled.reserve(table1Workloads().size());
   for (const WorkloadModel &M : table1Workloads())
     Scaled.push_back(workloadAtScale(M, Factor));
-  return SweepEngine(Scaled, SuiteSeed);
+  return SweepEngine(Scaled, SuiteSeed, Threads);
 }
 
 std::vector<SweepJob>

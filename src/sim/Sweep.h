@@ -93,14 +93,24 @@ std::string validateSweepGrid(const std::vector<SweepJob> &Jobs);
 void recordSuiteMetrics(telemetry::TelemetrySink *Tel,
                         const SuiteResult &Result);
 
+/// The one suite generator: Models[I]'s trace, from its own seed-derived
+/// stream (TraceGenerator::generateBenchmark), lands in slot I. Traces are
+/// built on a pool of \p Threads workers (0 = ThreadPool::hardwareThreads(),
+/// 1 = inline), longest access budget first, so the result is
+/// byte-identical at any worker count.
+std::vector<Trace> generateSuite(const std::vector<WorkloadModel> &Models,
+                                 uint64_t SuiteSeed, unsigned Threads);
+
 /// Generates and owns the traces for a benchmark suite. Grids run over
 /// it through multisweep::runSweepGrid; runSuite replays the suite under
 /// one policy, including policies a GranularitySpec cannot name.
 class SweepEngine {
 public:
   /// Generates traces for \p Models with per-benchmark seeds derived from
-  /// \p SuiteSeed.
-  SweepEngine(const std::vector<WorkloadModel> &Models, uint64_t SuiteSeed);
+  /// \p SuiteSeed (generateSuite), on \p Threads workers, which then run
+  /// the engine's grids (setNumThreads).
+  SweepEngine(const std::vector<WorkloadModel> &Models, uint64_t SuiteSeed,
+              unsigned Threads = 0);
 
   /// Engine over explicit, pre-generated traces (adversarial suites,
   /// saved logs). Takes ownership; traces must be validate()-clean and
@@ -110,8 +120,10 @@ public:
 
   /// Engine over Table 1 at a --scale value (workloadAtScale): the
   /// paper's full suite at 1, a size-scaled copy for fast runs below.
+  /// \p Threads (a --jobs count) builds the suite and runs its grids.
   static SweepEngine forScaledTable1(double Factor,
-                                     uint64_t SuiteSeed = DefaultSuiteSeed);
+                                     uint64_t SuiteSeed = DefaultSuiteSeed,
+                                     unsigned Threads = 0);
 
   const std::vector<Trace> &traces() const { return Traces; }
 

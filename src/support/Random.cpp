@@ -7,26 +7,10 @@
 
 using namespace ccsim;
 
-static uint64_t rotl(uint64_t X, int K) {
-  return (X << K) | (X >> (64 - K));
-}
-
 Rng::Rng(uint64_t Seed) {
   SplitMix64 Seeder(Seed);
   for (auto &Word : State)
     Word = Seeder.next();
-}
-
-uint64_t Rng::next64() {
-  const uint64_t Result = rotl(State[0] + State[3], 23) + State[0];
-  const uint64_t T = State[1] << 17;
-  State[2] ^= State[0];
-  State[3] ^= State[1];
-  State[1] ^= State[2];
-  State[0] ^= State[3];
-  State[2] ^= T;
-  State[3] = rotl(State[3], 45);
-  return Result;
 }
 
 uint64_t Rng::nextBelow(uint64_t Bound) {
@@ -44,19 +28,6 @@ int64_t Rng::nextRange(int64_t Lo, int64_t Hi) {
   CCSIM_ASSERT(Lo <= Hi, "nextRange requires Lo <= Hi");
   const uint64_t Span = static_cast<uint64_t>(Hi - Lo) + 1;
   return Lo + static_cast<int64_t>(nextBelow(Span));
-}
-
-double Rng::nextDouble() {
-  // 53 high-quality bits into [0, 1).
-  return static_cast<double>(next64() >> 11) * 0x1.0p-53;
-}
-
-bool Rng::nextBool(double P) {
-  if (P <= 0.0)
-    return false;
-  if (P >= 1.0)
-    return true;
-  return nextDouble() < P;
 }
 
 double Rng::nextNormal() {
@@ -85,18 +56,6 @@ double Rng::nextLognormal(double Mu, double Sigma) {
   return std::exp(nextNormal(Mu, Sigma));
 }
 
-uint64_t Rng::nextGeometric(double P) {
-  CCSIM_ASSERT(P > 0.0 && P <= 1.0, "geometric probability out of range");
-  if (P >= 1.0)
-    return 0;
-  // Inverse transform on the continuous exponential, then floor.
-  double U;
-  do {
-    U = nextDouble();
-  } while (U <= 0.0);
-  return static_cast<uint64_t>(std::floor(std::log(U) / std::log1p(-P)));
-}
-
 double Rng::nextExponential(double Lambda) {
   CCSIM_ASSERT(Lambda > 0.0, "exponential rate must be positive");
   double U;
@@ -122,9 +81,11 @@ uint64_t Rng::nextPoisson(double Lambda) {
 
 Rng Rng::fork() {
   // Derive a child seed from two draws; the child reseeds via SplitMix64,
-  // which decorrelates its stream from the parent's continuation.
-  const uint64_t ChildSeed = next64() ^ rotl(next64(), 32);
-  return Rng(ChildSeed);
+  // which decorrelates its stream from the parent's continuation. The
+  // draws are sequenced: operand order within ^ is unspecified.
+  const uint64_t First = next64();
+  const uint64_t Second = next64();
+  return Rng(First ^ std::rotl(Second, 32));
 }
 
 ZipfSampler::ZipfSampler(size_t N, double S) {

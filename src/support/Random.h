@@ -16,7 +16,10 @@
 #ifndef CCSIM_SUPPORT_RANDOM_H
 #define CCSIM_SUPPORT_RANDOM_H
 
-#include <cassert>
+#include "support/Contracts.h"
+
+#include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -50,8 +53,19 @@ public:
   /// Seeds the four state words from \p Seed via SplitMix64.
   explicit Rng(uint64_t Seed = 0x5eed5eed5eedULL);
 
-  /// Returns the next raw 64-bit value.
-  uint64_t next64();
+  /// Returns the next raw 64-bit value. next64, nextDouble and nextBool
+  /// are inline: trace synthesis makes several draws per access.
+  uint64_t next64() {
+    const uint64_t Result = std::rotl(State[0] + State[3], 23) + State[0];
+    const uint64_t T = State[1] << 17;
+    State[2] ^= State[0];
+    State[3] ^= State[1];
+    State[1] ^= State[2];
+    State[0] ^= State[3];
+    State[2] ^= T;
+    State[3] = std::rotl(State[3], 45);
+    return Result;
+  }
 
   /// Returns a uniformly distributed value in [0, Bound). \p Bound must be
   /// nonzero. Uses rejection sampling to avoid modulo bias.
@@ -61,11 +75,20 @@ public:
   /// [\p Lo, \p Hi]. Requires Lo <= Hi.
   int64_t nextRange(int64_t Lo, int64_t Hi);
 
-  /// Returns a double uniformly distributed in [0, 1).
-  double nextDouble();
+  /// Returns a double uniformly distributed in [0, 1): 53 bits.
+  double nextDouble() {
+    return static_cast<double>(next64() >> 11) * 0x1.0p-53;
+  }
 
-  /// Returns true with probability \p P (clamped to [0, 1]).
-  bool nextBool(double P);
+  /// Returns true with probability \p P (clamped to [0, 1]); draws
+  /// nothing when P is 0 or below, or 1 or above.
+  bool nextBool(double P) {
+    if (P <= 0.0)
+      return false;
+    if (P >= 1.0)
+      return true;
+    return nextDouble() < P;
+  }
 
   /// Standard normal variate (Box-Muller; caches the second value).
   double nextNormal();
@@ -76,10 +99,6 @@ public:
   /// Lognormal variate: exp(N(Mu, Sigma)). The median of the distribution
   /// is exp(Mu) and the mean is exp(Mu + Sigma^2 / 2).
   double nextLognormal(double Mu, double Sigma);
-
-  /// Geometric variate counting failures before the first success with
-  /// success probability \p P in (0, 1]. Returns values in {0, 1, 2, ...}.
-  uint64_t nextGeometric(double P);
 
   /// Exponential variate with rate \p Lambda > 0.
   double nextExponential(double Lambda);
@@ -113,6 +132,48 @@ public:
 
 private:
   std::vector<double> Cdf;
+};
+
+/// Precomputed Geometric(P) sampler: failures before the first success,
+/// values in {0, 1, 2, ...}. log1p(-P) is taken once, at construction;
+/// each draw is floor(log(U) / log1p(-P)) for U = nextDouble() redrawn
+/// while 0. The quotient of two negatives is positive, so truncation is
+/// that floor. P = 1 returns 0 and draws nothing.
+class GeometricSampler {
+public:
+  /// \p P must lie in (0, 1].
+  explicit GeometricSampler(double P)
+      : Certain(P >= 1.0), LogFailure(Certain ? 0.0 : std::log1p(-P)),
+        ZeroFrom((1.0 - P) * (1.0 + 0x1p-30)) {
+    CCSIM_ASSERT(P > 0.0 && P <= 1.0, "geometric probability out of range");
+  }
+
+  uint64_t sample(Rng &R) const {
+    if (Certain)
+      return 0;
+    double U;
+    do {
+      U = R.nextDouble();
+    } while (U <= 0.0);
+    return fromUniform(U);
+  }
+
+  /// floor(log(U) / log1p(-P)) for \p U in (0, 1).
+  uint64_t fromUniform(double U) const {
+    // U >= ZeroFrom means U > (1 - P)(1 + 2^-31), so the exact quotient
+    // is below 1 - 2^-31 / |ln(1 - P)|, and |ln(1 - P)| <= 53 ln 2 for a
+    // double P < 1. Rounding in log, log1p and the division moves the
+    // quotient by a few parts in 2^52, far less than that gap, so the
+    // result is 0 and the log can be skipped.
+    if (U >= ZeroFrom)
+      return 0;
+    return static_cast<uint64_t>(std::log(U) / LogFailure);
+  }
+
+private:
+  bool Certain;      ///< P >= 1: no draw, always 0.
+  double LogFailure; ///< log1p(-P), negative unless Certain.
+  double ZeroFrom;   ///< Every U at or above it yields 0.
 };
 
 /// Samples an index from an arbitrary non-negative weight vector.

@@ -35,7 +35,8 @@ void TraceGenerator::generateLinks(const WorkloadModel &Model, Trace &T) {
   // the out-degree budget is Poisson-distributed ordinary links.
   const double OrdinaryMean =
       std::max(0.0, Model.MeanOutDegree - Model.SelfLoopFraction);
-  const double GeoP = 1.0 / std::max(1.0, Model.LinkDistanceMean);
+  const GeometricSampler LinkDistance(
+      1.0 / std::max(1.0, Model.LinkDistanceMean));
 
   for (SuperblockId Id = 0; Id < N; ++Id) {
     SuperblockDef &B = T.Blocks[Id];
@@ -54,7 +55,7 @@ void TraceGenerator::generateLinks(const WorkloadModel &Model, Trace &T) {
         // Local link: distance-geometric in discovery order, either
         // direction. Chained code is discovered close together.
         const int64_t Distance =
-            1 + static_cast<int64_t>(R.nextGeometric(GeoP));
+            1 + static_cast<int64_t>(LinkDistance.sample(R));
         const int64_t Signed = R.nextBool(0.5) ? Distance : -Distance;
         int64_t Raw = static_cast<int64_t>(Id) + Signed;
         Raw = std::clamp<int64_t>(Raw, 0, static_cast<int64_t>(N) - 1);
@@ -84,7 +85,8 @@ void TraceGenerator::generateAccesses(const WorkloadModel &Model, Trace &T) {
   // Inner repeats: mean total executions per visit is MeanInnerRepeats,
   // i.e. 1 + Geometric with mean (MeanInnerRepeats - 1).
   const double ExtraRepeats = std::max(0.0, Model.MeanInnerRepeats - 1.0);
-  const double RepeatGeoP = 1.0 / (1.0 + ExtraRepeats);
+  const GeometricSampler ExtraRepeat(1.0 / (1.0 + ExtraRepeats));
+  const GeometricSampler Jitter(Model.OrderJitterGeoP);
 
   uint32_t Introduced = 0; // Ids [0, Introduced) have been discovered.
   std::vector<uint32_t> Order;
@@ -114,7 +116,7 @@ void TraceGenerator::generateAccesses(const WorkloadModel &Model, Trace &T) {
     std::iota(Order.begin(), Order.end(), Start);
     for (uint32_t I = 0; I + 1 < WsSize; ++I) {
       const uint32_t Jump = static_cast<uint32_t>(std::min<uint64_t>(
-          R.nextGeometric(Model.OrderJitterGeoP), WsSize - 1 - I));
+          Jitter.sample(R), WsSize - 1 - I));
       std::swap(Order[I], Order[I + Jump]);
     }
 
@@ -145,7 +147,7 @@ void TraceGenerator::generateAccesses(const WorkloadModel &Model, Trace &T) {
               static_cast<SuperblockId>(R.nextBelow(Introduced)));
           ++Emitted;
         }
-        const uint64_t Repeats = 1 + R.nextGeometric(RepeatGeoP);
+        const uint64_t Repeats = 1 + ExtraRepeat.sample(R);
         for (uint64_t Rep = 0; Rep < Repeats && Emitted < PhaseBudget;
              ++Rep) {
           T.Accesses.push_back(Order[I]);

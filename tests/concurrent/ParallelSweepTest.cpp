@@ -3,6 +3,7 @@
 #include "sim/Sweep.h"
 
 #include "multisweep/MultiConfigEngine.h"
+#include "trace/TraceIO.h"
 #include "gtest/gtest.h"
 
 using namespace ccsim;
@@ -82,6 +83,43 @@ TEST(ParallelSweepTest, RunParallelMatchesSerialOnFig7StyleGrid) {
         expectIdentical(Expected[I], Actual[I]);
     }
   }
+}
+
+TEST(ParallelSweepTest, SuiteGeneratorIsByteIdenticalAtAnyWorkerCount) {
+  // Every benchmark draws from its own seed-derived stream, so the pool
+  // size and the longest-first order change nothing: each trace's .cct
+  // image equals the serial generateBenchmark's, in model order.
+  std::vector<WorkloadModel> Models;
+  for (const WorkloadModel &M : table1Workloads())
+    Models.push_back(scaledWorkload(M, 0.04));
+  Models.push_back(*findWorkload("gzip")); // One full-size model too.
+  for (uint64_t Seed : {uint64_t(DefaultSuiteSeed), uint64_t(0x1234)}) {
+    std::vector<std::vector<uint8_t>> Serial;
+    for (const WorkloadModel &M : Models)
+      Serial.push_back(
+          serializeTrace(TraceGenerator::generateBenchmark(M, Seed)));
+    for (unsigned Workers : {1u, 2u, 4u}) {
+      SCOPED_TRACE("workers " + std::to_string(Workers));
+      const std::vector<Trace> Suite = generateSuite(Models, Seed, Workers);
+      ASSERT_EQ(Suite.size(), Models.size());
+      for (size_t I = 0; I < Models.size(); ++I) {
+        EXPECT_EQ(Suite[I].Name, Models[I].Name);
+        EXPECT_TRUE(serializeTrace(Suite[I]) == Serial[I]) << Models[I].Name;
+      }
+    }
+  }
+  // The engine constructor takes the same path: its --jobs count builds
+  // the suite and runs the grids.
+  const SweepEngine Engine =
+      SweepEngine::forScaledTable1(0.04, DefaultSuiteSeed, 3);
+  EXPECT_EQ(Engine.numThreads(), 3u);
+  ASSERT_EQ(Engine.traces().size(), table1Workloads().size());
+  for (size_t I = 0; I < Engine.traces().size(); ++I)
+    EXPECT_TRUE(serializeTrace(Engine.traces()[I]) ==
+                serializeTrace(TraceGenerator::generateBenchmark(
+                    scaledWorkload(table1Workloads()[I], 0.04),
+                    DefaultSuiteSeed)))
+        << table1Workloads()[I].Name;
 }
 
 TEST(ParallelSweepTest, RunParallelIsRepeatable) {

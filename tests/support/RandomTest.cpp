@@ -162,19 +162,97 @@ TEST(RngTest, LognormalMedianAndMean) {
 
 TEST(RngTest, GeometricMean) {
   Rng R(47);
-  const double P = 0.25;
+  const GeometricSampler Geo(0.25);
   const int N = 50000;
   double Sum = 0.0;
   for (int I = 0; I < N; ++I)
-    Sum += static_cast<double>(R.nextGeometric(P));
+    Sum += static_cast<double>(Geo.sample(R));
   // Mean of failures-before-success geometric = (1 - P) / P = 3.
   EXPECT_NEAR(Sum / N, 3.0, 0.15);
 }
 
 TEST(RngTest, GeometricOneAlwaysZero) {
   Rng R(53);
+  const GeometricSampler Geo(1.0);
   for (int I = 0; I < 100; ++I)
-    EXPECT_EQ(R.nextGeometric(1.0), 0u);
+    EXPECT_EQ(Geo.sample(R), 0u);
+}
+
+// The sampler is the inverse transform the generator always used, with
+// log1p(-P) hoisted: every draw must equal floor(log(U) / log1p(-P)) over
+// the same U, and consume exactly the draws that formula does.
+TEST(GeometricSamplerTest, MatchesFloorOfLogQuotient) {
+  const double Ps[] = {1e-9, 1e-4,   0.01, 0.1,   0.25,       0.4,
+                       0.5,  0.6875, 0.75, 0.999, 1.0 - 1e-9, 1.0};
+  for (uint64_t Seed : {1ULL, 7ULL, 42ULL, 0xdeadbeefULL, ~0ULL}) {
+    for (double P : Ps) {
+      Rng Sampled(Seed), Reference(Seed);
+      const GeometricSampler Geo(P);
+      for (int I = 0; I < 2000; ++I) {
+        uint64_t Want = 0;
+        if (P < 1.0) {
+          double U;
+          do {
+            U = Reference.nextDouble();
+          } while (U <= 0.0);
+          Want = static_cast<uint64_t>(
+              std::floor(std::log(U) / std::log1p(-P)));
+        }
+        ASSERT_EQ(Geo.sample(Sampled), Want)
+            << "p " << P << " seed " << Seed << " draw " << I;
+      }
+      EXPECT_EQ(Sampled.next64(), Reference.next64())
+          << "p " << P << " seed " << Seed << ": streams diverged";
+    }
+  }
+}
+
+TEST(GeometricSamplerTest, ZeroShortcutMatchesTheFormulaNearItsEdge) {
+  // Values of U at or above (1 - p)(1 + 2^-30) skip the log: compare the
+  // result with the formula on every double within 2^15 steps of that
+  // edge and of 1 - p, where the quotient crosses 1.
+  for (double P : {1e-9, 0.01, 0.25, 0.4, 0.5875, 0.9, 0.999, 1.0 - 1e-9}) {
+    const GeometricSampler Geo(P);
+    const double L = std::log1p(-P);
+    for (double Edge : {1.0 - P, (1.0 - P) * (1.0 + 0x1p-30)}) {
+      double Up = Edge, Down = Edge;
+      for (int Step = 0; Step < (1 << 15); ++Step) {
+        for (double U : {Up, Down})
+          if (U > 0.0 && U < 1.0)
+            ASSERT_EQ(Geo.fromUniform(U),
+                      static_cast<uint64_t>(std::floor(std::log(U) / L)))
+                << "p " << P << " U " << U;
+        Up = std::nextafter(Up, 2.0);
+        Down = std::nextafter(Down, 0.0);
+      }
+    }
+  }
+}
+
+TEST(GeometricSamplerTest, CertainSuccessDrawsNothing) {
+  for (uint64_t Seed : {3ULL, 42ULL, ~0ULL}) {
+    Rng Sampled(Seed), Untouched(Seed);
+    const GeometricSampler Geo(1.0);
+    for (int I = 0; I < 100; ++I)
+      EXPECT_EQ(Geo.sample(Sampled), 0u);
+    EXPECT_EQ(Sampled.next64(), Untouched.next64()) << "seed " << Seed;
+  }
+}
+
+TEST(RngTest, ForkDrawsFirstThenRotatedSecond) {
+  // fork() seeds the child from First ^ rotl(Second, 32) of the parent's
+  // next two draws; pinned so the sequencing never depends on operand
+  // order.
+  for (uint64_t Seed : {1ULL, 42ULL, 0xdeadbeefULL}) {
+    Rng Parent(Seed), Mirror(Seed);
+    Rng Child = Parent.fork();
+    const uint64_t First = Mirror.next64();
+    const uint64_t Second = Mirror.next64();
+    Rng Expected(First ^ ((Second << 32) | (Second >> 32)));
+    EXPECT_EQ(Child.next64(), Expected.next64()) << "seed " << Seed;
+    EXPECT_EQ(Parent.next64(), Mirror.next64()) << "seed " << Seed;
+  }
+  EXPECT_EQ(Rng(42).fork().next64(), 9400098921217939980ULL);
 }
 
 TEST(RngTest, ExponentialMean) {
@@ -276,7 +354,8 @@ TEST_P(RngSeedTest, AllDistributionsDeterministic) {
     EXPECT_EQ(A.nextBelow(1000), B.nextBelow(1000));
     EXPECT_DOUBLE_EQ(A.nextDouble(), B.nextDouble());
     EXPECT_DOUBLE_EQ(A.nextNormal(), B.nextNormal());
-    EXPECT_EQ(A.nextGeometric(0.3), B.nextGeometric(0.3));
+    EXPECT_EQ(GeometricSampler(0.3).sample(A),
+              GeometricSampler(0.3).sample(B));
     EXPECT_EQ(A.nextPoisson(1.7), B.nextPoisson(1.7));
   }
 }

@@ -152,3 +152,80 @@ TEST(TraceGeneratorTest, FullSizeGzipMatchesPaperMaxCache) {
   EXPECT_NEAR(static_cast<double>(T.maxCacheBytes()) / (171.0 * 1024.0),
               1.0, 0.25);
 }
+
+namespace {
+
+/// FNV-1a over every field the generator draws: each block's size and
+/// out-edges, then the access stream, each list prefixed by its length.
+class TraceDigest {
+public:
+  void add(const Trace &T) {
+    word(T.Blocks.size());
+    for (const SuperblockDef &B : T.Blocks) {
+      word(B.SizeBytes);
+      word(B.OutEdges.size());
+      for (SuperblockId To : B.OutEdges)
+        word(To);
+    }
+    word(T.Accesses.size());
+    for (SuperblockId Id : T.Accesses)
+      word(Id);
+  }
+  uint64_t value() const { return Hash; }
+
+private:
+  uint64_t Hash = 1469598103934665603ULL;
+  void word(uint64_t Value) {
+    for (int Byte = 0; Byte < 8; ++Byte) {
+      Hash ^= (Value >> (8 * Byte)) & 0xFF;
+      Hash *= 1099511628211ULL;
+    }
+  }
+};
+
+/// Digest of the Table 1 suite at \p Scale (workloadAtScale), generated
+/// one benchmark after another in suite order.
+uint64_t suiteDigest(double Scale, uint64_t Seed) {
+  TraceDigest D;
+  for (const WorkloadModel &M : table1Workloads())
+    D.add(TraceGenerator::generateBenchmark(workloadAtScale(M, Scale), Seed));
+  return D.value();
+}
+
+constexpr uint64_t SuiteSeed = 0xCC512004ULL; // DefaultSuiteSeed.
+
+} // namespace
+
+// The generator's bit-identity contract (DESIGN §2): these digests were
+// computed before the geometric sampler and the inline draws replaced
+// Rng::nextGeometric, and every later change to synthesis must keep them.
+TEST(TraceGeneratorTest, SuiteDigestPinnedAtSmallScales) {
+  struct Pin {
+    double Scale;
+    uint64_t Seed;
+    uint64_t Digest;
+  };
+  const Pin Pins[] = {
+      {0.02, SuiteSeed, 0xbb9b861e1f42445bULL},
+      {0.1, SuiteSeed, 0x6556b4016d5d647bULL},
+      {0.02, 42, 0xe8a3559e8e21edf5ULL},
+      {0.1, 42, 0xe0245f801a5e3e6aULL},
+  };
+  for (const Pin &P : Pins)
+    EXPECT_EQ(suiteDigest(P.Scale, P.Seed), P.Digest)
+        << "scale " << P.Scale << " seed " << P.Seed << ": digest 0x"
+        << std::hex << suiteDigest(P.Scale, P.Seed);
+}
+
+TEST(TraceGeneratorTest, FullScaleBenchmarkDigestPinned) {
+  // word is the largest Table 1 model (18043 blocks, 2.2 M accesses).
+  const WorkloadModel &Word = *findWorkload("word");
+  const std::pair<uint64_t, uint64_t> Pins[] = {{SuiteSeed, 0x204709802cefb944ULL},
+                                                {42, 0x28fdbccc448dee1aULL}};
+  for (const auto &[Seed, Digest] : Pins) {
+    TraceDigest D;
+    D.add(TraceGenerator::generateBenchmark(Word, Seed));
+    EXPECT_EQ(D.value(), Digest)
+        << "seed " << Seed << ": digest 0x" << std::hex << D.value();
+  }
+}
