@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <iterator>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -86,29 +85,31 @@ LinkGraphState check::captureLinkGraph(const LinkGraph &Links,
   LinkGraphState State;
   State.LiveLinkCount = Links.numLinks();
   const LinkTopology &Learned = Links.topology();
-  // A read-only topology spans every id of its trace, touched or not.
-  // Views live only on residents and on their edges' targets (the wants
-  // entries), so nodes stop past the highest of those ids; the learned
-  // lists keep only ids inside that range, so the reverse-edge rule
-  // compares the same edges from both sides.
-  size_t Bound = 0;
-  Cache.forEachResident([&](const CodeCache::Resident &R) {
-    Bound = std::max<size_t>(Bound, size_t{R.Id} + 1);
-    for (SuperblockId To : Learned.edgesOf(R.Id))
-      Bound = std::max<size_t>(Bound, size_t{To} + 1);
-  });
-  Bound = std::min(Bound, Learned.size());
-  const auto InRange = [Bound](SuperblockId Id) { return Id < Bound; };
-  State.Nodes.resize(Bound);
-  for (SuperblockId Id = 0; Id < Bound; ++Id) {
+  // A learning topology holds only the ids its owner installed: each gets
+  // a node with its learned lists. A read-only topology spans every id of
+  // its trace, touched or not, and cannot change after fromBlocks, so its
+  // learned lists are not captured, and its nodes stop past the highest
+  // resident or resident edge target, the last id a view can name.
+  const bool ReadOnly = Learned.readOnly();
+  size_t NodeCount = Learned.size();
+  if (ReadOnly) {
+    NodeCount = 0;
+    Cache.forEachResident([&](const CodeCache::Resident &R) {
+      NodeCount = std::max<size_t>(NodeCount, size_t{R.Id} + 1);
+      for (SuperblockId To : Learned.edgesOf(R.Id))
+        NodeCount = std::max<size_t>(NodeCount, size_t{To} + 1);
+    });
+  }
+  State.Nodes.resize(NodeCount);
+  for (SuperblockId Id = 0; Id < NodeCount; ++Id) {
     LinkGraphState::Node &N = State.Nodes[Id];
     N.Id = Id;
     const std::span<const SuperblockId> Edges = Learned.edgesOf(Id);
     const std::span<const SuperblockId> Sources = Learned.sourcesOf(Id);
-    std::copy_if(Edges.begin(), Edges.end(),
-                 std::back_inserter(N.LearnedEdges), InRange);
-    std::copy_if(Sources.begin(), Sources.end(),
-                 std::back_inserter(N.LearnedSources), InRange);
+    if (!ReadOnly) {
+      N.LearnedEdges.assign(Edges.begin(), Edges.end());
+      N.LearnedSources.assign(Sources.begin(), Sources.end());
+    }
     // The views a list-keeping back-pointer table would hold: out-links
     // come from the learned edges, back-pointers and wants from the
     // reverse index, so the mirror rules cross-check the two.

@@ -81,11 +81,9 @@ uint64_t Rng::nextPoisson(double Lambda) {
 
 Rng Rng::fork() {
   // Derive a child seed from two draws; the child reseeds via SplitMix64,
-  // which decorrelates its stream from the parent's continuation. The
-  // draws are sequenced: operand order within ^ is unspecified.
-  const uint64_t First = next64();
-  const uint64_t Second = next64();
-  return Rng(First ^ std::rotl(Second, 32));
+  // which decorrelates its stream from the parent's continuation.
+  const uint64_t ChildSeed = next64() ^ std::rotl(next64(), 32);
+  return Rng(ChildSeed);
 }
 
 ZipfSampler::ZipfSampler(size_t N, double S) {

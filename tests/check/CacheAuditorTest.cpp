@@ -231,6 +231,69 @@ TEST(CacheAuditorTest, CapturesMirrorLiveState) {
   EXPECT_TRUE(Stats.ChainingEnabled);
 }
 
+TEST(CacheAuditorTest, LearningCaptureKeepsEveryLearnedIdAfterAFlush) {
+  // A learning topology holds only the ids its owner installed, and the
+  // snapshot keeps a node, learned lists and all, for each of them: after
+  // a flush leaves one low resident, the reverse-edge rule still covers
+  // the highest learned id, which is evicted.
+  CacheEngineConfig Config;
+  Config.CapacityBytes = 4096;
+  CacheEngine Manager(Config, makePolicy(GranularitySpec::units(4)));
+  for (SuperblockId Id = 0; Id < 20; ++Id)
+    Manager.access(rec(Id, 100, {static_cast<SuperblockId>((Id + 1) % 20)}));
+  Manager.flushEntireCache();
+  Manager.access(rec(0, 100, {1}));
+  ASSERT_EQ(Manager.cache().residentCount(), 1u);
+  EXPECT_TRUE(CacheAuditor().auditManager(Manager).clean());
+
+  const CodeCacheState Cache = captureCodeCache(Manager.cache());
+  LinkGraphState Links = captureLinkGraph(Manager.links(), Manager.cache());
+  ASSERT_EQ(Links.Nodes.size(), Manager.links().topology().size());
+  const SuperblockId Highest = 19;
+  EXPECT_EQ(Links.Nodes[Highest].LearnedEdges, std::vector<SuperblockId>{0});
+  EXPECT_EQ(Links.Nodes[Highest].LearnedSources,
+            std::vector<SuperblockId>{18});
+
+  // The learned edge 18->19 loses its reverse entry.
+  Links.Nodes[Highest].LearnedSources.clear();
+  AuditReport Report;
+  checkLinkGraph(Links, Cache, Report);
+  EXPECT_TRUE(Report.has(AuditRule::LinkReverseEdgeMismatch));
+  EXPECT_EQ(Report.size(), 1u) << Report.render();
+}
+
+TEST(CacheAuditorTest, ReadOnlyCaptureStopsPastTheLastViewedId) {
+  // A read-only topology spans every id of its trace. The snapshot's
+  // nodes stop past the highest resident or resident edge target, so the
+  // highest wants entry keeps its node, and no learned lists are copied.
+  struct Block {
+    std::vector<SuperblockId> OutEdges;
+  };
+  std::vector<Block> Blocks(100);
+  for (SuperblockId Id = 0; Id < Blocks.size(); ++Id)
+    Blocks[Id].OutEdges = {static_cast<SuperblockId>((Id + 1) % 100)};
+  const LinkTopology Topology = LinkTopology::fromBlocks(Blocks);
+  CacheEngineConfig Config;
+  Config.CapacityBytes = 4096;
+  Config.Topology = &Topology;
+  CacheEngine Manager(Config, makePolicy(GranularitySpec::units(4)));
+  for (SuperblockId Id = 0; Id < 10; ++Id)
+    Manager.access(rec(Id, 100, Blocks[Id].OutEdges));
+  ASSERT_EQ(Manager.cache().residentCount(), 10u);
+  EXPECT_TRUE(CacheAuditor().auditManager(Manager).clean());
+
+  LinkGraphState Links = captureLinkGraph(Manager.links(), Manager.cache());
+  ASSERT_EQ(Links.Nodes.size(), 11u);
+  EXPECT_EQ(Links.Nodes[10].Wants, std::vector<SuperblockId>{9});
+  for (const LinkGraphState::Node &N : Links.Nodes)
+    EXPECT_TRUE(N.LearnedEdges.empty() && N.LearnedSources.empty());
+
+  Manager.flushEntireCache();
+  Links = captureLinkGraph(Manager.links(), Manager.cache());
+  EXPECT_TRUE(Links.Nodes.empty());
+  EXPECT_TRUE(CacheAuditor().auditManager(Manager).clean());
+}
+
 // --- Seeded corruption: CodeCache rules ----------------------------------
 
 TEST(CacheAuditorCorruptionTest, CleanCacheBaseline) {

@@ -217,11 +217,13 @@ TEST(GeometricSamplerTest, ZeroShortcutMatchesTheFormulaNearItsEdge) {
     for (double Edge : {1.0 - P, (1.0 - P) * (1.0 + 0x1p-30)}) {
       double Up = Edge, Down = Edge;
       for (int Step = 0; Step < (1 << 15); ++Step) {
-        for (double U : {Up, Down})
-          if (U > 0.0 && U < 1.0)
+        for (double U : {Up, Down}) {
+          if (U > 0.0 && U < 1.0) {
             ASSERT_EQ(Geo.fromUniform(U),
                       static_cast<uint64_t>(std::floor(std::log(U) / L)))
                 << "p " << P << " U " << U;
+          }
+        }
         Up = std::nextafter(Up, 2.0);
         Down = std::nextafter(Down, 0.0);
       }
@@ -237,22 +239,6 @@ TEST(GeometricSamplerTest, CertainSuccessDrawsNothing) {
       EXPECT_EQ(Geo.sample(Sampled), 0u);
     EXPECT_EQ(Sampled.next64(), Untouched.next64()) << "seed " << Seed;
   }
-}
-
-TEST(RngTest, ForkDrawsFirstThenRotatedSecond) {
-  // fork() seeds the child from First ^ rotl(Second, 32) of the parent's
-  // next two draws; pinned so the sequencing never depends on operand
-  // order.
-  for (uint64_t Seed : {1ULL, 42ULL, 0xdeadbeefULL}) {
-    Rng Parent(Seed), Mirror(Seed);
-    Rng Child = Parent.fork();
-    const uint64_t First = Mirror.next64();
-    const uint64_t Second = Mirror.next64();
-    Rng Expected(First ^ ((Second << 32) | (Second >> 32)));
-    EXPECT_EQ(Child.next64(), Expected.next64()) << "seed " << Seed;
-    EXPECT_EQ(Parent.next64(), Mirror.next64()) << "seed " << Seed;
-  }
-  EXPECT_EQ(Rng(42).fork().next64(), 9400098921217939980ULL);
 }
 
 TEST(RngTest, ExponentialMean) {
