@@ -35,7 +35,7 @@
 #include "concurrent/SharedEngineRunner.h"
 #include "concurrent/ThreadPool.h"
 #include "runtime/ConcurrentInstaller.h"
-#include "service/LoadDriver.h"
+#include "service/SimService.h"
 #include "trace/TraceGenerator.h"
 #include "trace/WorkloadModel.h"
 
@@ -58,16 +58,57 @@ struct EngineRow {
   bool AuditClean = false;
 };
 
+/// Exact accounting of one sustained-load row.
 struct LoadRow {
   const char *Policy = "";
   double ElapsedMs = 0.0;
-  service::LoadDriverReport Report;
+  uint64_t Submitted = 0;
+  uint64_t ByStatus[8] = {}; ///< Indexed by service::JobStatus.
+  uint64_t AccessesReplayed = 0; ///< Sum of Stats.Accesses over Done jobs.
+  /// Every job reached exactly one terminal state and the per-state
+  /// tallies sum to Submitted (the service conservation law).
+  bool Accounted = false;
+
+  uint64_t count(service::JobStatus S) const {
+    return ByStatus[static_cast<size_t>(S)];
+  }
 };
 
 double msSince(std::chrono::steady_clock::time_point Start) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - Start)
       .count();
+}
+
+/// Submits \p Jobs copies of \p Proto to a service shaped by \p SC,
+/// drains it, and tallies every terminal outcome.
+LoadRow runSustainedLoad(const service::ReplayJob &Proto, uint64_t Jobs,
+                         const service::SimServiceConfig &SC) {
+  LoadRow Row;
+  Row.Policy = service::backpressurePolicyName(SC.Pressure);
+  const auto Start = std::chrono::steady_clock::now();
+  std::vector<service::JobHandle> Handles;
+  Handles.reserve(Jobs);
+  {
+    service::SimService Service(SC);
+    for (uint64_t I = 0; I < Jobs; ++I)
+      Handles.push_back(Service.submit(service::Job(
+          Proto, service::JobOptions{}.withLabel("load-" +
+                                                 std::to_string(I + 1)))));
+    Row.Submitted = Handles.size();
+    Service.drain();
+  }
+  uint64_t Terminal = 0;
+  for (const service::JobHandle &H : Handles) {
+    const service::JobOutcome &Out = H.wait();
+    ++Row.ByStatus[static_cast<size_t>(Out.Status)];
+    Terminal += service::isTerminal(Out.Status);
+    for (const SimResult &R : Out.Replay)
+      Row.AccessesReplayed += R.Stats.Accesses;
+  }
+  Row.ElapsedMs = msSince(Start);
+  Row.Accounted = Terminal == Row.Submitted;
+  return Row;
 }
 
 } // namespace
@@ -210,9 +251,15 @@ int main(int Argc, char **Argv) {
                  Flags.getString("benchmark").c_str());
     return 1;
   }
-  const Trace LoadTrace = TraceGenerator::generateBenchmark(
+  // Every load job replays its own copy of one trace at pressure 8,
+  // unaudited in every build.
+  service::ReplayJob Proto;
+  Proto.TraceData = TraceGenerator::generateBenchmark(
       workloadAtScale(*Model, *LoadScale),
       static_cast<uint64_t>(Flags.getInt("seed")));
+  Proto.GuestThreads = static_cast<unsigned>(*LoadGuests);
+  Proto.Config.PressureFactor = 8.0;
+  Proto.Config.Audit = AuditLevel::Off;
 
   const service::BackpressurePolicy Policies[] = {
       service::BackpressurePolicy::ShedOldest,
@@ -221,39 +268,30 @@ int main(int Argc, char **Argv) {
   std::vector<LoadRow> LoadRows;
   bool AccountedOk = true;
   for (service::BackpressurePolicy Policy : Policies) {
-    service::LoadDriverConfig Config;
-    Config.TraceData = LoadTrace;
-    Config.GuestThreads = static_cast<unsigned>(*LoadGuests);
-    Config.TotalJobs = static_cast<uint64_t>(*LoadJobs);
-    Config.Workers = static_cast<unsigned>(*LoadWorkers);
-    Config.QueueCapacity = static_cast<size_t>(*LoadQueue);
-    Config.Pressure = Policy;
-
-    LoadRow Row;
-    Row.Policy = service::backpressurePolicyName(Policy);
-    const auto Start = std::chrono::steady_clock::now();
-    Row.Report = service::runSustainedLoad(Config);
-    Row.ElapsedMs = msSince(Start);
-    AccountedOk = AccountedOk && Row.Report.Accounted;
-    LoadRows.push_back(Row);
+    service::SimServiceConfig SC;
+    SC.Threads = static_cast<unsigned>(*LoadWorkers);
+    SC.QueueCapacity = static_cast<size_t>(*LoadQueue);
+    SC.Pressure = Policy;
+    LoadRows.push_back(
+        runSustainedLoad(Proto, static_cast<uint64_t>(*LoadJobs), SC));
+    AccountedOk = AccountedOk && LoadRows.back().Accounted;
   }
 
   Table LoadOut({"Backpressure", "Jobs", "Done", "Shed", "Rejected",
                  "Jobs/s", "Accounted"});
   for (const LoadRow &Row : LoadRows) {
-    const service::LoadDriverReport &R = Row.Report;
     LoadOut.beginRow();
     LoadOut.cell(Row.Policy);
-    LoadOut.cell(R.Submitted);
-    LoadOut.cell(R.Done);
-    LoadOut.cell(R.Shed);
-    LoadOut.cell(R.Rejected);
+    LoadOut.cell(Row.Submitted);
+    LoadOut.cell(Row.count(service::JobStatus::Done));
+    LoadOut.cell(Row.count(service::JobStatus::Shed));
+    LoadOut.cell(Row.count(service::JobStatus::Rejected));
     LoadOut.cell(Row.ElapsedMs > 0.0
-                     ? static_cast<double>(R.Submitted) /
+                     ? static_cast<double>(Row.Submitted) /
                            (Row.ElapsedMs / 1000.0)
                      : 0.0,
                  0);
-    LoadOut.cell(R.Accounted ? "yes" : "NO");
+    LoadOut.cell(Row.Accounted ? "yes" : "NO");
   }
   std::fputs(LoadOut.render().c_str(), stdout);
 
@@ -330,7 +368,7 @@ int main(int Argc, char **Argv) {
   std::fprintf(Json, "  ],\n  \"load_rows\": [\n");
   for (size_t I = 0; I < LoadRows.size(); ++I) {
     const LoadRow &Row = LoadRows[I];
-    const service::LoadDriverReport &R = Row.Report;
+    using service::JobStatus;
     std::fprintf(
         Json,
         "    {\"backpressure\": \"%s\", \"elapsed_ms\": %.3f, "
@@ -339,15 +377,15 @@ int main(int Argc, char **Argv) {
         "\"shed\": %llu, \"accesses_replayed\": %llu, "
         "\"accounted\": %s}%s\n",
         Row.Policy, Row.ElapsedMs,
-        static_cast<unsigned long long>(R.Submitted),
-        static_cast<unsigned long long>(R.Done),
-        static_cast<unsigned long long>(R.Failed),
-        static_cast<unsigned long long>(R.Cancelled),
-        static_cast<unsigned long long>(R.TimedOut),
-        static_cast<unsigned long long>(R.Rejected),
-        static_cast<unsigned long long>(R.Shed),
-        static_cast<unsigned long long>(R.AccessesReplayed),
-        R.Accounted ? "true" : "false",
+        static_cast<unsigned long long>(Row.Submitted),
+        static_cast<unsigned long long>(Row.count(JobStatus::Done)),
+        static_cast<unsigned long long>(Row.count(JobStatus::Failed)),
+        static_cast<unsigned long long>(Row.count(JobStatus::Cancelled)),
+        static_cast<unsigned long long>(Row.count(JobStatus::TimedOut)),
+        static_cast<unsigned long long>(Row.count(JobStatus::Rejected)),
+        static_cast<unsigned long long>(Row.count(JobStatus::Shed)),
+        static_cast<unsigned long long>(Row.AccessesReplayed),
+        Row.Accounted ? "true" : "false",
         I + 1 < LoadRows.size() ? "," : "");
   }
   std::fprintf(Json, "  ]\n}\n");

@@ -160,7 +160,7 @@ void MultiTenantSimulator::planPartitions() {
   }
 }
 
-MultiTenantResult MultiTenantSimulator::run() {
+MultiTenantResult MultiTenantSimulator::run(CancelToken *Cancel) {
   const size_t K = Traces.size();
   // The managers are rebuilt per run; the index must restart empty with
   // them (its entries describe their residency).
@@ -281,26 +281,15 @@ MultiTenantResult MultiTenantSimulator::run() {
   std::vector<size_t> Cursor(K, 0);
   // Cold-miss detection over global ids.
   std::vector<uint8_t> SeenGlobal(Topology.size(), 0);
-  size_t LiveCount = 0;
-  for (size_t T = 0; T < K; ++T)
+  size_t TotalAccesses = 0;
+  double LiveWeight = 0.0;
+  for (size_t T = 0; T < K; ++T) {
+    TotalAccesses += Traces[T].Accesses.size();
     if (!Traces[T].Accesses.empty())
-      ++LiveCount;
-
-  // Cancellation at interleave-chunk granularity, mirroring sim::run.
-  uint64_t StepsUntilCheck = std::max<uint32_t>(1, Policy.CancelCheckInterval);
-  auto CheckCancel = [&]() {
-    if (!Policy.Cancel)
-      return;
-    if (--StepsUntilCheck > 0)
-      return;
-    StepsUntilCheck = std::max<uint32_t>(1, Policy.CancelCheckInterval);
-    Policy.Cancel->throwIfStopped([] {
-      return std::string("multi-tenant replay stopped mid-interleave");
-    });
-  };
+      LiveWeight += Weights[T];
+  }
 
   auto Step = [&](size_t T) {
-    CheckCancel();
     const Trace &Tr = Traces[T];
     const SuperblockId Local = Tr.Accesses[Cursor[T]++];
     const SuperblockDef &Def = Tr.Blocks[Local];
@@ -337,39 +326,42 @@ MultiTenantResult MultiTenantSimulator::run() {
       SeenGlobal[Rec.Id] = 1;
     }
     if (Cursor[T] == Tr.Accesses.size())
-      --LiveCount;
+      LiveWeight -= Weights[T];
   };
 
-  if (Policy.Schedule == InterleaveKind::RoundRobin) {
-    while (LiveCount > 0) {
-      for (size_t T = 0; T < K; ++T)
-        if (Cursor[T] < Traces[T].Accesses.size())
-          Step(T);
+  // The tenant of the next interleave step; called once per access while
+  // some stream is unconsumed. Round-robin takes the live tenants in
+  // tenant order, cyclically; weighted draws over the live tenants.
+  size_t NextRoundRobin = 0;
+  Rng R(Policy.ScheduleSeed);
+  auto NextTenant = [&]() -> size_t {
+    if (Policy.Schedule == InterleaveKind::RoundRobin) {
+      size_t T = NextRoundRobin;
+      while (Cursor[T] == Traces[T].Accesses.size())
+        T = (T + 1) % K;
+      NextRoundRobin = (T + 1) % K;
+      return T;
     }
-  } else {
-    Rng R(Policy.ScheduleSeed);
-    double LiveWeight = 0.0;
-    for (size_t T = 0; T < K; ++T)
-      if (!Traces[T].Accesses.empty())
-        LiveWeight += Weights[T];
-    while (LiveCount > 0) {
-      // Weighted draw over the still-live tenants.
-      double Pick = R.nextDouble() * LiveWeight;
-      size_t Chosen = K;
-      for (size_t T = 0; T < K; ++T) {
-        if (Cursor[T] >= Traces[T].Accesses.size())
-          continue;
-        Chosen = T; // Fall back to the last live tenant on FP round-off.
-        Pick -= Weights[T];
-        if (Pick < 0.0)
-          break;
-      }
-      CCSIM_ASSERT(Chosen < K, "live count and cursors disagree");
-      Step(Chosen);
-      if (Cursor[Chosen] == Traces[Chosen].Accesses.size())
-        LiveWeight -= Weights[Chosen];
+    double Pick = R.nextDouble() * LiveWeight;
+    size_t Chosen = K;
+    for (size_t T = 0; T < K; ++T) {
+      if (Cursor[T] >= Traces[T].Accesses.size())
+        continue;
+      Chosen = T; // Fall back to the last live tenant on FP round-off.
+      Pick -= Weights[T];
+      if (Pick < 0.0)
+        break;
     }
-  }
+    CCSIM_ASSERT(Chosen < K, "step count and cursors disagree");
+    return Chosen;
+  };
+  auto Walk = [&](size_t Begin, size_t End) {
+    for (size_t I = Begin; I < End; ++I)
+      Step(NextTenant());
+  };
+  sim::forEachChunk(0, TotalAccesses, TotalAccesses, Cancel,
+                    "multi-tenant replay of ", std::to_string(K) + " traces",
+                    Walk);
 
   for (const auto &M : Managers)
     Result.Global.merge(M->stats());

@@ -160,8 +160,10 @@ public:
                        const TenancyPolicy &Policy);
 
   /// Replays the interleaved streams to completion (every tenant's trace
-  /// is fully consumed) and returns attributed results.
-  MultiTenantResult run();
+  /// is fully consumed) and returns attributed results. A non-null
+  /// \p Cancel stops the interleave at a chunk boundary with
+  /// ReplayCancelled.
+  MultiTenantResult run(CancelToken *Cancel = nullptr);
 
   /// Total capacity the run will use (derived or explicit).
   uint64_t totalCapacityBytes() const { return TotalCapacity; }

@@ -30,13 +30,16 @@ void runQuiesceAudit(SharedCacheEngine &Engine, const SharedRunConfig &Config,
 }
 
 /// The K > 1 path: guests claim GrabBlock-sized runs of the access
-/// stream from a shared cursor. Structural validation happens at
-/// quiesce points (the guest that carries the global done-counter past
-/// the next threshold runs the audit) and once after the join.
+/// stream from a shared cursor and walk each through sim::forEachChunk,
+/// so a guest polls \p Cancel at least every CancelCheckInterval of its
+/// own accesses. Structural validation happens at quiesce points (the
+/// guest that carries the global done-counter past the next threshold
+/// runs the audit) and once after the join.
 template <typename TraceT>
 SharedRunResult runThreaded(const TraceT &T,
                             std::unique_ptr<EvictionPolicy> Policy,
-                            const SharedRunConfig &Config) {
+                            const SharedRunConfig &Config,
+                            CancelToken *Cancel) {
   SharedRunResult Result;
   Result.BenchmarkName = T.name();
   Result.PolicyName = Policy->name();
@@ -63,28 +66,20 @@ SharedRunResult runThreaded(const TraceT &T,
   ccsim::Mutex ErrMu;
   std::exception_ptr FirstError;
 
+  auto Walk = [&](size_t Begin, size_t End) {
+    for (size_t I = Begin; I < End; ++I)
+      Engine.access(T.recordFor(T.idAt(I)));
+  };
   auto Guest = [&] {
     try {
-      uint64_t SincePoll = 0;
       while (!Stop.load(std::memory_order_relaxed)) {
         const uint64_t Start =
             NextStart.fetch_add(GrabBlock, std::memory_order_relaxed);
         if (Start >= N)
           break;
         const uint64_t End = std::min<uint64_t>(N, Start + GrabBlock);
-        for (uint64_t I = Start; I < End; ++I) {
-          if (Config.Cancel &&
-              ++SincePoll >=
-                  std::max<uint32_t>(1, Config.CancelCheckInterval)) {
-            SincePoll = 0;
-            Config.Cancel->throwIfStopped([&] {
-              return "replay of " + T.name() + " stopped after " +
-                     std::to_string(Done.load(std::memory_order_relaxed)) +
-                     " of " + std::to_string(N) + " accesses";
-            });
-          }
-          Engine.access(T.recordFor(T.idAt(I)));
-        }
+        sim::forEachChunk(Start, End, N, Cancel, "replay of ",
+                          Result.BenchmarkName, Walk);
         const uint64_t DoneNow =
             Done.fetch_add(End - Start, std::memory_order_relaxed) +
             (End - Start);
@@ -154,17 +149,19 @@ SharedRunResult runThreaded(const TraceT &T,
 
 template <typename TraceT>
 SharedRunResult runSharedImpl(const TraceT &T, const GranularitySpec &Spec,
-                              const SharedRunConfig &Config) {
+                              const SharedRunConfig &Config,
+                              CancelToken *Cancel) {
   const unsigned K = Config.GuestThreads;
   CCSIM_REQUIRE(K >= 1 && K <= MaxGuestThreads,
                 "guest threads %u outside 1..%u", K, MaxGuestThreads);
   std::unique_ptr<EvictionPolicy> Policy = makePolicy(Spec);
   if (SharedCacheEngine::preferredMode(K, *Policy) == ShareMode::Concurrent)
-    return runThreaded(T, std::move(Policy), Config);
+    return runThreaded(T, std::move(Policy), Config, Cancel);
   // The serial simulator; the defaults already say Exact, one guest, no
   // contention.
   SharedRunResult Result;
-  static_cast<SimResult &>(Result) = sim::run(T, std::move(Policy), Config);
+  static_cast<SimResult &>(Result) =
+      sim::run(T, std::move(Policy), Config, Cancel);
   return Result;
 }
 
@@ -172,12 +169,14 @@ SharedRunResult runSharedImpl(const TraceT &T, const GranularitySpec &Spec,
 
 SharedRunResult concurrent::runShared(const Trace &T,
                                       const GranularitySpec &Spec,
-                                      const SharedRunConfig &Config) {
-  return runSharedImpl(T, Spec, Config);
+                                      const SharedRunConfig &Config,
+                                      CancelToken *Cancel) {
+  return runSharedImpl(T, Spec, Config, Cancel);
 }
 
 SharedRunResult concurrent::runShared(const trace::MappedTrace &T,
                                       const GranularitySpec &Spec,
-                                      const SharedRunConfig &Config) {
-  return runSharedImpl(T, Spec, Config);
+                                      const SharedRunConfig &Config,
+                                      CancelToken *Cancel) {
+  return runSharedImpl(T, Spec, Config, Cancel);
 }

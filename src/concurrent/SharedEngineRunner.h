@@ -25,6 +25,11 @@
 /// runs exactly when it answers Exact, which for every policy a
 /// GranularitySpec names means K = 1.
 ///
+/// Cancellation is runShared's argument, not a config field. K = 1 hands
+/// it to sim::run; K > 1 guests walk every claimed run of the stream
+/// through sim::forEachChunk, so each guest polls the token before its
+/// first access and then every CancelCheckInterval of its own accesses.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CCSIM_CONCURRENT_SHAREDENGINERUNNER_H
@@ -42,8 +47,7 @@ inline constexpr unsigned MaxGuestThreads = ThreadPool::MaxThreads;
 
 /// Configuration of one shared-engine replay: the serial simulator's
 /// knobs (pressure, capacity, costs, chaining, telemetry, audit and its
-/// violation handler, cancellation) with identical semantics, plus the
-/// guest count.
+/// violation handler) with identical semantics, plus the guest count.
 struct SharedRunConfig : SimConfig {
   SharedRunConfig() = default;
 
@@ -73,15 +77,18 @@ struct SharedRunResult : SimResult {
   uint64_t QuiesceAudits = 0;
 };
 
-/// Replays \p T under \p Spec with Config.GuestThreads guests.
+/// Replays \p T under \p Spec with Config.GuestThreads guests. A
+/// non-null \p Cancel stops the replay with ReplayCancelled.
 SharedRunResult runShared(const Trace &T, const GranularitySpec &Spec,
-                          const SharedRunConfig &Config);
+                          const SharedRunConfig &Config,
+                          CancelToken *Cancel = nullptr);
 
 /// Zero-copy variant: streams accesses straight out of a mapped trace
 /// without materializing the access vector.
 SharedRunResult runShared(const trace::MappedTrace &T,
                           const GranularitySpec &Spec,
-                          const SharedRunConfig &Config);
+                          const SharedRunConfig &Config,
+                          CancelToken *Cancel = nullptr);
 
 } // namespace ccsim::concurrent
 

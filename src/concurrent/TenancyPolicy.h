@@ -8,9 +8,9 @@
 /// The one tenancy surface. A multi-tenant run is the serial simulator's
 /// run over more than one trace, so TenancyPolicy *is* a SimConfig:
 /// pressure (applied to the tenants' summed maxCache), explicit capacity,
-/// cost model, chaining, audit level and cancellation mean what they mean
-/// to sim::run, and the telemetry sink receives the per-tenant and global
-/// series of MultiTenantSimulator::run. It declares only the six fields
+/// cost model, chaining and audit level mean what they mean to sim::run,
+/// and the telemetry sink receives the per-tenant and global series of
+/// MultiTenantSimulator::run. It declares only the six fields
 /// tenancy adds: isolation mode, interleave schedule and its seed,
 /// eviction granularity, cross-tenant content sharing, and per-tenant
 /// weights. Like SharedRunConfig it has no setters of its own; an

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
+#include <numeric>
 
 using namespace ccsim;
 using namespace ccsim::multisweep;
@@ -48,7 +49,6 @@ LatticePlan ccsim::multisweep::planLattice(const std::vector<SweepJob> &Jobs,
                                            SweepMode Mode) {
   LatticePlan Plan;
   Plan.Points.resize(Jobs.size());
-  bool HaveSharedCancel = false;
 
   for (size_t J = 0; J < Jobs.size(); ++J) {
     const SweepJob &Job = Jobs[J];
@@ -77,8 +77,7 @@ LatticePlan ccsim::multisweep::planLattice(const std::vector<SweepJob> &Jobs,
       continue;
     }
     // The shortcuts assume hits are pure reads: no per-access policy
-    // state, no per-access audit hook, and one shared cancellation token
-    // polled for everyone.
+    // state and no per-access audit hook.
     const std::unique_ptr<EvictionPolicy> Policy = makePolicy(Job.Spec);
     if (!Policy->isAccessStateless()) {
       P.Kind = LatticePlan::Route::Fallback;
@@ -91,22 +90,9 @@ LatticePlan ccsim::multisweep::planLattice(const std::vector<SweepJob> &Jobs,
       P.FallbackReason = "audit level asks for per-access deep validation";
       continue;
     }
-    if (HaveSharedCancel && Job.Config.Cancel != Plan.SharedCancel) {
-      P.Kind = LatticePlan::Route::Fallback;
-      P.FallbackReason = "cancellation token differs from the shared pass's";
-      continue;
-    }
 
     P.Kind = LatticePlan::Route::Shared;
     ++Plan.NumSharedEngines;
-    if (!HaveSharedCancel) {
-      HaveSharedCancel = true;
-      Plan.SharedCancel = Job.Config.Cancel;
-      Plan.SharedCancelInterval = Job.Config.CancelCheckInterval;
-    } else {
-      Plan.SharedCancelInterval =
-          std::min(Plan.SharedCancelInterval, Job.Config.CancelCheckInterval);
-    }
   }
   return Plan;
 }
@@ -146,7 +132,7 @@ MultiConfigEngine::MultiConfigEngine(const Trace &T,
                "shared engine count disagrees with the plan");
 }
 
-void MultiConfigEngine::sharedPass() {
+void MultiConfigEngine::sharedPass(CancelToken *Cancel) {
   const size_t N = T.Accesses.size();
   if (Shared.empty())
     return;
@@ -202,8 +188,7 @@ void MultiConfigEngine::sharedPass() {
       }
     }
   };
-  sim::forEachChunk(N, Plan.SharedCancel, Plan.SharedCancelInterval,
-                    "one-pass sweep of ", T.Name, Walk);
+  sim::forEachChunk(0, N, N, Cancel, "one-pass sweep of ", T.Name, Walk);
 }
 
 void MultiConfigEngine::settle(SharedState &S, SimResult &Out) {
@@ -227,12 +212,12 @@ void MultiConfigEngine::settle(SharedState &S, SimResult &Out) {
       .close(Out, Job.Config.PressureFactor);
 }
 
-std::vector<SimResult> MultiConfigEngine::run() {
+std::vector<SimResult> MultiConfigEngine::run(CancelToken *Cancel) {
   CCSIM_REQUIRE(!Ran, "MultiConfigEngine::run is single-shot");
   Ran = true;
 
   std::vector<SimResult> Results(Jobs.size());
-  sharedPass();
+  sharedPass(Cancel);
   for (SharedState &S : Shared)
     settle(S, Results[S.JobIndex]);
   return Results;
@@ -317,13 +302,19 @@ ccsim::multisweep::runSweepGrid(const SweepEngine &Engine,
     R.PerBenchmark.resize(NumBenchmarks);
 
   // One cell list over both axes: each trace's shared pass first (the
-  // longest cells), then one dense replay per (fallback point, trace) in
-  // (job, benchmark) order. Every cell writes only its own result slots.
+  // longest cells), longest trace first so the largest does not start
+  // last, then one dense replay per (fallback point, trace) in (job,
+  // benchmark) order. Every cell writes only its own result slots.
   std::vector<size_t> Dense;
   for (size_t J = 0; J < Jobs.size(); ++J)
     if (Plan.Points[J].Kind == LatticePlan::Route::Fallback)
       Dense.push_back(J);
-  const size_t Passes = Plan.numShared() ? NumBenchmarks : 0;
+  std::vector<size_t> PassOrder(Plan.numShared() ? NumBenchmarks : 0);
+  std::iota(PassOrder.begin(), PassOrder.end(), size_t{0});
+  std::stable_sort(PassOrder.begin(), PassOrder.end(), [&](size_t A, size_t B) {
+    return Traces[A].numAccesses() > Traces[B].numAccesses();
+  });
+  const size_t Passes = PassOrder.size();
   const size_t Cells = Passes + Dense.size() * NumBenchmarks;
   std::vector<OnePassAccounting> PassAccounting(Passes);
   ThreadPool Pool(static_cast<unsigned>(
@@ -332,18 +323,19 @@ ccsim::multisweep::runSweepGrid(const SweepEngine &Engine,
       Cells,
       [&](size_t Cell) {
         if (Cell < Passes) {
-          MultiConfigEngine Pass(Traces[Cell], Jobs, Plan);
-          std::vector<SimResult> Shared = Pass.run();
+          const size_t B = PassOrder[Cell];
+          MultiConfigEngine Pass(Traces[B], Jobs, Plan);
+          std::vector<SimResult> Shared = Pass.run(Options.Cancel);
           for (size_t J = 0; J < Jobs.size(); ++J)
             if (Plan.Points[J].Kind == LatticePlan::Route::Shared)
-              Results[J].PerBenchmark[Cell] = std::move(Shared[J]);
-          PassAccounting[Cell] = Pass.accounting();
+              Results[J].PerBenchmark[B] = std::move(Shared[J]);
+          PassAccounting[B] = Pass.accounting();
           return;
         }
         const size_t J = Dense[(Cell - Passes) / NumBenchmarks];
         const size_t B = (Cell - Passes) % NumBenchmarks;
-        Results[J].PerBenchmark[B] =
-            sim::run(Traces[B], makePolicy(Jobs[J].Spec), Jobs[J].Config);
+        Results[J].PerBenchmark[B] = sim::run(
+            Traces[B], makePolicy(Jobs[J].Spec), Jobs[J].Config, Options.Cancel);
       },
       /*ChunkSize=*/1);
 

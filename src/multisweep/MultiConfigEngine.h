@@ -33,12 +33,11 @@
 ///    first sees an id at the same access), so the engines keep no
 ///    cold-miss tables.
 ///
-/// Points the shortcuts cannot cover — per-access audit levels, foreign
-/// cancellation tokens, non-stateless policies — fall back to dense
-/// per-config replay (sim::run), with a log-visible accounting of which
-/// points fell back and why. Identical telemetry-free points are
-/// deduplicated. runSweepGrid is the one code that runs a grid, in either
-/// mode. The correctness contract, pinned by tests/multisweep: every
+/// Points the shortcuts cannot cover — per-access audit levels and
+/// non-stateless policies — fall back to dense per-config replay
+/// (sim::run), with a log-visible accounting of which points fell back
+/// and why. Identical telemetry-free points are deduplicated.
+/// runSweepGrid is the one code that runs a grid, in either mode. The correctness contract, pinned by tests/multisweep: every
 /// report and metrics export from one-pass mode is byte-identical to
 /// per-config replay.
 ///
@@ -88,12 +87,6 @@ struct LatticePlan {
 
   std::vector<Point> Points; ///< Parallel to the grid's jobs.
   size_t NumSharedEngines = 0;
-  /// The one cancellation token the shared pass polls (the first shared
-  /// point's token; points carrying any other token fall back).
-  CancelToken *SharedCancel = nullptr;
-  /// Accesses between cancellation polls: the minimum interval over the
-  /// shared points, so no point waits longer than it asked for.
-  uint32_t SharedCancelInterval = 0;
 
   size_t numShared() const;
   size_t numDuplicates() const;
@@ -143,9 +136,9 @@ public:
 
   /// Runs the shared pass and settles every engine. Returns one SimResult
   /// per lattice point, filled for the Shared points only. Throws
-  /// ReplayCancelled at trace-chunk granularity when the plan's shared
-  /// token fires. Call at most once.
-  std::vector<SimResult> run();
+  /// ReplayCancelled at trace-chunk granularity when \p Cancel asks to
+  /// stop. Call at most once.
+  std::vector<SimResult> run(CancelToken *Cancel = nullptr);
 
   const OnePassAccounting &accounting() const { return Accounting; }
 
@@ -200,7 +193,7 @@ private:
   OnePassAccounting Accounting;
   bool Ran = false;
 
-  void sharedPass();
+  void sharedPass(CancelToken *Cancel);
   void settle(SharedState &S, SimResult &Out);
 };
 
@@ -211,6 +204,9 @@ struct MultiSweepOptions {
   /// describing deduplicated points and every fallback (reason included).
   /// Unset, or PerConfig mode, means silent.
   std::function<void(const std::string &)> Log;
+  /// The run's cancellation token, polled by every shared pass and every
+  /// dense cell; null runs to completion.
+  CancelToken *Cancel = nullptr;
 };
 
 /// The grid front door, the one code that runs a sweep grid: evaluates
@@ -218,12 +214,12 @@ struct MultiSweepOptions {
 /// per job in canonical order. It plans the lattice once (planLattice in
 /// Options.Mode), then runs one cell list on a pool of at most
 /// Engine.numThreads() workers: per trace the shared pass (when the plan
-/// has Shared points), and one dense sim::run per (Fallback point,
-/// trace). Duplicates copy their representative; the Eq. 1 merge and
-/// suite metrics follow in canonical (job, benchmark) order, so reports
-/// and metrics registries are byte-identical to a serial runSuite per
-/// job, in either mode and at any thread count. \p Jobs must be
-/// validateSweepGrid-clean. \p Accounting, when non-null, receives the
+/// has Shared points, longest trace first), and one dense sim::run per
+/// (Fallback point, trace), each polling Options.Cancel. Duplicates copy
+/// their representative; the Eq. 1 merge and suite metrics follow in
+/// canonical (job, benchmark) order, so reports and metrics registries
+/// are byte-identical to a serial runSuite per job, in either mode and
+/// at any thread count. \p Jobs must be validateSweepGrid-clean. \p Accounting, when non-null, receives the
 /// merged one-pass accounting (zeroes in PerConfig mode).
 std::vector<SuiteResult>
 runSweepGrid(const SweepEngine &Engine, const std::vector<SweepJob> &Jobs,

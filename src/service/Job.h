@@ -16,6 +16,9 @@
 /// is a SimConfig -- ReplayJob::Config, each sweep point's Config, and
 /// TenantJob::Policy, a SimConfig plus the tenancy fields -- so every job
 /// kind passes the same SimConfig::validate() before it is admitted.
+/// Cancellation is not part of a job: it belongs to the run, so
+/// executeJob hands its one CancelToken to whichever runner executes the
+/// payload.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -91,8 +94,7 @@ struct SweepBatchJob {
 
 /// Interleave several traces into one shared/partitioned cache (the
 /// `tenants` subcommand). The job owns its traces. Policy is the whole
-/// run config, a SimConfig like every other job's (the service overrides
-/// Policy.Cancel with its own token at execution time).
+/// run config, a SimConfig like every other job's.
 struct TenantJob {
   std::vector<Trace> Traces;
   TenancyPolicy Policy;
@@ -170,8 +172,9 @@ struct JobOutcome {
 /// Runs \p J to completion on the calling thread — the single execution
 /// path shared by the service workers and the serial CLI subcommands
 /// (which is why batch output is byte-identical to serial output).
-/// \p Cancel, when non-null, is threaded into every underlying config so
-/// replays stop at trace-chunk granularity; a triggered stop reports
+/// \p Cancel, when non-null, is the run's token, handed to the runner
+/// (sim::run, runShared, runSweepGrid, MultiTenantSimulator::run), which
+/// polls it at trace-chunk granularity; a triggered stop reports
 /// Cancelled or TimedOut. Never throws: failures land in the outcome.
 JobOutcome executeJob(const Job &J, CancelToken *Cancel);
 

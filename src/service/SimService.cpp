@@ -105,31 +105,25 @@ JobOutcome runValidatedJob(const Job &J, CancelToken *Cancel) {
   JobOutcome Out;
   try {
     if (const auto *R = std::get_if<ReplayJob>(&J.Payload)) {
-      concurrent::SharedRunConfig Config(R->Config, R->GuestThreads);
-      Config.Cancel = Cancel;
       // K = 1 is sim::run itself. Every replay surfaces through the
       // SimResult base of SharedRunResult, so every renderer (CLI, batch
       // output, exporters) reads one shape whatever the guest count.
-      Out.Replay.push_back(
-          concurrent::runShared(R->TraceData, R->Spec, Config));
+      Out.Replay.push_back(concurrent::runShared(
+          R->TraceData, R->Spec, {R->Config, R->GuestThreads}, Cancel));
     } else if (const auto *S = std::get_if<SweepBatchJob>(&J.Payload)) {
-      std::vector<SweepJob> Points = S->Jobs;
-      for (SweepJob &Point : Points)
-        Point.Config.Cancel = Cancel;
       multisweep::MultiSweepOptions Options;
       Options.Mode = S->Mode;
+      Options.Cancel = Cancel;
       // Fallback/dedup accounting goes to stderr: reports and metrics
       // files must stay byte-identical across sweep modes, so the
       // accounting can never ride in either.
       Options.Log = [](const std::string &Line) {
         std::fprintf(stderr, "sweep: %s\n", Line.c_str());
       };
-      Out.Suite = multisweep::runSweepGrid(*S->Engine, Points, Options);
+      Out.Suite = multisweep::runSweepGrid(*S->Engine, S->Jobs, Options);
     } else {
       const auto &T = std::get<TenantJob>(J.Payload);
-      TenancyPolicy Policy = T.Policy;
-      Policy.Cancel = Cancel;
-      Out.Tenants = MultiTenantSimulator(T.Traces, Policy).run();
+      Out.Tenants = MultiTenantSimulator(T.Traces, T.Policy).run(Cancel);
     }
     Out.Status = JobStatus::Done;
   } catch (const ReplayCancelled &RC) {
@@ -272,6 +266,10 @@ void JobHandle::cancel() {
 
 namespace {
 
+/// Shape of the wait/run latency histograms: 64 buckets of 10 ms.
+constexpr double LatencyBucketMs = 10.0;
+constexpr size_t LatencyBuckets = 64;
+
 double msBetween(std::chrono::steady_clock::time_point From,
                  std::chrono::steady_clock::time_point To) {
   return std::chrono::duration<double, std::milli>(To - From).count();
@@ -283,9 +281,6 @@ SimService::SimService(SimServiceConfig C)
     : Config(std::move(C)), Paused(Config.StartPaused),
       Pool(Config.Threads, /*AlwaysSpawnWorkers=*/true) {
   Config.QueueCapacity = std::max<size_t>(1, Config.QueueCapacity);
-  Config.LatencyBuckets = std::max<size_t>(1, Config.LatencyBuckets);
-  if (Config.LatencyBucketMs <= 0.0)
-    Config.LatencyBucketMs = 10.0;
 }
 
 SimService::~SimService() { drain(); }
@@ -446,8 +441,8 @@ void SimService::runOne() {
   const double WaitMs = msBetween(S->SubmitTime, PickTime);
   if (telemetry::TelemetrySink *Sink = Config.Telemetry) {
     Sink->Metrics
-        .histogram("service_wait_ms", Config.LatencyBucketMs,
-                   Config.LatencyBuckets, {{"kind", S->TheJob.kindName()}})
+        .histogram("service_wait_ms", LatencyBucketMs, LatencyBuckets,
+                   {{"kind", S->TheJob.kindName()}})
         .observe(WaitMs);
     Sink->Metrics.gauge("service_job_wait_ms", {{"job", S->Label}})
         .set(WaitMs);
@@ -478,8 +473,8 @@ void SimService::runOne() {
     const double RunMs = msBetween(PickTime, std::chrono::steady_clock::now());
     if (telemetry::TelemetrySink *Sink = Config.Telemetry) {
       Sink->Metrics
-          .histogram("service_run_ms", Config.LatencyBucketMs,
-                     Config.LatencyBuckets, {{"kind", S->TheJob.kindName()}})
+          .histogram("service_run_ms", LatencyBucketMs, LatencyBuckets,
+                     {{"kind", S->TheJob.kindName()}})
           .observe(RunMs);
       Sink->Metrics.gauge("service_job_run_ms", {{"job", S->Label}})
           .set(RunMs);

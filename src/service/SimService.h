@@ -83,10 +83,6 @@ struct SimServiceConfig {
   /// JobState events). Distinct from any sink the jobs themselves carry;
   /// null disables service telemetry entirely.
   telemetry::TelemetrySink *Telemetry = nullptr;
-
-  /// Shape of the wait/run latency histograms.
-  double LatencyBucketMs = 10.0;
-  size_t LatencyBuckets = 64;
 };
 
 namespace detail {

@@ -22,8 +22,6 @@ std::string SimConfig::validate() const {
       Costs.UnlinkPerLink < 0.0 || Costs.EvictionBase < 0.0 ||
       Costs.MissBase < 0.0 || Costs.UnlinkBase < 0.0)
     return "cost model coefficients must be nonnegative";
-  if (CancelCheckInterval == 0)
-    return "cancellation check interval must be at least 1 access";
   if (ExplicitCapacityBytes > CodeCache::MaxCapacityBytes)
     return "capacity " + std::to_string(ExplicitCapacityBytes) +
            " exceeds the " + std::to_string(CodeCache::MaxCapacityBytes) +
@@ -110,7 +108,7 @@ namespace {
 /// trace::MappedTrace share name/numAccesses/idAt/recordFor).
 template <typename TraceT>
 SimResult replay(const TraceT &T, std::unique_ptr<EvictionPolicy> Policy,
-                 const SimConfig &Config) {
+                 const SimConfig &Config, CancelToken *Cancel) {
   CCSIM_REQUIRE(Policy, "simulation requires a policy");
   SimResult Result;
   Result.BenchmarkName = T.name();
@@ -130,8 +128,8 @@ SimResult replay(const TraceT &T, std::unique_ptr<EvictionPolicy> Policy,
     for (size_t I = Begin; I < End; ++I)
       Engine.access(T.recordFor(T.idAt(I)));
   };
-  sim::forEachChunk(T.numAccesses(), Config.Cancel, Config.CancelCheckInterval,
-                    "replay of ", Result.BenchmarkName, Walk);
+  const size_t N = T.numAccesses();
+  sim::forEachChunk(0, N, N, Cancel, "replay of ", Result.BenchmarkName, Walk);
 
   Result.Stats = Engine.stats();
   Frame.close(Result, Config.PressureFactor);
@@ -151,17 +149,17 @@ uint64_t ccsim::sim::capacityFor(const trace::MappedTrace &T,
 
 SimResult ccsim::sim::run(const Trace &T,
                           std::unique_ptr<EvictionPolicy> Policy,
-                          const SimConfig &Config) {
-  return replay(T, std::move(Policy), Config);
+                          const SimConfig &Config, CancelToken *Cancel) {
+  return replay(T, std::move(Policy), Config, Cancel);
 }
 
 SimResult ccsim::sim::run(const Trace &T, const GranularitySpec &Spec,
-                          const SimConfig &Config) {
-  return replay(T, makePolicy(Spec), Config);
+                          const SimConfig &Config, CancelToken *Cancel) {
+  return replay(T, makePolicy(Spec), Config, Cancel);
 }
 
 SimResult ccsim::sim::run(const trace::MappedTrace &T,
                           std::unique_ptr<EvictionPolicy> Policy,
-                          const SimConfig &Config) {
-  return replay(T, std::move(Policy), Config);
+                          const SimConfig &Config, CancelToken *Cancel) {
+  return replay(T, std::move(Policy), Config, Cancel);
 }

@@ -60,15 +60,6 @@ struct SimConfig {
   /// aborts. It changes what a run reports, not what it simulates.
   check::ViolationHandler OnViolation;
 
-  /// Optional cooperative cancellation. When set, run() polls the token
-  /// every CancelCheckInterval accesses and throws ReplayCancelled when it
-  /// asks to stop. Null costs one branch per run.
-  CancelToken *Cancel = nullptr;
-
-  /// Accesses replayed between cancellation checks (the trace-chunk
-  /// granularity of cancellation and deadline enforcement).
-  uint32_t CancelCheckInterval = 1024;
-
   // Fluent setters, so drivers can assemble a config in one expression.
   SimConfig &withPressure(double Factor) {
     PressureFactor = Factor;
@@ -92,10 +83,6 @@ struct SimConfig {
   }
   SimConfig &withAudit(AuditLevel Level) {
     Audit = Level;
-    return *this;
-  }
-  SimConfig &withCancel(CancelToken *Token) {
-    Cancel = Token;
     return *this;
   }
 
@@ -162,38 +149,47 @@ private:
   uint32_t MarkId = 0;
 };
 
-/// The one chunked walk over an access stream: \p Body(Begin, End) over
-/// chunks of \p CheckInterval accesses covering [0, \p N), polling
-/// \p Cancel before each; one chunk when there is no token.
+/// Accesses every replay loop walks between two polls of its cancel
+/// token: the trace-chunk granularity of cancellation and deadlines.
+inline constexpr size_t CancelCheckInterval = 1024;
+
+/// The one chunked walk over an access stream of \p N accesses, and the
+/// one place a replay polls its token: \p Body(I, J) over chunks of
+/// CancelCheckInterval accesses covering [\p Begin, \p End), polling
+/// \p Cancel before each, so a stopped token stops the walk before its
+/// first access. One chunk when there is no token. A stop throws
+/// ReplayCancelled naming \p Kind + \p Name and the chunk's position.
 template <typename BodyFn>
-void forEachChunk(size_t N, CancelToken *Cancel, uint32_t CheckInterval,
+void forEachChunk(size_t Begin, size_t End, size_t N, CancelToken *Cancel,
                   const char *Kind, const std::string &Name, BodyFn &&Body) {
-  const size_t Chunk = Cancel ? std::max<uint32_t>(1, CheckInterval) : N;
-  for (size_t I = 0; I < N;) {
+  const size_t Chunk = Cancel ? CancelCheckInterval : End - Begin;
+  for (size_t I = Begin; I < End;) {
     if (Cancel)
       Cancel->throwIfStopped([&] {
         return Kind + Name + " stopped after " + std::to_string(I) + " of " +
                std::to_string(N) + " accesses";
       });
-    const size_t End = std::min(N, I + Chunk);
-    Body(I, End);
-    I = End;
+    const size_t Next = std::min(End, I + Chunk);
+    Body(I, Next);
+    I = Next;
   }
 }
 
-/// Replays \p T through a fresh CacheEngine running \p Policy.
+/// Replays \p T through a fresh CacheEngine running \p Policy. A non-null
+/// \p Cancel stops the replay at a chunk boundary with ReplayCancelled.
 SimResult run(const Trace &T, std::unique_ptr<EvictionPolicy> Policy,
-              const SimConfig &Config);
+              const SimConfig &Config, CancelToken *Cancel = nullptr);
 
 /// Replays \p T under the policy named by \p Spec.
 SimResult run(const Trace &T, const GranularitySpec &Spec,
-              const SimConfig &Config);
+              const SimConfig &Config, CancelToken *Cancel = nullptr);
 
 /// Zero-copy replay: streams accesses straight out of the mapping.
 /// Byte-identical to replaying T.toTrace() -- same stats, telemetry
 /// marks, and metric labels.
 SimResult run(const trace::MappedTrace &T,
-              std::unique_ptr<EvictionPolicy> Policy, const SimConfig &Config);
+              std::unique_ptr<EvictionPolicy> Policy, const SimConfig &Config,
+              CancelToken *Cancel = nullptr);
 
 } // namespace sim
 

@@ -31,9 +31,7 @@ bool SweepJob::sameSimulation(const SweepJob &Other) const {
          A.Costs.UnlinkPerLink == B.Costs.UnlinkPerLink &&
          A.Costs.UnlinkBase == B.Costs.UnlinkBase &&
          A.EnableChaining == B.EnableChaining &&
-         A.Telemetry == B.Telemetry && A.Audit == B.Audit &&
-         A.Cancel == B.Cancel &&
-         A.CancelCheckInterval == B.CancelCheckInterval;
+         A.Telemetry == B.Telemetry && A.Audit == B.Audit;
 }
 
 std::string ccsim::validateSweepGrid(const std::vector<SweepJob> &Jobs) {

@@ -8,8 +8,11 @@
 /// The cooperative cancellation primitive shared by every long-running
 /// replay loop (sim::run, the K-guest shared runner, the one-pass sweep,
 /// MultiTenantSimulator::run) and their controllers (SimService workers,
-/// tests, drivers). A replay calls throwIfStopped() once per trace chunk;
-/// the controller requests cancellation or installs a deadline from any
+/// tests, drivers). A token belongs to one run, not to a simulated
+/// configuration: each runner takes it as an argument, and its replay
+/// loop walks the access stream through sim::forEachChunk, the one
+/// caller of throwIfStopped(), which polls once per trace chunk. The
+/// controller requests cancellation or installs a deadline from any
 /// thread. throwIfStopped() is the one place a stop becomes a
 /// ReplayCancelled (discarding the partial run) and the one place the
 /// deadline-versus-cancel rule (timedOut()) is written.

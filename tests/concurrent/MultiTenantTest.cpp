@@ -232,11 +232,11 @@ TEST(MultiTenantTest, PolicyIsBuiltOnAValidatedSimConfig) {
   SimConfig Base;
   Base.PressureFactor = 6.0;
   Base.EnableChaining = false;
-  Base.CancelCheckInterval = 7;
+  Base.Costs.MissBase = 7.0;
   const TenancyPolicy Policy(Base);
   EXPECT_DOUBLE_EQ(Policy.PressureFactor, 6.0);
   EXPECT_FALSE(Policy.EnableChaining);
-  EXPECT_EQ(Policy.CancelCheckInterval, 7u);
+  EXPECT_DOUBLE_EQ(Policy.Costs.MissBase, 7.0);
   EXPECT_EQ(Policy.Mode, PartitionMode::Shared);
   EXPECT_TRUE(Policy.validate().empty());
 

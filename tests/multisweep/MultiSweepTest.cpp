@@ -148,21 +148,6 @@ TEST(MultiSweepPlanTest, AuditedPointFallsBack) {
       << Plan.Points[1].FallbackReason;
 }
 
-TEST(MultiSweepPlanTest, ForeignCancelTokenFallsBack) {
-  CancelToken A, B;
-  auto Grid = gridOf({GranularitySpec::flush(), GranularitySpec::fine()},
-                     {2.0});
-  Grid[0].Config.Cancel = &A;
-  Grid[1].Config.Cancel = &B;
-  const LatticePlan Plan = planLattice(Grid);
-  EXPECT_EQ(Plan.Points[0].Kind, LatticePlan::Route::Shared);
-  EXPECT_EQ(Plan.SharedCancel, &A);
-  ASSERT_EQ(Plan.Points[1].Kind, LatticePlan::Route::Fallback);
-  EXPECT_NE(Plan.Points[1].FallbackReason.find("cancellation"),
-            std::string::npos)
-      << Plan.Points[1].FallbackReason;
-}
-
 TEST(MultiSweepPlanTest, DuplicatePointSharesItsRepresentativeEngine) {
   auto Grid = gridOf({GranularitySpec::units(8)}, {2.0});
   Grid.push_back(Grid[0]); // Exact duplicate, no telemetry.
@@ -412,14 +397,12 @@ TEST(MultiSweepDeferredTest, ConsecutiveAndFinalMissesSettleLikeDense) {
 namespace {
 
 /// A sweep batch that reliably runs for a while: high pressure thrashes
-/// every engine, and the tight cancel interval keeps stops prompt.
+/// every engine.
 service::Job slowSweepBatch() {
   service::SweepBatchJob Batch;
   Batch.Engine =
       std::make_shared<SweepEngine>(SweepEngine::forScaledTable1(0.05));
   Batch.Jobs = gridOf(standardGranularitySweep(), {10.0});
-  for (SweepJob &Point : Batch.Jobs)
-    Point.Config.CancelCheckInterval = 64;
   Batch.Mode = SweepMode::OnePass;
   return service::Job(std::move(Batch));
 }

@@ -7,6 +7,7 @@
 #include "trace/TraceIO.h"
 #include "gtest/gtest.h"
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <thread>
@@ -50,13 +51,12 @@ Job replayJob(const char *Name, double Factor, GranularitySpec Spec,
 }
 
 /// A job over the synthetic trace; thrashes for roughly as long as
-/// \p NumAccesses dictates, checking its cancel token every 64 accesses.
+/// \p NumAccesses dictates.
 Job thrashingJob(size_t NumAccesses, JobOptions Options = {}) {
   ReplayJob R;
   R.TraceData = syntheticTrace(64, NumAccesses);
   R.Spec = GranularitySpec::fine();
   R.Config.ExplicitCapacityBytes = 64 * 4096 / 2;
-  R.Config.CancelCheckInterval = 64;
   return Job(std::move(R), std::move(Options));
 }
 
@@ -323,6 +323,148 @@ TEST(SimServiceTest, CancelWhileQueuedNeverRuns) {
       << O.Error;
   EXPECT_EQ(H.startSequence(), 0u);
 }
+
+//===----------------------------------------------------------------------===//
+// A cancel or deadline reaches every job shape
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The four replay loops a job runs: sim::run (one guest), the K > 1
+/// guests, the one-pass pass beside a dense fallback cell, and the tenant
+/// interleave.
+enum class JobShape { Replay, FourGuestReplay, SweepWithFallback, Tenants };
+enum class StopKind { Cancel, Deadline };
+enum class StopWhen { BeforeRun, MidRun };
+
+struct StopCase {
+  JobShape Shape;
+  StopKind Kind;
+  StopWhen When;
+};
+
+/// A job of \p Shape over thrashing traces (every access misses), long
+/// enough that a stop requested after its first miss lands mid-run.
+Job stoppableJob(JobShape Shape) {
+  constexpr size_t N = 2000000;
+  constexpr uint64_t HalfCache = 64 * 4096 / 2;
+  switch (Shape) {
+  case JobShape::Replay:
+    return thrashingJob(N);
+  case JobShape::FourGuestReplay: {
+    Job J = thrashingJob(N);
+    std::get<ReplayJob>(J.Payload).GuestThreads = 4;
+    return J;
+  }
+  case JobShape::SweepWithFallback: {
+    // Point 0 rides the shared pass; the audited point 1 replays densely.
+    SimConfig Base;
+    Base.ExplicitCapacityBytes = HalfCache;
+    Base.Audit = AuditLevel::Off;
+    SweepBatchJob S;
+    S.Engine = std::make_shared<SweepEngine>(
+        std::vector<Trace>{syntheticTrace(64, N)});
+    S.Jobs = makeSweepGrid({GranularitySpec::fine()}, {2.0}, Base);
+    S.Jobs.push_back(S.Jobs[0]);
+    S.Jobs[1].Config.Audit = AuditLevel::Evictions;
+    return Job(std::move(S));
+  }
+  case JobShape::Tenants: {
+    TenantJob T;
+    T.Traces = {syntheticTrace(64, N / 2), syntheticTrace(64, N / 2)};
+    T.Policy.ExplicitCapacityBytes = HalfCache;
+    T.Policy.Granularity = GranularitySpec::fine();
+    return Job(std::move(T));
+  }
+  }
+  return {};
+}
+
+std::string describe(const StopCase &C) {
+  static const char *Shapes[] = {"Replay", "FourGuestReplay",
+                                 "SweepWithFallback", "Tenants"};
+  return std::string(Shapes[static_cast<size_t>(C.Shape)]) +
+         (C.Kind == StopKind::Cancel ? "Cancel" : "Deadline") +
+         (C.When == StopWhen::BeforeRun ? "BeforeRun" : "MidRun");
+}
+
+void PrintTo(const StopCase &C, std::ostream *OS) { *OS << describe(C); }
+
+std::vector<StopCase> everyStopCase() {
+  std::vector<StopCase> Cases;
+  for (JobShape Shape : {JobShape::Replay, JobShape::FourGuestReplay,
+                         JobShape::SweepWithFallback, JobShape::Tenants})
+    for (StopKind Kind : {StopKind::Cancel, StopKind::Deadline})
+      for (StopWhen When : {StopWhen::BeforeRun, StopWhen::MidRun})
+        Cases.push_back({Shape, Kind, When});
+  return Cases;
+}
+
+class JobStopTest : public ::testing::TestWithParam<StopCase> {};
+
+} // namespace
+
+TEST_P(JobStopTest, EndsStoppedWithAnEmptyPayload) {
+  const StopCase C = GetParam();
+  Job J = stoppableJob(C.Shape);
+  telemetry::TelemetrySink Sink;
+  setJobTelemetry(J, &Sink);
+  // A run's first access is a cold miss in every engine that carries the
+  // sink (all but the shared pass's), so the miss count says whether the
+  // run has reached an engine.
+  auto Misses = [&Sink] {
+    return Sink.Tracer.kindCount(telemetry::EventKind::Miss);
+  };
+  CancelToken Token;
+  auto Stop = [&] {
+    if (C.Kind == StopKind::Cancel)
+      Token.requestCancel();
+    else
+      Token.setDeadline(std::chrono::steady_clock::now());
+  };
+
+  std::atomic<bool> Finished{false};
+  std::thread Controller;
+  if (C.When == StopWhen::BeforeRun) {
+    Stop();
+  } else {
+    Controller = std::thread([&] {
+      while (Misses() == 0 && !Finished.load())
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      Stop();
+    });
+  }
+  const JobOutcome O = executeJob(J, &Token);
+  Finished = true;
+  if (Controller.joinable())
+    Controller.join();
+
+  EXPECT_EQ(O.Status, C.Kind == StopKind::Cancel ? JobStatus::Cancelled
+                                                 : JobStatus::TimedOut)
+      << O.Error;
+  EXPECT_TRUE(O.Replay.empty());
+  EXPECT_TRUE(O.Suite.empty());
+  EXPECT_FALSE(O.Tenants.has_value());
+  if (C.When == StopWhen::BeforeRun) {
+    EXPECT_EQ(Misses(), 0u) << "a stopped token must stop the run before "
+                               "its first access";
+    // One walk from access 0 reports where it stopped; K > 1 guests each
+    // stop at the start of their own claimed run.
+    if (C.Shape != JobShape::FourGuestReplay) {
+      EXPECT_NE(O.Error.find("stopped after 0 of"), std::string::npos)
+          << O.Error;
+    }
+    if (C.Shape == JobShape::SweepWithFallback) {
+      EXPECT_EQ(O.Error.rfind("one-pass sweep of", 0), 0u) << O.Error;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryJobShape, JobStopTest, ::testing::ValuesIn(everyStopCase()),
+    [](const ::testing::TestParamInfo<StopCase> &Info) {
+      return describe(Info.param);
+    });
 
 //===----------------------------------------------------------------------===//
 // Priorities
@@ -714,10 +856,6 @@ TEST(SimServiceTest, FluentSettersAndValidateContracts) {
   BadCosts.Costs.MissBase = -1.0;
   EXPECT_NE(BadCosts.validate().find("cost model"), std::string::npos);
 
-  SimConfig BadInterval = SimConfig().withPressure(4.0);
-  BadInterval.CancelCheckInterval = 0;
-  EXPECT_NE(BadInterval.validate().find("cancellation"), std::string::npos);
-
   // SweepJob: granularity sanity on top of the config contract.
   SweepJob Point = SweepJob()
                        .withSpec(GranularitySpec::units(8))
@@ -736,8 +874,4 @@ TEST(SimServiceTest, FluentSettersAndValidateContracts) {
   TenancyPolicy NanTenancy = Tenants;
   NanTenancy.PressureFactor = std::nan("");
   EXPECT_NE(NanTenancy.validate().find("pressure factor"), std::string::npos);
-  TenancyPolicy TenancyInterval = Tenants;
-  TenancyInterval.CancelCheckInterval = 0;
-  EXPECT_NE(TenancyInterval.validate().find("cancellation"),
-            std::string::npos);
 }

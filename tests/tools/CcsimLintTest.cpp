@@ -184,6 +184,32 @@ TEST(LintFixtures, EngineRawMutexScopedToEngineTrees) {
           .empty());
 }
 
+TEST(LintFixtures, BespokePollViolates) {
+  const auto Vs = lintFixture("bespoke_poll.violate.cpp", "src/sim/f.cpp");
+  ASSERT_EQ(Vs.size(), 2u); // Cancel->throwIfStopped and .throwIfStopped.
+  for (const Violation &V : Vs)
+    EXPECT_EQ(V.RuleId, "cancellation.bespoke-poll");
+  EXPECT_EQ(Vs[0].Line, 10u);
+  EXPECT_EQ(Vs[1].Line, 11u);
+}
+
+TEST(LintFixtures, BespokePollClean) {
+  EXPECT_TRUE(
+      lintFixture("bespoke_poll.clean.cpp", "src/sim/f.cpp").empty());
+}
+
+TEST(LintFixtures, BespokePollAllowsOnlyTheWalkAndTheToken) {
+  // sim::forEachChunk is the one poll site and support/Cancellation.h
+  // defines the poll; tests and tools may poll a token directly.
+  for (const char *Path : {"src/sim/Simulator.h", "src/support/Cancellation.h",
+                           "tests/support/f.cpp", "tools/f.cpp"})
+    EXPECT_TRUE(lintFixture("bespoke_poll.violate.cpp", Path).empty())
+        << Path;
+  EXPECT_EQ(
+      lintFixture("bespoke_poll.violate.cpp", "src/concurrent/f.cpp").size(),
+      2u);
+}
+
 TEST(LintFixtures, SwallowedCatchViolates) {
   const auto Vs = lintFixture("swallowed_catch.violate.cpp", "src/f.cpp");
   ASSERT_EQ(Vs.size(), 1u);

@@ -18,6 +18,12 @@ using namespace ccsim::lint;
 
 const std::vector<Rule> &ccsim::lint::ruleCatalog() {
   static const std::vector<Rule> Catalog = {
+      {"cancellation.bespoke-poll",
+       "CancelToken poll in src/ outside sim::forEachChunk; a hand-rolled "
+       "poll drifts from the one chunk grain and stop message every replay "
+       "loop shares",
+       "walk the access stream through sim::forEachChunk (sim/Simulator.h) "
+       "and pass the run's CancelToken to it"},
       {"contracts.raw-assert",
        "raw assert() call; the project builds with assertions armed in "
        "Release and wants formatted diagnostics",
@@ -592,6 +598,23 @@ void checkUnorderedIteration(const std::string &Path,
     }
 }
 
+/// cancellation.bespoke-poll — a throwIfStopped() call in src/ outside
+/// sim::forEachChunk (sim/Simulator.h), the one cancellable walk every
+/// replay loop runs. support/Cancellation.h defines the poll.
+void checkBespokePoll(const std::string &Path, const std::string &NormPath,
+                      const std::string &Code, const LineIndex &Lines,
+                      std::vector<Violation> &Out) {
+  if (!underTree(NormPath, "src") || endsWith(NormPath, "sim/Simulator.h") ||
+      endsWith(NormPath, "support/Cancellation.h"))
+    return;
+  for (size_t Pos : tokenOffsets(Code, "throwIfStopped")) {
+    const size_t After = skipSpaces(Code, Pos + 14);
+    if (After < Code.size() && Code[After] == '(')
+      addViolation(Out, Path, Lines.lineOf(Pos), "cancellation.bespoke-poll",
+                   "throwIfStopped() call outside sim::forEachChunk");
+  }
+}
+
 /// locking.engine-raw-mutex — raw std:: mutex types inside the
 /// thread-shared engine trees (src/core, src/concurrent), where every
 /// lock must be one of the annotated ccsim wrappers. Only the std::
@@ -702,6 +725,7 @@ std::vector<Violation> ccsim::lint::lintSource(const std::string &Path,
       scanSuppressions(Path, View, Lines);
 
   std::vector<Violation> Raw;
+  checkBespokePoll(Path, NormPath, View.Code, Lines, Raw);
   checkRawAssert(Path, View.Code, Lines, Raw);
   checkWallClock(Path, NormPath, View.Code, Lines, Options, Raw);
   checkUnorderedIteration(Path, NormPath, View.Code, Lines, Raw);

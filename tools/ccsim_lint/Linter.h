@@ -14,6 +14,10 @@
 /// a fix hint.
 ///
 /// Rule catalog (see ruleCatalog()):
+///   cancellation.bespoke-poll        no CancelToken::throwIfStopped()
+///                                    call in src/ outside
+///                                    sim::forEachChunk, the one
+///                                    cancellable replay walk
 ///   determinism.unordered-iteration  no iterating std::unordered_map/set
 ///                                    in src/ — hash order leaks into
 ///                                    reports/exports/audit output
