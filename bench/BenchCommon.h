@@ -5,32 +5,29 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Helpers shared by the per-figure bench binaries: a common flag set
-/// (--scale, --seed, pressure controls), engine construction, the one way
-/// a figure bench runs its grid, and uniform headers so EXPERIMENTS.md
-/// can be assembled from bench output directly.
+/// Helpers shared by the bench binaries: a common flag set (--scale,
+/// --seed), suite construction, the granularity x pressure grid and its
+/// split back into sweeps, and uniform headers so EXPERIMENTS.md can be
+/// assembled from bench output directly.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CCSIM_BENCH_BENCHCOMMON_H
 #define CCSIM_BENCH_BENCHCOMMON_H
 
-#include "multisweep/MultiConfigEngine.h"
 #include "sim/Sweep.h"
-#include "support/Csv.h"
 #include "support/Flags.h"
 #include "support/StringUtils.h"
 #include "support/Table.h"
 
 #include <cstdio>
-#include <optional>
 #include <string>
 #include <vector>
 
 namespace ccsim {
 namespace benchutil {
 
-/// Flag set shared by figure benches. --scale shrinks the suite for
+/// Flag set shared by the suite benches. --scale shrinks the suite for
 /// smoke runs; 1.0 reproduces the full Table 1 suite.
 inline FlagSet standardFlags(const std::string &Description) {
   FlagSet Flags(Description);
@@ -38,32 +35,7 @@ inline FlagSet standardFlags(const std::string &Description) {
                   "Suite size multiplier (1.0 = full Table 1 suite).");
   Flags.addInt("seed", static_cast<int64_t>(DefaultSuiteSeed),
                "Suite trace-generation seed.");
-  Flags.addString("csv", "", "Optional path to also write the series as CSV.");
   return Flags;
-}
-
-/// Saves a label x pressure matrix as CSV when --csv was given.
-inline void maybeWriteCsv(const FlagSet &Flags,
-                          const std::vector<std::string> &Labels,
-                          const std::vector<double> &Pressures,
-                          const std::vector<std::vector<double>> &Series) {
-  const std::string Path = Flags.getString("csv");
-  if (Path.empty())
-    return;
-  std::vector<std::string> Header = {"granularity"};
-  for (double P : Pressures)
-    Header.push_back("n" + formatDouble(P, 0));
-  CsvWriter Csv(Header);
-  for (size_t G = 0; G < Labels.size(); ++G) {
-    Csv.beginRow();
-    Csv.cell(Labels[G]);
-    for (size_t PI = 0; PI < Pressures.size(); ++PI)
-      Csv.cell(Series[PI][G], 6);
-  }
-  if (Csv.writeFile(Path))
-    std::printf("csv series written to %s\n", Path.c_str());
-  else
-    std::fprintf(stderr, "warning: could not write %s\n", Path.c_str());
 }
 
 /// Parses a standardFlags() set and checks its --scale (scaleFlag), so a
@@ -96,7 +68,7 @@ inline void printHeader(const std::string &Title,
 inline std::vector<double> pressureAxis() { return {2, 4, 6, 8, 10}; }
 
 /// The standard granularity sweep at each of \p Pressures on \p Base,
-/// pressure-major (makeSweepGrid): the grid behind the figure benches.
+/// pressure-major (makeSweepGrid): the grid behind the grid benches.
 inline std::vector<SweepJob>
 granularityGrid(const std::vector<double> &Pressures,
                 const SimConfig &Base = SimConfig()) {
@@ -110,20 +82,6 @@ inline bool invalid(const std::string &Error) {
   if (!Error.empty())
     std::fprintf(stderr, "error: %s\n", Error.c_str());
   return !Error.empty();
-}
-
-/// The one way a figure bench runs its grid: checks \p Grid before
-/// anything is printed or simulated, then prints the header, builds the
-/// suite and runs the whole grid through the sweep front door
-/// (multisweep::runSweepGrid, one-pass). nullopt, with the error on
-/// stderr and nothing on stdout, when the grid is invalid.
-inline std::optional<std::vector<SuiteResult>>
-runFigureGrid(const FlagSet &Flags, const std::vector<SweepJob> &Grid,
-              const std::string &Title, const std::string &PaperReference) {
-  if (invalid(validateSweepGrid(Grid)))
-    return std::nullopt;
-  printHeader(Title, PaperReference);
-  return multisweep::runSweepGrid(makeEngine(Flags), Grid);
 }
 
 /// Splits the results of a grid built from whole, consecutive

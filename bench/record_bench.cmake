@@ -29,13 +29,16 @@ cmake_minimum_required(VERSION 3.19)
 # present; POSITIVE must be > 0; GATES must be JSON true; MIN holds
 # key>=floor pairs and EQUAL key=value pairs; SHOW is echoed on success.
 
-# sweep: the one-pass lattice is bit-identical to per-config replay.
+# sweep: the one-pass lattice is bit-identical to per-config replay in
+# every alternating pair of runs; each backend's time is the median of
+# `repeats` runs, with its min and max, and the speedup their ratio.
 set(sweep_TARGET sweep_onepass)
 set(sweep_DEFAULT_ARGS --scale=0.1)
 set(sweep_KEYS bench suite scale seed benchmarks configs_per_pass
-  accesses_per_pass shared_misses all_hit_fraction threads generate_ms
-  per_config_ms one_pass_ms speedup equal)
-set(sweep_POSITIVE accesses_per_pass configs_per_pass benchmarks)
+  accesses_per_pass shared_misses all_hit_fraction threads repeats
+  generate_ms per_config_ms per_config_ms_min per_config_ms_max one_pass_ms
+  one_pass_ms_min one_pass_ms_max speedup equal)
+set(sweep_POSITIVE accesses_per_pass configs_per_pass benchmarks repeats)
 set(sweep_GATES equal)
 set(sweep_SHOW configs_per_pass speedup)
 

@@ -12,6 +12,7 @@
 
 #include "BenchCommon.h"
 #include "analysis/Aggregate.h"
+#include "multisweep/MultiConfigEngine.h"
 
 using namespace ccsim;
 
@@ -39,14 +40,15 @@ int main(int Argc, char **Argv) {
         Jobs.push_back(Job);
     }
   }
-  const auto Grid = benchutil::runFigureGrid(
-      Flags, Jobs, "Sensitivity: where does the medium-grain optimum live?",
+  if (benchutil::invalid(validateSweepGrid(Jobs)))
+    return 1;
+  benchutil::printHeader(
+      "Sensitivity: where does the medium-grain optimum live?",
       "Section 4.3-4.4: the eviction fixed cost (3055) drives the "
       "fine-end penalty; the miss cost (75.4x+1922) drives the coarse-end "
       "penalty");
-  if (!Grid)
-    return 1;
-  const auto Sweeps = benchutil::granularitySweeps(*Grid);
+  const auto Sweeps = benchutil::granularitySweeps(
+      multisweep::runSweepGrid(benchutil::makeEngine(Flags), Jobs));
 
   Table Out({"Eq.2 fixed x", "Eq.3 x", "Best granularity", "Best rel",
              "FIFO rel", "FLUSH penalty"});

@@ -160,8 +160,9 @@ int main(int Argc, char **Argv) {
   const auto LoadGuests = boundedIntFlag(
       Flags, "load-guests", 1, concurrent::MaxGuestThreads, &Error);
   const auto LoadScale = scaleFlag(Flags, "load-scale", &Error);
-  if (!OpsFlag || !ThreadsFlag || !WorkingSet || !FragmentBytes || !CapacityKB ||
-      !LoadJobs || !LoadWorkers || !LoadQueue || !LoadGuests || !LoadScale) {
+  if (!OpsFlag || !ThreadsFlag || !WorkingSet || !FragmentBytes ||
+      !CapacityKB || !LoadJobs || !LoadWorkers || !LoadQueue || !LoadGuests ||
+      !LoadScale) {
     std::fprintf(stderr, "error: %s\n", Error.c_str());
     return 1;
   }

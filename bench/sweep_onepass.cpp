@@ -12,6 +12,9 @@
 // ever diverge, so the recorded speedup is always a speedup of *equal*
 // work.
 //
+// Each backend runs Repeats times, alternating between the two, so a
+// drift in host load reaches both alike; the record keeps the median,
+// min and max of each, and the speedup is the ratio of the medians.
 // Besides the human-readable table the run writes a machine-readable
 // BENCH_sweep.json (see --out) so CI and bench/record_bench.sh can track
 // the one-pass speedup over time. It also times the suite's generation
@@ -24,7 +27,9 @@
 #include "BenchCommon.h"
 #include "multisweep/MultiConfigEngine.h"
 #include "sim/Sweep.h"
+#include "support/Statistics.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -34,6 +39,9 @@
 using namespace ccsim;
 
 namespace {
+
+/// Timed runs of each backend.
+constexpr int Repeats = 5;
 
 /// Bitwise equality of two grids' results: the one-pass contract is
 /// bit-identity, not tolerance.
@@ -62,6 +70,16 @@ bool suitesEqual(const std::vector<SuiteResult> &A,
 double elapsedMs(std::chrono::steady_clock::time_point Start,
                  std::chrono::steady_clock::time_point End) {
   return std::chrono::duration<double, std::milli>(End - Start).count();
+}
+
+/// The median, min and max of one backend's run times.
+struct Spread {
+  double Median, Min, Max;
+};
+
+Spread spreadOf(const std::vector<double> &Ms) {
+  return {median(Ms), *std::min_element(Ms.begin(), Ms.end()),
+          *std::max_element(Ms.begin(), Ms.end())};
 }
 
 } // namespace
@@ -109,36 +127,47 @@ int main(int Argc, char **Argv) {
               Engine.numThreads());
   std::printf("generate:   %.1f ms\n", GenerateMs);
 
-  const auto PerConfigStart = std::chrono::steady_clock::now();
-  const std::vector<SuiteResult> Dense = multisweep::runSweepGrid(
-      Engine, Grid, {multisweep::SweepMode::PerConfig, /*Log=*/nullptr});
-  const auto PerConfigEnd = std::chrono::steady_clock::now();
-  const double PerConfigMs = elapsedMs(PerConfigStart, PerConfigEnd);
-  std::printf("per-config: %.1f ms\n", PerConfigMs);
-
-  multisweep::MultiSweepOptions Options;
-  Options.Mode = multisweep::SweepMode::OnePass;
-  Options.Log = [](const std::string &Line) {
+  // Alternate the backends; every pair must agree bit for bit. The
+  // one-pass plan is logged once.
+  const multisweep::MultiSweepOptions PerConfig = {
+      multisweep::SweepMode::PerConfig, /*Log=*/nullptr};
+  multisweep::MultiSweepOptions OnePass;
+  OnePass.Log = [](const std::string &Line) {
     std::fprintf(stderr, "sweep: %s\n", Line.c_str());
   };
   multisweep::OnePassAccounting Accounting;
-  const auto OnePassStart = std::chrono::steady_clock::now();
-  const std::vector<SuiteResult> OnePass =
-      multisweep::runSweepGrid(Engine, Grid, Options, &Accounting);
-  const auto OnePassEnd = std::chrono::steady_clock::now();
-  const double OnePassMs = elapsedMs(OnePassStart, OnePassEnd);
-  std::printf("one-pass:   %.1f ms\n", OnePassMs);
+  std::vector<double> PerConfigTimes, OnePassTimes;
+  bool Equal = true;
+  for (int Run = 0; Run < Repeats; ++Run) {
+    const auto Start = std::chrono::steady_clock::now();
+    const auto Dense = multisweep::runSweepGrid(Engine, Grid, PerConfig);
+    const auto Middle = std::chrono::steady_clock::now();
+    const auto Fast =
+        multisweep::runSweepGrid(Engine, Grid, OnePass, &Accounting);
+    const auto End = std::chrono::steady_clock::now();
+    PerConfigTimes.push_back(elapsedMs(Start, Middle));
+    OnePassTimes.push_back(elapsedMs(Middle, End));
+    Equal &= suitesEqual(Dense, Fast);
+    OnePass.Log = nullptr;
+  }
+  const Spread PerConfigMs = spreadOf(PerConfigTimes);
+  const Spread OnePassMs = spreadOf(OnePassTimes);
+  std::printf("per-config: %.1f ms median (min %.1f, max %.1f)\n",
+              PerConfigMs.Median, PerConfigMs.Min, PerConfigMs.Max);
+  std::printf("one-pass:   %.1f ms median (min %.1f, max %.1f)\n",
+              OnePassMs.Median, OnePassMs.Min, OnePassMs.Max);
 
-  const bool Equal = suitesEqual(Dense, OnePass);
-  const double Speedup = OnePassMs > 0.0 ? PerConfigMs / OnePassMs : 0.0;
+  const double Speedup =
+      OnePassMs.Median > 0.0 ? PerConfigMs.Median / OnePassMs.Median : 0.0;
   const double AllHitFraction =
       Accounting.DecodedAccesses
           ? static_cast<double>(Accounting.AllResidentShortcuts) /
                 static_cast<double>(Accounting.DecodedAccesses)
           : 0.0;
-  std::printf("speedup:    %.2fx (%s), all-resident shortcut on %.1f%% of "
-              "accesses\n",
-              Speedup, Equal ? "results bit-identical" : "RESULTS DIVERGED",
+  std::printf("speedup:    %.2fx of the medians over %d runs each (%s), "
+              "all-resident shortcut on %.1f%% of accesses\n",
+              Speedup, Repeats,
+              Equal ? "results bit-identical" : "RESULTS DIVERGED",
               AllHitFraction * 100.0);
 
   const std::string OutPath = Flags.getString("out");
@@ -155,9 +184,14 @@ int main(int Argc, char **Argv) {
                  "  \"shared_misses\": %llu,\n"
                  "  \"all_hit_fraction\": %.6f,\n"
                  "  \"threads\": %u,\n"
+                 "  \"repeats\": %d,\n"
                  "  \"generate_ms\": %.3f,\n"
                  "  \"per_config_ms\": %.3f,\n"
+                 "  \"per_config_ms_min\": %.3f,\n"
+                 "  \"per_config_ms_max\": %.3f,\n"
                  "  \"one_pass_ms\": %.3f,\n"
+                 "  \"one_pass_ms_min\": %.3f,\n"
+                 "  \"one_pass_ms_max\": %.3f,\n"
                  "  \"speedup\": %.3f,\n"
                  "  \"equal\": %s\n"
                  "}\n",
@@ -166,9 +200,10 @@ int main(int Argc, char **Argv) {
                  Engine.traces().size(), Grid.size(),
                  static_cast<unsigned long long>(Accounting.DecodedAccesses),
                  static_cast<unsigned long long>(Accounting.SharedMisses),
-                 AllHitFraction, Engine.numThreads(), GenerateMs,
-                 PerConfigMs, OnePassMs,
-                 Speedup, Equal ? "true" : "false");
+                 AllHitFraction, Engine.numThreads(), Repeats, GenerateMs,
+                 PerConfigMs.Median, PerConfigMs.Min, PerConfigMs.Max,
+                 OnePassMs.Median, OnePassMs.Min, OnePassMs.Max, Speedup,
+                 Equal ? "true" : "false");
     std::fclose(Out);
     std::printf("record written to %s\n", OutPath.c_str());
   } else {

@@ -117,8 +117,8 @@ MultiConfigEngine::MultiConfigEngine(const Trace &T,
     const SweepJob &Job = Jobs[J];
     CacheEngineConfig EC = sim::engineConfig(
         Job.Config, sim::capacityFor(T, Job.Config), Topology);
-    // No per-engine telemetry: a shared engine replicates the metrics
-    // recording at settle time instead of emitting per-access events.
+    // No per-engine telemetry: runSweepGrid records the point's frame
+    // after the pass instead of per-access events.
     // No OnEviction observer either — the miss path reads lastEvictions()
     // to keep the residency bitmask exact without per-batch copies.
     EC.Telemetry = nullptr;
@@ -192,7 +192,6 @@ void MultiConfigEngine::sharedPass(CancelToken *Cancel) {
 }
 
 void MultiConfigEngine::settle(SharedState &S, SimResult &Out) {
-  const SweepJob &Job = Jobs[S.JobIndex];
   CacheEngine &Engine = *S.Engine;
   const uint64_t N = T.Accesses.size();
   Engine.addDeferredBackPointerSamples(N - S.SampledThrough);
@@ -204,12 +203,6 @@ void MultiConfigEngine::settle(SharedState &S, SimResult &Out) {
   Out.MaxCacheBytes = T.maxCacheBytes();
   Out.CapacityBytes = Engine.cache().capacity();
   Out.Stats = Engine.stats();
-
-  // Metrics-fidelity telemetry: sim::run's frame, minus the per-access
-  // event stream between its Marks (which only per-config replay can
-  // produce).
-  sim::RunFrame(Job.Config.Telemetry, "sim:", Out)
-      .close(Out, Job.Config.PressureFactor);
 }
 
 std::vector<SimResult> MultiConfigEngine::run(CancelToken *Cancel) {
@@ -334,13 +327,17 @@ ccsim::multisweep::runSweepGrid(const SweepEngine &Engine,
         }
         const size_t J = Dense[(Cell - Passes) / NumBenchmarks];
         const size_t B = (Cell - Passes) % NumBenchmarks;
-        Results[J].PerBenchmark[B] = sim::run(
-            Traces[B], makePolicy(Jobs[J].Spec), Jobs[J].Config, Options.Cancel);
+        Results[J].PerBenchmark[B] =
+            sim::run(Traces[B], makePolicy(Jobs[J].Spec), Jobs[J].Config,
+                     Options.Cancel);
       },
       /*ChunkSize=*/1);
 
   // Merge in canonical (job, benchmark) order: bit-identical to running
-  // runSuite() per job serially.
+  // runSuite() per job serially. A shared point's telemetry is sim::run's
+  // frame minus the per-access events between its Marks (which only dense
+  // replay produces), recorded here so that its order does not depend on
+  // which pass finished first.
   for (size_t J = 0; J < Jobs.size(); ++J) {
     SuiteResult &R = Results[J];
     const LatticePlan::Point &P = Plan.Points[J];
@@ -348,8 +345,12 @@ ccsim::multisweep::runSweepGrid(const SweepEngine &Engine,
       R.PerBenchmark = Results[P.Representative].PerBenchmark;
     R.PolicyLabel = Jobs[J].Spec.label();
     R.PressureFactor = Jobs[J].Config.PressureFactor;
-    for (const SimResult &Bench : R.PerBenchmark)
+    for (const SimResult &Bench : R.PerBenchmark) {
+      if (P.Kind == LatticePlan::Route::Shared)
+        sim::RunFrame(Jobs[J].Config.Telemetry, "sim:", Bench)
+            .close(Bench, R.PressureFactor);
       R.Combined.merge(Bench.Stats);
+    }
     recordSuiteMetrics(Jobs[J].Config.Telemetry, R);
   }
   if (Accounting)

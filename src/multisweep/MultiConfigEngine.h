@@ -37,9 +37,11 @@
 /// non-stateless policies — fall back to dense per-config replay
 /// (sim::run), with a log-visible accounting of which points fell back
 /// and why. Identical telemetry-free points are deduplicated.
-/// runSweepGrid is the one code that runs a grid, in either mode. The correctness contract, pinned by tests/multisweep: every
-/// report and metrics export from one-pass mode is byte-identical to
-/// per-config replay.
+/// runSweepGrid is the one code that runs a grid, in either mode.
+///
+/// The correctness contract, pinned by tests/multisweep: every report and
+/// metrics export from one-pass mode is byte-identical to per-config
+/// replay.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -122,10 +124,11 @@ struct OnePassAccounting {
 /// Evaluates one trace against a whole sweep lattice in a single pass.
 /// Construction builds one engine per Shared point; run() walks the trace
 /// once and settles them, bit-identically to sim::run on each point.
-/// Duplicate and Fallback points are runSweepGrid's job. Telemetry-carrying
-/// shared points record their Mark pair and full CacheStats into the sink
-/// at settle time (metrics fidelity); per-access tracer events exist only
-/// in dense replay.
+/// Duplicate and Fallback points are runSweepGrid's job, and so is a
+/// shared point's telemetry: the pass records none, and runSweepGrid
+/// writes each telemetry-carrying point's Mark pair and full CacheStats
+/// after it (metrics fidelity); per-access tracer events exist only in
+/// dense replay.
 class MultiConfigEngine {
 public:
   MultiConfigEngine(const Trace &T, const std::vector<SweepJob> &Jobs,
@@ -216,11 +219,14 @@ struct MultiSweepOptions {
 /// Engine.numThreads() workers: per trace the shared pass (when the plan
 /// has Shared points, longest trace first), and one dense sim::run per
 /// (Fallback point, trace), each polling Options.Cancel. Duplicates copy
-/// their representative; the Eq. 1 merge and suite metrics follow in
-/// canonical (job, benchmark) order, so reports and metrics registries
-/// are byte-identical to a serial runSuite per job, in either mode and
-/// at any thread count. \p Jobs must be validateSweepGrid-clean. \p Accounting, when non-null, receives the
-/// merged one-pass accounting (zeroes in PerConfig mode).
+/// their representative; the Eq. 1 merge, the shared points' Mark pairs
+/// and metrics, and the suite metrics follow in canonical (job,
+/// benchmark) order, so reports and metrics registries are byte-identical
+/// to a serial runSuite per job, in either mode and at any thread count,
+/// and so is the event trace of a grid whose points all ride the shared
+/// pass. \p Jobs must be validateSweepGrid-clean. \p Accounting, when
+/// non-null, receives the merged one-pass accounting (zeroes in PerConfig
+/// mode).
 std::vector<SuiteResult>
 runSweepGrid(const SweepEngine &Engine, const std::vector<SweepJob> &Jobs,
              const MultiSweepOptions &Options = {},

@@ -45,8 +45,9 @@ std::string ccsim::validateSweepGrid(const std::vector<SweepJob> &Jobs) {
   return {};
 }
 
-std::vector<Trace> ccsim::generateSuite(const std::vector<WorkloadModel> &Models,
-                                        uint64_t SuiteSeed, unsigned Threads) {
+std::vector<Trace>
+ccsim::generateSuite(const std::vector<WorkloadModel> &Models,
+                     uint64_t SuiteSeed, unsigned Threads) {
   // Longest first, so the largest traces do not start last; each result
   // is written to its model's index.
   std::vector<size_t> Order(Models.size());

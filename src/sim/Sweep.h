@@ -68,8 +68,9 @@ struct SweepJob {
 
   /// Whether \p Other describes the exact same simulation: same spec and
   /// the same simulation-affecting config fields (pressure, capacity,
-  /// cost model, chaining, audit level, telemetry endpoint). Two such points produce bit-identical results, which is
-  /// what lets multisweep::planLattice simulate one and copy the other.
+  /// cost model, chaining, audit level, telemetry endpoint). Two such
+  /// points produce bit-identical results, which is what lets
+  /// multisweep::planLattice simulate one and copy the other.
   /// The OnViolation handler changes only what a run reports.
   bool sameSimulation(const SweepJob &Other) const;
 };
